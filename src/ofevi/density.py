@@ -7,6 +7,11 @@ density for every unit coefficient vector with no normalizing constant to
 track.  An optional affine transform re-expresses the density in original
 (unstandardized) coordinates; evaluation, sampling, and moments all honor it.
 
+Evaluation never forms the K product features.  f and grad f come from
+contracting the (K_1, ..., K_D) coefficient tensor against one 1-D table at a
+time, in chunks of points, so memory is O(chunk * (K / K_1 * D + sum K_d))
+however many points are evaluated.
+
 Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
 expansions, with coefficient matrices obtained by contracting the coefficient
@@ -35,6 +40,17 @@ from .product_basis import ProductBasis
 from .utils import as_batch
 
 _CHUNK_DRAWS = 1024
+_CHUNK_POINTS = 8192
+
+
+def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Contract each point's coefficient block with its 1-D basis values.
+
+    w holds one block per point, shape (c, K_d * rest), with the axis of
+    table (K_d, c) leading; returns (c, rest).
+    """
+    w = w.reshape(w.shape[0], table.shape[0], -1)
+    return np.einsum("cnr,nc->cr", w, table)
 
 
 def default_grid_spec(family: BasisFamily, order: int) -> tuple[float, float, int]:
@@ -187,7 +203,7 @@ class OfeDensity:
     def expansion(self, z):
         """f at the (standardized) point; the density is f^2 / |det chol|."""
         z_std, single = self._standardize(z)
-        out = self.coeffs @ self.basis.feature_matrix(z_std)
+        out, _ = self._expansion_terms(z_std, gradient=False)
         return float(out[0]) if single else out
 
     def density(self, z):
@@ -208,15 +224,42 @@ class OfeDensity:
     def score(self, z):
         """Gradient of log q; raises at zeros of the expansion."""
         z_std, single = self._standardize(z)
-        vals, grads = self.basis.feature_gradients(z_std)
-        f = self.coeffs @ vals
+        f, g = self._expansion_terms(z_std, gradient=True)
         if np.any(f == 0.0):
             raise PoleError("score undefined at a zero of the expansion")
-        g = np.einsum("k,knd->nd", self.coeffs, grads)
         out = 2.0 * g / f[:, None]
         if self.transform is not None:
             out = solve_triangular(self.transform.chol, out.T, lower=True, trans="T").T
         return out[0] if single else out
+
+    def _expansion_terms(self, z: np.ndarray, gradient: bool):
+        """f (n,) and, if requested, grad f (n, D) at standardized points.
+
+        Works through the points in chunks of `_CHUNK_POINTS`.  Per chunk the
+        coefficient tensor is contracted one axis at a time against the 1-D
+        tables: a GEMM for the first axis, then `_contract_axis` for each
+        later one.  Each partial derivative carries its own running partial,
+        which takes the derivative table on its own axis and value tables
+        elsewhere.
+        """
+        n, ndim = z.shape
+        lead = self.coeffs.reshape(self.basis.orders[0], -1)
+        f = np.empty(n)
+        g = np.empty((n, ndim)) if gradient else None
+        for start in range(0, n, _CHUNK_POINTS):
+            stop = min(start + _CHUNK_POINTS, n)
+            vals, grads = self.basis.tables(z[start:stop])
+            w = vals[0].T @ lead
+            partials = [grads[0].T @ lead] if gradient else []
+            for d in range(1, ndim):
+                partials = [_contract_axis(p, vals[d]) for p in partials]
+                if gradient:
+                    partials.append(_contract_axis(w, grads[d]))
+                w = _contract_axis(w, vals[d])
+            f[start:stop] = w[:, 0]
+            for d, p in enumerate(partials):
+                g[start:stop, d] = p[:, 0]
+        return f, g
 
     # -- marginals ----------------------------------------------------------
 
@@ -229,11 +272,10 @@ class OfeDensity:
         """
         if not 1 <= keep < self.dim:
             raise ValueError("keep must satisfy 1 <= keep < dim")
-        lead = int(np.prod(self.basis.orders[:keep]))
-        w = self.coeffs.reshape(lead, -1)
-        return w @ w.T
+        return self._axis_coefficients(tuple(range(keep)))
 
     def _axis_coefficients(self, axes: tuple[int, ...]) -> np.ndarray:
+        """Marginal coefficient matrix over `axes`, the others integrated out."""
         beta = self.coeffs.reshape(self.basis.orders)
         front = np.moveaxis(beta, axes, range(len(axes)))
         lead = int(np.prod([self.basis.orders[a] for a in axes]))
@@ -373,8 +415,7 @@ class OfeDensity:
         w = np.broadcast_to(self.coeffs, (c, self.size))
         for e in range(d):
             vals, _ = basis_tables(self.basis.families[e], orders[e], prefix[:, e])
-            w = w.reshape(c, orders[e], -1)
-            w = np.einsum("cnr,nc->cr", w, vals)
+            w = _contract_axis(w, vals)
         w = w.reshape(c, orders[d], -1)
         return np.einsum("cap,cbp->cab", w, w)
 

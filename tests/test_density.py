@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from ofevi import (
     build_cdf_table,
     fourier,
     hermite,
+    laguerre,
     legendre,
 )
-from ofevi.density import default_grid_spec
+from ofevi.density import _CHUNK_POINTS, default_grid_spec
 
 from conftest import (
     fd_gradient,
@@ -113,6 +115,83 @@ def test_transformed_score_matches_finite_differences():
         z = rng.uniform(-1.5, 1.5, size=2)
         fd = fd_gradient(lambda x: q.log_density(x), z)
         assert np.allclose(q.score(z), fd, rtol=1e-5, atol=1e-6)
+
+
+def _standard_points(rng, family, n):
+    """n points well inside the family's support."""
+    if family.kind == "hermite":
+        return rng.normal(scale=2.0, size=n)
+    if family.kind == "legendre":
+        return rng.uniform(-0.99, 0.99, size=n)
+    if family.kind == "fourier":
+        return rng.uniform(0.01, 2.0 * math.pi - 0.01, size=n)
+    return rng.exponential(scale=3.0, size=n) + 0.01
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("standardized", [False, True])
+@pytest.mark.parametrize("orders", [(6,), (5, 3), (4, 2, 3)])
+@pytest.mark.parametrize("make_family", [hermite, legendre, fourier, laguerre])
+def test_evaluation_matches_the_product_feature_oracle(make_family, orders, standardized):
+    rng = np.random.default_rng(len(orders))
+    dim = len(orders)
+    basis = ProductBasis([make_family()] * dim, orders)
+    transform = None
+    if standardized:
+        chol = np.diag(np.linspace(1.3, 0.8, dim)) + np.tril(np.full((dim, dim), 0.2), -1)
+        transform = StandardizingTransform(np.linspace(0.5, -0.5, dim), chol)
+    q = OfeDensity(basis, rng.normal(size=basis.size), transform)
+    z_std = np.column_stack([_standard_points(rng, f, _CHUNK_POINTS + 1) for f in basis.families])
+    z = z_std if transform is None else transform.from_standard(z_std)
+    if transform is not None:
+        z_std = transform.to_standard(z)
+
+    f_ref = q.coeffs @ basis.feature_matrix(z_std)
+    _, grads = basis.feature_gradients(z_std)
+    grad_ref = np.einsum("k,knd->nd", q.coeffs, grads)
+    if transform is not None:
+        grad_ref = np.linalg.solve(transform.chol.T, grad_ref.T).T
+
+    f = q.expansion(z)
+    assert f.shape == (_CHUNK_POINTS + 1,)
+    assert _max_rel(f, f_ref) < 1e-12
+    # score * f / 2 is grad f: compared this way, points near a zero of f,
+    # where the score itself is ill-conditioned, do not dominate.
+    assert _max_rel(q.score(z) * f[:, None] / 2.0, grad_ref) < 1e-12
+
+    one = q.expansion(z[-1])
+    assert isinstance(one, float)
+    assert abs(one - f_ref[-1]) < 1e-12 * np.max(np.abs(f_ref))
+    assert q.score(z[-1]).shape == (dim,)
+
+
+def test_score_raises_at_a_zero_past_the_first_chunk():
+    basis = ProductBasis([hermite()] * 2, (2, 3))
+    coeffs = np.zeros(basis.size)
+    coeffs[basis.flatten_index((2, 1)) - 1] = 1.0  # f vanishes on z_1 = 0
+    q = OfeDensity(basis, coeffs)
+    z = np.random.default_rng(7).normal(size=(_CHUNK_POINTS + 1, 2))
+    z[-1, 0] = 0.0
+    assert q.expansion(z)[-1] == 0.0
+    with pytest.raises(PoleError):
+        q.score(z)
+    assert np.all(np.isfinite(q.score(z[:-1])))
+
+
+def test_score_memory_stays_bounded():
+    rng = np.random.default_rng(8)
+    q = hermite_density_2d(rng.normal(size=(20, 20)))
+    z = rng.normal(scale=2.0, size=(50_000, 2))
+    tracemalloc.start()
+    try:
+        q.score(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # -- marginals ----------------------------------------------------------------
