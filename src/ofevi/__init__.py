@@ -53,7 +53,7 @@ from .harness import (
     write_outputs,
 )
 from .product_basis import ProductBasis, eval_product, grad_product
-from .proposals import IsotropicGaussian, UniformBox, proposal_density, proposal_sample
+from .proposals import IsotropicGaussian, UniformBox
 from .standardize import (
     StandardizedTarget,
     StandardizingTransform,
@@ -84,7 +84,7 @@ __all__ = [
     "hermite", "legendre", "fourier", "laguerre",
     "basis_tables", "eval_basis", "eval_basis_grad", "recurrence_z_phi",
     "ProductBasis", "eval_product", "grad_product",
-    "UniformBox", "IsotropicGaussian", "proposal_density", "proposal_sample",
+    "UniformBox", "IsotropicGaussian",
     "Gaussian", "GaussianMixture", "Funnel", "SinhArcsinh",
     "bimodal_1d", "mixture_2d", "funnel_2d", "cross_2d",
     "sinh_arcsinh_2d", "sinh_arcsinh_5d", "make_target", "TARGET_REGISTRY",

@@ -15,25 +15,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .basis1d import BasisFamily
 from .density import OfeDensity
-from .estimator import fit
 from .exceptions import ConfigError
-from .harness import ExperimentConfig, fisher_divergence_empirical, forward_kl, run, write_outputs
-from .product_basis import ProductBasis
-from .proposals import IsotropicGaussian, UniformBox
-from .standardize import estimate_transform, pull_density, push_target
-from .targets import TARGET_REGISTRY, make_target
-
-
-def _parse_orders(text: str) -> tuple[int, ...]:
-    try:
-        orders = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"orders must be comma-separated integers, got {text!r}") from None
-    if not orders or min(orders) < 1:
-        raise ConfigError("orders must be positive")
-    return orders
+from .harness import (
+    ExperimentConfig,
+    fisher_divergence_empirical,
+    fit_cells,
+    forward_kl,
+    run,
+    write_outputs,
+)
+from .targets import make_target
 
 
 def _parse_params(text: str) -> dict:
@@ -46,12 +38,6 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _load_target(name: str, params_text: str):
-    if name not in TARGET_REGISTRY:
-        raise ConfigError(f"unknown target {name!r}; known: {sorted(TARGET_REGISTRY)}")
-    return make_target(name, **_parse_params(params_text))
-
-
 def _load_density(path: str) -> OfeDensity:
     try:
         return OfeDensity.load(path)
@@ -59,40 +45,31 @@ def _load_density(path: str) -> OfeDensity:
         raise ConfigError(f"cannot load density from {path}: {exc}") from None
 
 
-def _build_proposal(kind: str, scale: float, dim: int):
-    if scale <= 0:
-        raise ConfigError("proposal scale must be positive")
-    if kind == "uniform":
-        return UniformBox.centered(scale, dim)
-    if kind == "gaussian":
-        return IsotropicGaussian(np.zeros(dim), scale**2)
-    raise ConfigError(f"unknown proposal kind {kind!r}")
-
-
 def _cmd_fit(args) -> int:
-    target = _load_target(args.target, args.target_params)
-    orders = _parse_orders(args.orders)
-    if len(orders) != target.dim:
-        raise ConfigError(f"orders imply dimension {len(orders)}, target has {target.dim}")
-    basis = ProductBasis([BasisFamily(args.family)] * len(orders), orders)
-    proposal = _build_proposal(args.proposal, args.scale, target.dim)
-    rng = np.random.default_rng(args.seed)
-
-    transform = None
-    fit_target = target
-    if args.standardize:
-        transform = estimate_transform(target, proposal, args.standardize_samples, rng)
-        fit_target = push_target(target, transform)
-    result = fit(fit_target, basis, proposal, rng, n_samples=args.samples)
-    q = result.density if transform is None else pull_density(result.density, transform)
+    config = ExperimentConfig(
+        target=args.target,
+        target_params=_parse_params(args.target_params),
+        orders=(args.orders.split(","),),
+        seed=args.seed,
+        family=args.family,
+        samples=(args.samples,),
+        proposal=args.proposal,
+        proposal_scale=args.scale,
+        standardize=args.standardize,
+        standardize_samples=args.standardize_samples,
+    )
+    [(_, _, record, result, q)] = fit_cells(config, config.build_target())
+    if record.error is not None:
+        print(f"error: {record.error}", file=sys.stderr)
+        return 2
     if args.out:
         q.save(args.out)
     summary = {
         "lambda_min": result.eigenvalue,
         "residual": result.residual,
         "solver": result.solver,
-        "K": basis.size,
-        "B": int(result.samples.shape[0] + result.rejected),
+        "K": record.K,
+        "B": record.B,
         "rejected": result.rejected,
         "standardized": args.standardize,
         "density_path": args.out,
@@ -127,7 +104,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     q = _load_density(args.density)
-    target = _load_target(args.target, args.target_params)
+    target = make_target(args.target, **_parse_params(args.target_params))
     if target.dim != q.dim:
         raise ConfigError(f"density has dimension {q.dim}, target has {target.dim}")
     rng = np.random.default_rng(args.seed)

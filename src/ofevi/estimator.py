@@ -33,7 +33,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .density import OfeDensity
 from .exceptions import ProposalSupportError, ScoreRejectionError
 from .product_basis import ProductBasis
-from .proposals import Proposal, proposal_density, proposal_sample
+from .proposals import Proposal
+
+# Samples with non-finite target scores are dropped from M.  Dropping more
+# than this share of a batch would bias the fit silently, so it raises
+# instead: a silent bias is worse than a loud failure.
+MAX_REJECT_FRAC = 0.01
 
 
 @runtime_checkable
@@ -163,19 +168,13 @@ def fit(
     proposal: Proposal,
     rng: np.random.Generator,
     n_samples: int | None = None,
-    chunk_size: int | None = None,
-    dense_cutoff: int = 2048,
-    residual_tol: float = 1e-8,
 ) -> FitResult:
     """Draw from the proposal, assemble M, and solve for the best unit alpha."""
     if target.dim != basis.dim:
         raise ValueError("target and basis dimensions differ")
     n = default_sample_count(basis) if n_samples is None else int(n_samples)
-    z = proposal_sample(proposal, rng, n)
-    return fit_from_batch(
-        target, basis, z, 1.0 / proposal_density(proposal, z),
-        chunk_size=chunk_size, dense_cutoff=dense_cutoff, residual_tol=residual_tol,
-    )
+    z = proposal.sample(rng, n)
+    return fit_from_batch(target, basis, z, 1.0 / proposal.density(z))
 
 
 def fit_from_batch(
@@ -184,9 +183,7 @@ def fit_from_batch(
     z: np.ndarray,
     weights: np.ndarray,
     chunk_size: int | None = None,
-    dense_cutoff: int = 2048,
     residual_tol: float = 1e-8,
-    max_reject_frac: float = 0.01,
 ) -> FitResult:
     """Fit on an existing batch; lets several basis sizes share draws and scores."""
     weights = np.asarray(weights, dtype=float)
@@ -204,8 +201,7 @@ def fit_from_batch(
     finite = np.all(np.isfinite(scores), axis=1)
     rejected = int(n - np.count_nonzero(finite))
     if rejected:
-        # a silent bias is worse than a loud failure
-        if rejected > max_reject_frac * n:
+        if rejected > MAX_REJECT_FRAC * n:
             raise ScoreRejectionError(
                 f"{rejected} of {n} samples have non-finite scores"
             )
@@ -213,7 +209,7 @@ def fit_from_batch(
     u = feature_vectors(basis, z, scores)
     m = assemble_moment_matrix(u, weights, chunk_size=chunk_size)
     t2 = time.perf_counter()
-    lam, alpha, solver = min_eigenpair(m, dense_cutoff=dense_cutoff)
+    lam, alpha, solver = min_eigenpair(m)
     t3 = time.perf_counter()
     residual = float(np.linalg.norm(m @ alpha - lam * alpha))
     bound = residual_tol * np.linalg.norm(m, "fro")

@@ -1,11 +1,13 @@
 """Experiment harness: configured fit pipelines and their evaluation.
 
 A run is a grid of cells (sample-count sweep x basis-order sweep) against one
-target.  Each cell fits a squared expansion, evaluates forward KL against
-exact target samples and the mean squared score mismatch, and appends a
-RunRecord.  Cells share one batch of reference samples, and within a fixed
-sample-count cell all basis sizes share one proposal batch and one set of
-cached target scores.
+target.  `fit_cells` fits each cell; `run` then evaluates each fitted cell
+(forward KL against exact target samples, the mean squared score mismatch,
+an optional sampling probe) and appends a RunRecord.  Cells share one batch
+of reference samples, and within a fixed sample-count cell all basis sizes
+share one proposal batch and one set of cached target scores.  `ofevi fit`
+is `fit_cells` on a one-cell config, so it writes the density `ofevi sweep`
+writes for the same config and seed.
 
 Outputs: a long-format CSV (one row per metric) whose bytes depend only on
 the config and seed, plus a JSON document carrying complete records
@@ -30,7 +32,7 @@ from .density import OfeDensity
 from .estimator import ScoreCache, fit_from_batch
 from .exceptions import ConfigError
 from .product_basis import ProductBasis
-from .proposals import IsotropicGaussian, UniformBox, proposal_density, proposal_sample
+from .proposals import IsotropicGaussian, UniformBox
 from .standardize import estimate_transform, pull_density, push_target
 from .targets import TARGET_REGISTRY, make_target
 
@@ -58,10 +60,13 @@ class ExperimentConfig:
     out_prefix: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(tuple(int(k) for k in o) for o in self.orders))
-        object.__setattr__(
-            self, "samples", tuple(None if b is None else int(b) for b in self.samples)
-        )
+        try:
+            orders = tuple(tuple(int(k) for k in o) for o in self.orders)
+            samples = tuple(None if b is None else int(b) for b in self.samples)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("orders and samples must hold integers") from None
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "samples", samples)
         if not self.orders or any(not o or min(o) < 1 for o in self.orders):
             raise ConfigError("orders must be a nonempty list of positive-integer lists")
         if len({len(o) for o in self.orders}) != 1:
@@ -70,18 +75,37 @@ class ExperimentConfig:
             raise ConfigError("samples must be a nonempty list of positive counts or nulls")
         if self.target not in TARGET_REGISTRY:
             raise ConfigError(f"unknown target {self.target!r}")
+        try:
+            BasisFamily(self.family)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.proposal not in ("uniform", "gaussian"):
             raise ConfigError("proposal must be 'uniform' or 'gaussian'")
         if self.proposal_scale <= 0:
             raise ConfigError("proposal_scale must be positive")
+        if self.standardize_samples < 1:
+            raise ConfigError("standardize_samples must be positive")
         if self.eval_samples < 1:
             raise ConfigError("eval_samples must be positive")
+        if self.sample_probe < 0:
+            raise ConfigError("sample_probe must be nonnegative")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ConfigError("chunk_size must be positive")
         if not isinstance(self.seed, int):
             raise ConfigError("seed is mandatory and must be an integer")
 
     @property
     def dim(self) -> int:
         return len(self.orders[0])
+
+    def build_target(self):
+        """The configured target, checked against the dimension of the orders."""
+        target = make_target(self.target, **self.target_params)
+        if target.dim != self.dim:
+            raise ConfigError(
+                f"target {self.target!r} has dimension {target.dim}, orders imply {self.dim}"
+            )
+        return target
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -223,26 +247,18 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
 # ---------------------------------------------------------------------------
 # Running experiments.
 
-def _build_proposal(config: ExperimentConfig, dim: int):
-    if config.proposal == "uniform":
-        return UniformBox.centered(config.proposal_scale, dim)
-    return IsotropicGaussian(np.zeros(dim), config.proposal_scale**2)
+def fit_cells(config: ExperimentConfig, target):
+    """Fit every sweep cell in order; yields (bi, ki, record, result, density).
 
-
-def run(config: ExperimentConfig):
-    """Execute every sweep cell; returns (records, densities) in cell order.
-
-    A cell failure is recorded with its reason and the run continues.
-    Randomness is drawn from per-purpose streams keyed by the seed, so a
-    rerun with the same config reproduces every number except wall-clock
-    timings.
+    bi and ki index the cell's sample count and basis order; `record` has no
+    metric filled in; `density` is the fit pulled back to the target's
+    coordinates.  A cell whose fit raised yields its record with `error`
+    set and None for the result and the density.
     """
-    target = make_target(config.target, **config.target_params)
-    if target.dim != config.dim:
-        raise ConfigError(
-            f"target {config.target!r} has dimension {target.dim}, orders imply {config.dim}"
-        )
-    proposal = _build_proposal(config, target.dim)
+    if config.proposal == "uniform":
+        proposal = UniformBox.centered(config.proposal_scale, target.dim)
+    else:
+        proposal = IsotropicGaussian(np.zeros(target.dim), config.proposal_scale**2)
     config_hash = config.hash()
 
     if config.standardize:
@@ -254,23 +270,15 @@ def run(config: ExperimentConfig):
         transform = None
         fit_target = target
 
-    rng_eval = np.random.default_rng((config.seed, 3))
-    z_ref = target.sample(rng_eval, config.eval_samples)
-    log_p_ref = np.asarray(target.log_density(z_ref))
-    p_scores_ref = np.asarray(target.score(z_ref))
-
-    records: list[RunRecord] = []
-    densities: list[OfeDensity | None] = []
     for bi, b_spec in enumerate(config.samples):
         cache = ScoreCache(fit_target)
         shared = None
         if b_spec is not None:
-            rng_fit = np.random.default_rng((config.seed, 1, bi))
-            z = proposal_sample(proposal, rng_fit, b_spec)
-            shared = (z, 1.0 / proposal_density(proposal, z))
+            z = proposal.sample(np.random.default_rng((config.seed, 1, bi)), b_spec)
+            shared = (z, 1.0 / proposal.density(z))
         for ki, orders in enumerate(config.orders):
             size = int(np.prod(orders))
-            base = RunRecord(
+            record = RunRecord(
                 config=config_hash,
                 target=config.target,
                 family=config.family,
@@ -282,28 +290,50 @@ def run(config: ExperimentConfig):
             )
             try:
                 basis = ProductBasis([BasisFamily(config.family)] * len(orders), orders)
-                record, density = _run_cell(
-                    config, base, basis, cache, proposal, shared, transform,
-                    z_ref, log_p_ref, p_scores_ref, bi, ki,
+                if shared is None:
+                    z = proposal.sample(np.random.default_rng((config.seed, 1, bi, ki)), record.B)
+                    weights = 1.0 / proposal.density(z)
+                else:
+                    z, weights = shared
+                result = fit_from_batch(cache, basis, z, weights, chunk_size=config.chunk_size)
+                q = result.density if transform is None else pull_density(result.density, transform)
+            except Exception as exc:  # per-cell isolation: record and move on
+                yield bi, ki, replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
+                continue
+            yield bi, ki, record, result, q
+
+
+def run(config: ExperimentConfig):
+    """Fit and evaluate every sweep cell; returns (records, densities) in cell order.
+
+    A cell failure, in its fit or its evaluation, is recorded with its
+    reason and the run continues.  Randomness is drawn from per-purpose
+    streams keyed by the seed, so a rerun with the same config reproduces
+    every number except wall-clock timings.
+    """
+    target = config.build_target()
+
+    rng_eval = np.random.default_rng((config.seed, 3))
+    z_ref = target.sample(rng_eval, config.eval_samples)
+    log_p_ref = np.asarray(target.log_density(z_ref))
+    p_scores_ref = np.asarray(target.score(z_ref))
+
+    records: list[RunRecord] = []
+    densities: list[OfeDensity | None] = []
+    for bi, ki, record, result, q in fit_cells(config, target):
+        if result is not None:
+            try:
+                record = _run_cell(
+                    config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki
                 )
             except Exception as exc:  # per-cell isolation: record and move on
-                record, density = replace(base, error=f"{type(exc).__name__}: {exc}"), None
-            records.append(record)
-            densities.append(density)
+                record, q = replace(record, error=f"{type(exc).__name__}: {exc}"), None
+        records.append(record)
+        densities.append(q)
     return records, densities
 
 
-def _run_cell(config, base, basis, cache, proposal, shared, transform,
-              z_ref, log_p_ref, p_scores_ref, bi, ki):
-    if shared is None:
-        rng_fit = np.random.default_rng((config.seed, 1, bi, ki))
-        z = proposal_sample(proposal, rng_fit, base.B)
-        weights = 1.0 / proposal_density(proposal, z)
-    else:
-        z, weights = shared
-    result = fit_from_batch(cache, basis, z, weights, chunk_size=config.chunk_size)
-    q = result.density if transform is None else pull_density(result.density, transform)
-
+def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki):
     kl, kl_se, kl_excluded = kl_from_samples(z_ref, log_p_ref, q)
     fisher, fisher_excluded = _fisher_from_scores(p_scores_ref, q, z_ref)
 
@@ -315,8 +345,8 @@ def _run_cell(config, base, basis, cache, proposal, shared, transform,
     else:
         note = "tail_clips null: no sampling probe requested"
 
-    record = replace(
-        base,
+    return replace(
+        record,
         lambda_min=result.eigenvalue,
         residual=result.residual,
         solver=result.solver,
@@ -332,7 +362,6 @@ def _run_cell(config, base, basis, cache, proposal, shared, transform,
         eigensolve_ms=result.timings_ms["eigensolve"],
         note=note,
     )
-    return record, q
 
 
 # ---------------------------------------------------------------------------

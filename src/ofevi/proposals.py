@@ -85,12 +85,3 @@ class IsotropicGaussian:
 
 Proposal = UniformBox | IsotropicGaussian
 
-
-def proposal_density(p: Proposal, z):
-    """Normalized density of the proposal at z ((D,) point or (n, D) batch)."""
-    return p.density(z)
-
-
-def proposal_sample(p: Proposal, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws, deterministic given the generator state."""
-    return p.sample(rng, n)

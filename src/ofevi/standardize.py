@@ -17,7 +17,6 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .density import OfeDensity
 from .exceptions import ProposalSupportError, TransformError
-from .proposals import proposal_density, proposal_sample
 from .utils import as_batch
 
 
@@ -127,8 +126,8 @@ def estimate_moments(target, proposal, n_samples: int, rng: np.random.Generator)
     Cholesky factorization downstream cannot fail on a rank-deficient
     estimate.
     """
-    z = proposal_sample(proposal, rng, n_samples)
-    log_w = target.log_density(z) - np.log(proposal_density(proposal, z))
+    z = proposal.sample(rng, n_samples)
+    log_w = target.log_density(z) - np.log(proposal.density(z))
     log_w = np.asarray(log_w, dtype=float)
     finite = np.isfinite(log_w)
     if not np.any(finite):

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 
+from .exceptions import ConfigError
 from .utils import as_batch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -282,9 +283,12 @@ TARGET_REGISTRY = {
 
 
 def make_target(name: str, **params):
-    """Construct a registered target by name."""
+    """Construct a registered target by name; a bad name or parameter is a ConfigError."""
     try:
         ctor = TARGET_REGISTRY[name]
     except KeyError:
-        raise ValueError(f"unknown target {name!r}; known: {sorted(TARGET_REGISTRY)}") from None
-    return ctor(**params)
+        raise ConfigError(f"unknown target {name!r}; known: {sorted(TARGET_REGISTRY)}") from None
+    try:
+        return ctor(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for target {name!r}: {exc}") from None

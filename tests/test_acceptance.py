@@ -27,8 +27,6 @@ from ofevi import (
     bimodal_1d,
     hermite,
     make_target,
-    proposal_density,
-    proposal_sample,
     pull_density,
     push_target,
     records_to_csv,
@@ -99,8 +97,8 @@ def test_criterion_03_quadratic_form_identity():
     rng_alpha = np.random.default_rng(31)
     for target, basis, halfwidth in cases:
         proposal = UniformBox.centered(halfwidth, target.dim)
-        z = proposal_sample(proposal, np.random.default_rng(32), 200)
-        w = 1.0 / proposal_density(proposal, z)
+        z = proposal.sample(np.random.default_rng(32), 200)
+        w = 1.0 / proposal.density(z)
         scores = np.asarray(target.score(z))
         m = assemble_moment_matrix(feature_vectors(basis, z, scores), w)
         vals, grads = basis.feature_gradients(z)
@@ -289,8 +287,8 @@ def test_criterion_10_score_cache_reuse():
     target = make_target("mixture2d")
     cache = ScoreCache(target)
     proposal = UniformBox.centered(9.0, 2)
-    z = proposal_sample(proposal, np.random.default_rng(101), 250)
-    w = 1.0 / proposal_density(proposal, z)
+    z = proposal.sample(np.random.default_rng(101), 250)
+    w = 1.0 / proposal.density(z)
     small = basis_nd(2, 3)
     large = basis_nd(2, 5)
     r_small = fit_from_batch(cache, small, z, w)

@@ -175,6 +175,56 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--samples", "0"),
+        ("--family", "hermit"),
+        ("--standardize", "--standardize-samples", "0"),
+        ("--target-params", '{"bogus": 1}'),
+    ],
+)
+def test_fit_flag_errors_exit_one(capsys, extra):
+    code, _, stderr = run_cli(
+        capsys, "fit", "--target", "gaussian", "--orders", "3",
+        "--target-params", '{"mean": [0.0], "cov": [[1.0]]}', *extra,
+    )
+    assert code == 1 and "config error" in stderr
+
+
+@pytest.mark.parametrize("field", [{"orders": [["a"]]}, {"samples": ["x"]}])
+def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):
+    config = dict({"target": "bimodal1d", "orders": [[3]], "seed": 0}, **field)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 1 and "config error" in stderr
+
+
+@pytest.mark.parametrize(
+    "flags, fields",
+    [
+        (("--target", "mixture2d", "--orders", "6,6", "--scale", "9"),
+         {"target": "mixture2d", "orders": [[6, 6]], "proposal_scale": 9.0}),
+        (("--target", "gaussian", "--target-params", '{"mean": [3.0], "cov": [[0.125]]}',
+          "--orders", "3", "--standardize", "--samples", "700"),
+         {"target": "gaussian", "target_params": {"mean": [3.0], "cov": [[0.125]]},
+          "orders": [[3]], "standardize": True, "samples": [700]}),
+    ],
+)
+def test_fit_writes_the_density_a_one_cell_sweep_writes(tmp_path, capsys, flags, fields):
+    fitted = tmp_path / "fit.json"
+    code, _, _ = run_cli(capsys, "fit", *flags, "--seed", "4", "--out", str(fitted))
+    assert code == 0
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(dict(fields, seed=4, eval_samples=500)))
+    prefix = tmp_path / "sweep" / "run"
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out-prefix", str(prefix))
+    assert code == 0
+    [swept] = prefix.parent.glob("run_density_*.json")
+    assert fitted.read_bytes() == swept.read_bytes()
+
+
 def test_dimension_mismatch_is_a_config_error(capsys):
     code, _, stderr = run_cli(
         capsys, "fit", "--target", "mixture2d", "--orders", "3",

@@ -129,6 +129,13 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=((3,),), seed=0, proposal="cauchy"),
         dict(target="bimodal1d", orders=((3,),), seed=0, proposal_scale=-1.0),
         dict(target="bimodal1d", orders=((3,),), seed=0, eval_samples=0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, family="hermit"),
+        dict(target="bimodal1d", orders=((3,),), seed=0, standardize_samples=0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, sample_probe=-1),
+        dict(target="bimodal1d", orders=((3,),), seed=0, chunk_size=0),
+        dict(target="bimodal1d", orders=(("a",),), seed=0),
+        dict(target="bimodal1d", orders=((1e400,),), seed=0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, samples=("x",)),
     ],
 )
 def test_config_validation(kwargs):

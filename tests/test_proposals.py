@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ofevi import IsotropicGaussian, UniformBox, proposal_density, proposal_sample
+from ofevi import IsotropicGaussian, UniformBox
 
 
 def test_box_density_values():
     box = UniformBox.centered(9.0, 2)
-    assert proposal_density(box, [0.0, 0.0]) == pytest.approx(1.0 / 324.0, rel=1e-15)
-    assert proposal_density(box, [9.5, 0.0]) == 0.0
-    batch = proposal_density(box, np.array([[0.0, 0.0], [10.0, 0.0]]))
+    assert box.density([0.0, 0.0]) == pytest.approx(1.0 / 324.0, rel=1e-15)
+    assert box.density([9.5, 0.0]) == 0.0
+    batch = box.density(np.array([[0.0, 0.0], [10.0, 0.0]]))
     assert batch[0] > 0.0 and batch[1] == 0.0
 
 
@@ -23,30 +23,30 @@ def test_gaussian_density_matches_scipy():
 
 def test_densities_integrate_to_one():
     box = UniformBox(np.array([-2.0]), np.array([5.0]))
-    val, _ = integrate.quad(lambda x: proposal_density(box, [x]), -3.0, 6.0)
+    val, _ = integrate.quad(lambda x: box.density([x]), -3.0, 6.0)
     assert val == pytest.approx(1.0, abs=1e-10)
     gauss = IsotropicGaussian(np.array([1.0]), 4.0)
-    val, _ = integrate.quad(lambda x: proposal_density(gauss, [x]), -30.0, 30.0)
+    val, _ = integrate.quad(lambda x: gauss.density([x]), -30.0, 30.0)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_samples_live_inside_the_box():
     box = UniformBox.centered(3.0, 4)
-    z = proposal_sample(box, np.random.default_rng(1), 5000)
+    z = box.sample(np.random.default_rng(1), 5000)
     assert z.shape == (5000, 4)
     assert np.all(z >= -3.0) and np.all(z <= 3.0)
 
 
 def test_sampling_is_deterministic_given_the_generator():
     prop = IsotropicGaussian(np.zeros(3), 9.0)
-    a = proposal_sample(prop, np.random.default_rng(42), 100)
-    b = proposal_sample(prop, np.random.default_rng(42), 100)
+    a = prop.sample(np.random.default_rng(42), 100)
+    b = prop.sample(np.random.default_rng(42), 100)
     assert np.array_equal(a, b)
 
 
 def test_gaussian_sample_moments():
     prop = IsotropicGaussian(np.array([2.0]), 4.0)
-    z = proposal_sample(prop, np.random.default_rng(5), 100_000)
+    z = prop.sample(np.random.default_rng(5), 100_000)
     se_mean = 2.0 / np.sqrt(100_000)
     assert abs(z.mean() - 2.0) < 4.0 * se_mean
     assert abs(z.var() - 4.0) < 0.1
@@ -56,7 +56,7 @@ def test_box_histogram_is_flat():
     # Fixed seed keeps the five-sigma-free check deterministic.
     box = UniformBox(np.array([-1.0]), np.array([2.0]))
     n, bins = 1_000_000, 50
-    z = proposal_sample(box, np.random.default_rng(0), n)[:, 0]
+    z = box.sample(np.random.default_rng(0), n)[:, 0]
     counts, _ = np.histogram(z, bins=bins, range=(-1.0, 2.0))
     p = 1.0 / bins
     se = np.sqrt(n * p * (1.0 - p))
@@ -71,4 +71,4 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         IsotropicGaussian(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
-        proposal_sample(UniformBox.centered(1.0, 1), np.random.default_rng(0), 0)
+        UniformBox.centered(1.0, 1).sample(np.random.default_rng(0), 0)

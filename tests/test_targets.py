@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from ofevi import (
+    ConfigError,
     Funnel,
     Gaussian,
     GaussianMixture,
@@ -183,6 +184,8 @@ def test_registry_constructs_every_target():
     assert g.log_density([1.0]) == pytest.approx(-0.5 * math.log(4.0 * math.pi))
     with pytest.raises(ValueError):
         make_target("nope")
+    with pytest.raises(ConfigError):
+        make_target("gaussian", bogus=1)
 
 
 def test_parameter_validation():
