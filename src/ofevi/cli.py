@@ -21,7 +21,7 @@ from .harness import (
     ExperimentConfig,
     fisher_divergence_empirical,
     fit_cells,
-    forward_kl,
+    kl_from_samples,
     run,
     write_outputs,
 )
@@ -107,9 +107,11 @@ def _cmd_evaluate(args) -> int:
     target = make_target(args.target, **_parse_params(args.target_params))
     if target.dim != q.dim:
         raise ConfigError(f"density has dimension {q.dim}, target has {target.dim}")
-    rng = np.random.default_rng(args.seed)
-    kl, se = forward_kl(target, q, args.n, rng)
-    z_ref = target.sample(rng, args.n)
+    if args.n < 1:
+        raise ValueError("forward KL needs at least one sample")
+    # One reference set serves both divergences, as in a sweep.
+    z_ref = target.sample(np.random.default_rng(args.seed), args.n)
+    kl, se, _ = kl_from_samples(z_ref, np.asarray(target.log_density(z_ref)), q)
     fisher = fisher_divergence_empirical(target, q, z_ref)
     print(json.dumps({"kl": kl, "kl_se": se, "fisher_div": fisher, "n": args.n}, indent=2))
     return 0

@@ -12,11 +12,16 @@ where z_b are draws from the proposal pi.  Minimizing over unit alpha is a
 minimum-eigenvalue problem, so the fit is a single symmetric eigensolve with
 no iterative optimization over the variational parameters.
 
-M is assembled entry by entry with 1-D dot products over a fixed flattening
-of (sample, coordinate) pairs.  That costs a constant factor over a matrix
-product but makes every entry independent of every other: fitting a larger
-basis on the same draws reproduces the smaller basis's entries bit for bit,
-and results do not depend on BLAS blocking across shapes.
+The batch is streamed in fixed-order chunks of samples.  Each chunk builds
+its (K, chunk, D) features from the 1-D basis tables, with the score folded
+into one table per component, and adds one matrix product
+(sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * chunk * D).
+Matrix products of different shapes need not round alike, so fits of
+nested bases on one batch share their common block through `ScoreCache`
+rather than by recomputing it: a basis nested in the largest one assembled
+on the batch takes its block of that M, and a basis containing it gets that
+M copied into its own.  The nested blocks are then bit-identical whatever
+the BLAS kernels do.
 """
 
 from __future__ import annotations
@@ -32,13 +37,17 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .density import OfeDensity
 from .exceptions import ProposalSupportError, ScoreRejectionError
-from .product_basis import ProductBasis
+from .product_basis import ProductBasis, _combine
 from .proposals import Proposal
 
 # Samples with non-finite target scores are dropped from M.  Dropping more
 # than this share of a batch would bias the fit silently, so it raises
 # instead: a silent bias is worse than a loud failure.
 MAX_REJECT_FRAC = 0.01
+
+# Samples per streamed chunk when the caller sets none.  One chunk's
+# features take K * 1024 * D doubles: 23.6 MB at K = 576, D = 5.
+DEFAULT_CHUNK = 1024
 
 
 @runtime_checkable
@@ -53,12 +62,17 @@ class ScoreTarget(Protocol):
 
 
 class ScoreCache:
-    """Memoizes target scores for the most recent sample batch.
+    """Memoizes target scores, and the largest M assembled, for the latest batch.
 
     Fits of different basis sizes on the same draws then evaluate the target
     score once per sample instead of once per fit.  The cache keys on object
     identity of the batch array and keeps a reference to it, so a recycled
     array address cannot alias a stale entry.
+
+    It also holds the basis and M of the largest fit assembled on the batch
+    and its weights array; see `moment_matrix`.  Both reset
+    when the batch changes.  The held M is the array the fit returned, so
+    it must not be modified in place.
     """
 
     def __init__(self, target: ScoreTarget):
@@ -67,6 +81,7 @@ class ScoreCache:
         self.n_score_evals = 0
         self._batch = None
         self._scores = None
+        self._held = None
 
     def log_density(self, z):
         return self.target.log_density(z)
@@ -80,13 +95,62 @@ class ScoreCache:
             self._scores = np.asarray(self.target.score(z))
             self.n_score_evals += z.shape[0]
             self._batch = z
+            self._held = None
         return self._scores
+
+    def moment_matrix(self, basis, z, weights, assemble) -> np.ndarray:
+        """M of `basis` on batch z, exact on every block shared with the held fit.
+
+        A basis nested in the held one takes its block of the held M;
+        otherwise `assemble()` builds M, and if the held basis is nested in
+        this one its M is copied over the matching block.  The larger of
+        the two is held afterwards.
+        """
+        held_basis = held_m = None
+        if self._held is not None:
+            held_z, held_weights, held_basis, held_m = self._held
+            if not (held_z is z and held_weights is weights):
+                held_basis = held_m = None
+        if held_basis is not None:
+            rows = _nested_rows(basis, held_basis)
+            if rows is not None:
+                return held_m[np.ix_(rows, rows)]
+        m = assemble()
+        if held_basis is not None:
+            rows = _nested_rows(held_basis, basis)
+            if rows is not None:
+                m[np.ix_(rows, rows)] = held_m
+        if held_basis is None or basis.size > held_basis.size:
+            self._held = (z, weights, basis, m)
+        return m
+
+
+def _nested_rows(small: ProductBasis, big: ProductBasis) -> np.ndarray | None:
+    """Rows of `big`'s M that belong to `small`, in `small`'s order; None if not nested."""
+    if small.families != big.families or any(
+        ks > kb for ks, kb in zip(small.orders, big.orders)
+    ):
+        return None
+    multi = np.indices(small.orders).reshape(small.dim, -1)
+    return np.ravel_multi_index(tuple(multi), big.orders)
 
 
 def feature_vectors(basis: ProductBasis, z: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """u_k(z_b) = 2 grad Phi_k(z_b) - Phi_k(z_b) * scores_b, shape (K, B, D)."""
-    vals, grads = basis.feature_gradients(z)
-    return 2.0 * grads - vals[:, :, None] * scores[None, :, :]
+    """u_k(z_b) = 2 grad Phi_k(z_b) - Phi_k(z_b) * scores_b, shape (K, B, D).
+
+    Component d is the row-major product of the 1-D value tables with table
+    d replaced by 2 phi_d' - s_d phi_d, so neither the product values nor
+    their gradients are formed.  The result is a view of a (K, D, B) array,
+    so each component is written contiguously.
+    """
+    vals, grads = basis.tables(z)
+    scores = np.asarray(scores, dtype=float)
+    u = np.empty((basis.size, basis.dim, vals[0].shape[1]))
+    for d in range(basis.dim):
+        parts = list(vals)
+        parts[d] = 2.0 * grads[d] - scores[:, d] * vals[d]
+        u[:, d, :] = _combine(parts)
+    return u.transpose(0, 2, 1)
 
 
 def assemble_moment_matrix(
@@ -96,25 +160,25 @@ def assemble_moment_matrix(
 ) -> np.ndarray:
     """Accumulate M_jk = sum_b w_b u_j(z_b) . u_k(z_b).
 
-    Samples are processed in fixed-order chunks and each entry is a plain
-    dot product, so the result is reproducible for a given chunk layout and
-    a duplicated batch sums to exactly twice the original when the chunk
-    size equals the original batch length.
+    Samples are processed in fixed-order chunks, one matrix product each,
+    so the result is reproducible for a given chunk layout, and a
+    duplicated batch sums to exactly twice the original when the chunk size
+    equals the original batch length.  M is the mirrored upper triangle,
+    so it is exactly symmetric.  Each chunk's (component, sample) pairs are
+    flattened component-major, which for `feature_vectors` output needs no
+    copy.
     """
     k, b, _ = u.shape
-    su = u if weights is None else u * np.sqrt(np.asarray(weights, dtype=float))[None, :, None]
-    rows = np.ascontiguousarray(su.reshape(k, -1))
-    d = rows.shape[1] // b
+    ut = u.transpose(0, 2, 1)
+    if weights is not None:
+        ut = ut * np.sqrt(np.asarray(weights, dtype=float))
     step = b if chunk_size is None else int(chunk_size)
     if step <= 0:
         raise ValueError("chunk_size must be positive")
     m = np.zeros((k, k))
     for start in range(0, b, step):
-        stop = min(start + step, b)
-        block = rows[:, start * d : stop * d]
-        for j in range(k):
-            for l in range(j, k):
-                m[j, l] += np.dot(block[j], block[l])
+        block = ut[:, :, start : start + step].reshape(k, -1)
+        m += block @ block.T
     i_lo = np.tril_indices(k, -1)
     m[i_lo] = m.T[i_lo]
     return m
@@ -195,19 +259,33 @@ def fit_from_batch(
             f"batch size {n} is below the basis size {basis.size}; M is rank-deficient",
             stacklevel=2,
         )
+    step = DEFAULT_CHUNK if chunk_size is None else int(chunk_size)
+    if step <= 0:
+        raise ValueError("chunk_size must be positive")
     t0 = time.perf_counter()
     scores = np.asarray(target.score(z))
     t1 = time.perf_counter()
     finite = np.all(np.isfinite(scores), axis=1)
     rejected = int(n - np.count_nonzero(finite))
+    batch, batch_weights = z, weights
     if rejected:
         if rejected > MAX_REJECT_FRAC * n:
             raise ScoreRejectionError(
                 f"{rejected} of {n} samples have non-finite scores"
             )
         z, scores, weights = z[finite], scores[finite], weights[finite]
-    u = feature_vectors(basis, z, scores)
-    m = assemble_moment_matrix(u, weights, chunk_size=chunk_size)
+
+    def assemble():
+        m = np.zeros((basis.size, basis.size))
+        for start in range(0, z.shape[0], step):
+            c = slice(start, start + step)
+            m += assemble_moment_matrix(feature_vectors(basis, z[c], scores[c]), weights[c])
+        return m
+
+    if isinstance(target, ScoreCache):
+        m = target.moment_matrix(basis, batch, batch_weights, assemble)
+    else:
+        m = assemble()
     t2 = time.perf_counter()
     lam, alpha, solver = min_eigenpair(m)
     t3 = time.perf_counter()

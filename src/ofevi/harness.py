@@ -5,9 +5,10 @@ target.  `fit_cells` fits each cell; `run` then evaluates each fitted cell
 (forward KL against exact target samples, the mean squared score mismatch,
 an optional sampling probe) and appends a RunRecord.  Cells share one batch
 of reference samples, and within a fixed sample-count cell all basis sizes
-share one proposal batch and one set of cached target scores.  `ofevi fit`
-is `fit_cells` on a one-cell config, so it writes the density `ofevi sweep`
-writes for the same config and seed.
+share one proposal batch, one set of cached target scores and the moment
+matrix of the largest basis fitted on it, from which nested bases take
+their blocks bit for bit.  `ofevi fit` is `fit_cells` on a one-cell config,
+so it writes the density `ofevi sweep` writes for the same config and seed.
 
 Outputs: a long-format CSV (one row per metric) whose bytes depend only on
 the config and seed, plus a JSON document carrying complete records
@@ -56,6 +57,7 @@ class ExperimentConfig:
     standardize_samples: int = 10_000
     eval_samples: int = 100_000
     sample_probe: int = 0
+    # Samples per streamed chunk of a fit's assembly; None means 1024.
     chunk_size: int | None = None
     out_prefix: str | None = None
 

@@ -36,7 +36,7 @@ from ofevi import (
 )
 from ofevi.harness import kl_from_samples
 
-from conftest import fd_gradient, gauss_panels, hermite_expansion_cdf, random_unit
+from oracles import fd_gradient, gauss_panels, hermite_expansion_cdf, random_unit
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -19,7 +19,7 @@ from ofevi import (
     recurrence_z_phi,
 )
 
-from conftest import fd_derivative, gauss_panels
+from oracles import fd_derivative, gauss_panels
 
 FAMILIES = {
     "hermite": (hermite(), (-8.0, 8.0)),

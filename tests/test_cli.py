@@ -102,6 +102,37 @@ def test_evaluate_reports_divergences(tmp_path, capsys):
     assert payload["n"] == 5000
 
 
+def test_evaluate_draws_one_reference_set_for_both_divergences(tmp_path, capsys, monkeypatch):
+    from ofevi import harness, targets
+
+    density = tmp_path / "mix.json"
+    code, _, _ = run_cli(
+        capsys, "fit", "--target", "mixture2d", "--orders", "4,4", "--scale", "9",
+        "--seed", "0", "--out", str(density),
+    )
+    assert code == 0
+    draws = []
+    sample = targets.GaussianMixture.sample
+
+    def recording_sample(self, rng, n):
+        draws.append(sample(self, rng, n))
+        return draws[-1]
+
+    monkeypatch.setattr(targets.GaussianMixture, "sample", recording_sample)
+    code, stdout, _ = run_cli(
+        capsys, "evaluate", "--density", str(density), "--target", "mixture2d",
+        "--n", "1000", "--seed", "5",
+    )
+    assert code == 0
+    assert [len(z) for z in draws] == [1000]
+    z = draws[0]
+    target, q = targets.make_target("mixture2d"), OfeDensity.load(density)
+    kl, se, _ = harness.kl_from_samples(z, np.asarray(target.log_density(z)), q)
+    fisher, _ = harness._fisher_from_scores(np.asarray(target.score(z)), q, z)
+    payload = json.loads(stdout)
+    assert (payload["kl"], payload["kl_se"], payload["fisher_div"]) == (kl, se, fisher)
+
+
 def test_sweep_runs_a_config_and_writes_outputs(tmp_path, capsys):
     config = {
         "target": "mixture2d",

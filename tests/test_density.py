@@ -21,7 +21,7 @@ from ofevi import (
 )
 from ofevi.density import _CHUNK_POINTS, default_grid_spec
 
-from conftest import (
+from oracles import (
     fd_gradient,
     gauss_panels,
     hermite_expansion_cdf,

@@ -22,7 +22,7 @@ from ofevi import (
     min_eigenpair,
 )
 
-from conftest import fd_gradient
+from oracles import fd_gradient
 
 
 def standard_gaussian(dim=1):
@@ -281,3 +281,104 @@ def test_score_cache_shares_work_across_basis_sizes():
     r2 = fit_from_batch(cache, basis_1d(5), z, w)
     assert cache.n_score_evals == 120
     assert np.array_equal(r2.moment_matrix[:3, :3], r1.moment_matrix)
+
+
+# -- streamed assembly and nested blocks ---------------------------------------------
+
+# (target, smaller orders, larger orders, box half-width, batch size).  Without
+# the cache rule, 12 of these 15 (pair, seed) cases give nested blocks that
+# differ in the last bits, because matrix products of different shapes need
+# not round alike.
+NESTED_PAIRS = [
+    pytest.param("sinh5d_1", (3, 3, 3, 3, 3), (4, 4, 4, 3, 3), 6.0, 5760, id="sinh5d-243-in-576"),
+    pytest.param("mixture2d", (5, 5), (20, 20), 9.0, 4000, id="mixture2d-5x5-in-20x20"),
+    pytest.param("mixture2d", (7, 3), (16, 11), 9.0, 1760, id="mixture2d-7x3-in-16x11"),
+    pytest.param("mixture2d", (3, 3), (5, 5), 9.0, 250, id="mixture2d-3x3-in-5x5"),
+    pytest.param("mixture2d", (10, 10), (15, 15), 9.0, 2250, id="mixture2d-10x10-in-15x15"),
+]
+
+
+@pytest.mark.parametrize("large_first", [False, True], ids=["small-first", "large-first"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name, small, large, scale, batch", NESTED_PAIRS)
+def test_nested_blocks_are_bit_identical_in_either_order(
+    name, small, large, scale, batch, seed, large_first, monkeypatch
+):
+    from ofevi import estimator, make_target
+
+    assembled = []
+    assemble = estimator.assemble_moment_matrix
+
+    def counting(u, *args, **kwargs):
+        assembled.append(u.shape[0])
+        return assemble(u, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "assemble_moment_matrix", counting)
+    target = make_target(name)
+    proposal = UniformBox.centered(scale, target.dim)
+    z = proposal.sample(np.random.default_rng((seed, 7)), batch)
+    w = 1.0 / proposal.density(z)
+    small_basis = ProductBasis([hermite()] * target.dim, small)
+    large_basis = ProductBasis([hermite()] * target.dim, large)
+    cache = ScoreCache(target)
+    if large_first:
+        r_large = fit_from_batch(cache, large_basis, z, w)
+        r_small = fit_from_batch(cache, small_basis, z, w)
+        # The smaller basis is a slice of the held M: nothing is assembled for it.
+        assert small_basis.size not in assembled
+    else:
+        r_small = fit_from_batch(cache, small_basis, z, w)
+        r_large = fit_from_batch(cache, large_basis, z, w)
+    assert cache.n_score_evals == batch
+    rows = [large_basis.flatten_index(small_basis.unflatten_index(i + 1)) - 1
+            for i in range(small_basis.size)]
+    assert np.array_equal(r_large.moment_matrix[np.ix_(rows, rows)], r_small.moment_matrix)
+
+
+def test_streamed_fit_matches_one_unchunked_product():
+    rng = np.random.default_rng(17)
+    target = Gaussian(np.array([0.3, -0.1]), np.array([[1.0, 0.2], [0.2, 0.7]]))
+    basis = ProductBasis([hermite()] * 2, (6, 5))
+    z = rng.uniform(-6.0, 6.0, size=(2500, 2))
+    w = rng.uniform(0.5, 2.0, size=2500)
+    u = feature_vectors(basis, z, np.asarray(target.score(z)))
+    direct = np.einsum("b,jbd,kbd->jk", w, u, u)
+    for chunk in (None, 7, 2500):
+        m = fit_from_batch(target, basis, z, w, chunk_size=chunk).moment_matrix
+        assert np.array_equal(m, m.T)
+        assert np.allclose(m, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
+
+
+def test_the_held_matrix_serves_only_its_own_batch_and_weights():
+    cache = ScoreCache(standard_gaussian())
+    rng = np.random.default_rng(18)
+    z1, z2 = rng.normal(size=(80, 1)), rng.normal(size=(80, 1))
+    w = rng.uniform(0.5, 2.0, size=80)
+    for z, weights in ((z1, 2.0 * w), (z2, w)):
+        fit_from_batch(cache, basis_1d(6), z1, w)
+        held_elsewhere = fit_from_batch(cache, basis_1d(3), z, weights).moment_matrix
+        fresh = fit_from_batch(standard_gaussian(), basis_1d(3), z, weights).moment_matrix
+        assert np.array_equal(held_elsewhere, fresh)
+
+
+def test_fit_memory_stays_bounded_by_the_chunk():
+    import tracemalloc
+
+    from ofevi import make_target
+
+    # u for the whole batch would be 576 * 5760 * 5 doubles (133 MB); a
+    # streamed fit holds one 1024-sample chunk of it at a time.
+    target = make_target("sinh5d_1")
+    proposal = UniformBox.centered(6.0, 5)
+    z = proposal.sample(np.random.default_rng(19), 5760)
+    w = 1.0 / proposal.density(z)
+    cache = ScoreCache(target)
+    cache.score(z)
+    basis = ProductBasis([hermite()] * 5, (4, 4, 4, 3, 3))
+    tracemalloc.start()
+    try:
+        fit_from_batch(cache, basis, z, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20

@@ -14,7 +14,7 @@ from ofevi import (
     legendre,
 )
 
-from conftest import fd_gradient, gauss_panels
+from oracles import fd_gradient, gauss_panels
 
 
 def test_flatten_examples():

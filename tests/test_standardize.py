@@ -22,7 +22,7 @@ from ofevi import (
     push_target,
 )
 
-from conftest import fd_gradient
+from oracles import fd_gradient
 
 
 def random_transform(rng, dim):

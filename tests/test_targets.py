@@ -20,7 +20,7 @@ from ofevi import (
     sinh_arcsinh_5d,
 )
 
-from conftest import fd_gradient, gauss_panels
+from oracles import fd_gradient, gauss_panels
 
 ALL_2D = {
     "mixture2d": mixture_2d,
