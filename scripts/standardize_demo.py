@@ -14,12 +14,12 @@ import numpy as np
 from ofevi import (
     Gaussian,
     ProductBasis,
+    StandardizedTarget,
     UniformBox,
     estimate_transform,
     fit,
     hermite,
     pull_density,
-    push_target,
 )
 from ofevi.harness import kl_from_samples
 
@@ -47,7 +47,7 @@ def main() -> None:
         np.random.default_rng((args.seed, 2)),
     )
     print(f"estimated mean {transform.mean}, scale {transform.chol.ravel()}")
-    result = fit(push_target(target, transform), ProductBasis([hermite()], (1,)),
+    result = fit(StandardizedTarget(target, transform), ProductBasis([hermite()], (1,)),
                  proposal, np.random.default_rng((args.seed, 5)), n_samples=100)
     kl, se, _ = kl_from_samples(z_ref, log_p, pull_density(result.density, transform))
     print(f"standardized K=1: kl={kl:.6e} (se {se:.6e})")

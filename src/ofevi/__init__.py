@@ -45,7 +45,6 @@ from .harness import (
     ExperimentConfig,
     RunRecord,
     fisher_divergence_empirical,
-    forward_kl,
     records_from_json,
     records_to_csv,
     records_to_json,
@@ -60,7 +59,6 @@ from .standardize import (
     estimate_moments,
     estimate_transform,
     pull_density,
-    push_target,
 )
 from .targets import (
     TARGET_REGISTRY,
@@ -89,12 +87,12 @@ __all__ = [
     "bimodal_1d", "mixture_2d", "funnel_2d", "cross_2d",
     "sinh_arcsinh_2d", "sinh_arcsinh_5d", "make_target", "TARGET_REGISTRY",
     "StandardizingTransform", "StandardizedTarget",
-    "estimate_moments", "estimate_transform", "push_target", "pull_density",
+    "estimate_moments", "estimate_transform", "pull_density",
     "OfeDensity", "CdfTable", "build_cdf_table",
     "ScoreTarget", "ScoreCache", "FitResult",
     "feature_vectors", "assemble_moment_matrix", "min_eigenpair",
     "fit", "fit_from_batch",
-    "ExperimentConfig", "RunRecord", "forward_kl", "fisher_divergence_empirical",
+    "ExperimentConfig", "RunRecord", "fisher_divergence_empirical",
     "run", "records_to_csv", "records_to_json", "records_from_json", "write_outputs",
     "SupportError", "OrderLimitError", "ProposalSupportError", "ScoreRejectionError",
     "PoleError", "TableBuildError", "TransformError", "ConfigError",

@@ -14,9 +14,12 @@ however many points are evaluated.
 
 Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
-expansions, with coefficient matrices obtained by contracting the coefficient
-tensor against basis values at the drawn prefix.  The 1-D CDFs are inverted
-on a precomputed grid of pairwise basis integrals.
+expansions, with coefficient matrices S obtained by contracting the
+coefficient tensor against basis values at the drawn prefix (the first
+coordinate's prefix is empty).  Each 1-D CDF is trace(S @ prefix) on a
+precomputed grid of pairwise basis integrals, and one bisection (`_invert`)
+inverts them all: the first coordinate's CDF is tabulated once, since every
+draw shares its S, and a conditional's is contracted per draw.
 
 First and second moments are closed-form for the Hermite family:
 multiplication by z acts on Hermite coefficients as a banded matrix, so
@@ -53,6 +56,31 @@ def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("cnr,nc->cr", w, table)
 
 
+def _invert(grid: np.ndarray, cdf_at, targets: np.ndarray) -> tuple[np.ndarray, int]:
+    """Points where a CDF tabulated on `grid` reaches `targets`; also the clamp count.
+
+    cdf_at(idx) gives, for each target, its CDF at grid index idx (an array
+    shaped like targets).  One bisection finds the grid cell holding each
+    target, and the point is interpolated linearly inside it.  A target at
+    or above the CDF's last grid value is pinned to the grid edge and
+    counted as a clamp.
+    """
+    last = grid.shape[0] - 1
+    clamped = targets >= cdf_at(np.full(targets.shape, last))
+    lo = np.zeros(targets.shape, dtype=int)
+    hi = np.full(targets.shape, last)
+    while np.max(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        below = cdf_at(mid) <= targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    c_lo, c_hi = cdf_at(lo), cdf_at(hi)
+    gap = c_hi - c_lo
+    frac = np.where(gap > 0.0, (targets - c_lo) / np.where(gap > 0.0, gap, 1.0), 0.0)
+    x = grid[lo] + np.clip(frac, 0.0, 1.0) * (grid[1] - grid[0])
+    return np.where(clamped, grid[-1], x), int(np.count_nonzero(clamped))
+
+
 def default_grid_spec(family: BasisFamily, order: int) -> tuple[float, float, int]:
     """Inversion grid (lo, hi, points) wide enough for moderate orders.
 
@@ -78,6 +106,8 @@ class CdfTable:
     pair_prefix[k, l, g] approximates the integral of phi_{k+1} phi_{l+1}
     from below up to grid[g] (composite Simpson with cell midpoints), so the
     CDF of any conditional with coefficient matrix S is trace(S @ prefix).
+    The sampler reads only `grid` and `pair_prefix`, for the first
+    coordinate and the conditionals alike.
     """
 
     family: BasisFamily
@@ -370,38 +400,34 @@ class OfeDensity:
         clamps = np.zeros(ndim, dtype=int)
         uniforms = rng.random((n, ndim))
 
-        table0 = self._table_for(0)
-        beta = self.coeffs.reshape(self.basis.orders[0], -1)
-        cdf0 = self._marginal_cdf(table0, beta)
-        out[:, 0], clamps[0] = self._invert_shared(table0, cdf0, uniforms[:, 0])
+        # The first coordinate is the conditional on an empty prefix: one
+        # coefficient matrix for every draw, so its CDF is tabulated once.
+        table = self._table_for(0)
+        s0 = self._axis_coefficients((0,))
+        cdf0 = np.einsum("ab,abg->g", s0, table.pair_prefix)
+        out[:, 0], clamps[0] = _invert(
+            table.grid, lambda idx: cdf0[idx], uniforms[:, 0] * np.trace(s0)
+        )
 
         for d in range(1, ndim):
-            table_d = self._table_for(d)
+            table = self._table_for(d)
             for start in range(0, n, _CHUNK_DRAWS):
                 stop = min(start + _CHUNK_DRAWS, n)
                 s_mats = self._conditional_matrices(out[start:stop, :d], d)
-                out[start:stop, d], c = self._invert_per_draw(
-                    table_d, s_mats, uniforms[start:stop, d]
+                traces = np.einsum("caa->c", s_mats)
+                if np.any(traces <= 0.0):
+                    raise PoleError("conditional density requested at a zero of the marginal")
+
+                def cdf_at(idx):
+                    return np.einsum("cab,abc->c", s_mats, table.pair_prefix[:, :, idx])
+
+                out[start:stop, d], c = _invert(
+                    table.grid, cdf_at, uniforms[start:stop, d] * traces
                 )
                 clamps[d] += c
         if self.transform is not None:
             out = self.transform.from_standard(out)
         return out, {"boundary_clamps": clamps}
-
-    def _marginal_cdf(self, table: CdfTable, beta: np.ndarray) -> np.ndarray:
-        # First-coordinate CDF on the full grid via the squared-expansion
-        # integrand directly; avoids the (order, order, points) table.
-        def mass(vals):
-            return np.sum((beta.T @ vals) ** 2, axis=0)
-
-        left = mass(table.vals)
-        mid = mass(table.mid_vals)
-        h = (table.grid[-1] - table.grid[0]) / (table.points - 1)
-        cells = (h / 6.0) * (left[:-1] + 4.0 * mid + left[1:])
-        cdf = np.empty(table.points)
-        cdf[0] = 0.0
-        np.cumsum(cells, out=cdf[1:])
-        return cdf
 
     def _conditional_matrices(self, prefix: np.ndarray, d: int) -> np.ndarray:
         """Unnormalized conditional coefficient matrices S for dimension d.
@@ -418,48 +444,6 @@ class OfeDensity:
             w = _contract_axis(w, vals)
         w = w.reshape(c, orders[d], -1)
         return np.einsum("cap,cbp->cab", w, w)
-
-    def _invert_shared(self, table: CdfTable, cdf: np.ndarray, u: np.ndarray):
-        targets = u  # total marginal mass is exactly ||alpha||^2 = 1
-        clamped = targets >= cdf[-1]
-        idx = np.searchsorted(cdf, targets, side="right")
-        idx = np.clip(idx, 1, table.points - 1)
-        return (
-            self._interp(table.grid, cdf[idx - 1], cdf[idx], idx, targets, clamped),
-            int(np.count_nonzero(clamped)),
-        )
-
-    def _invert_per_draw(self, table: CdfTable, s_mats: np.ndarray, u: np.ndarray):
-        traces = np.einsum("caa->c", s_mats)
-        if np.any(traces <= 0.0):
-            raise PoleError("conditional density requested at a zero of the marginal")
-        targets = u * traces
-        prefix = table.pair_prefix
-
-        def cdf_at(idx):
-            return np.einsum("cab,abc->c", s_mats, prefix[:, :, idx])
-
-        end = cdf_at(np.full(u.shape, table.points - 1))
-        clamped = targets >= end
-        lo = np.zeros(u.shape, dtype=int)
-        hi = np.full(u.shape, table.points - 1, dtype=int)
-        while np.max(hi - lo) > 1:
-            mid = (lo + hi) // 2
-            below = cdf_at(mid) <= targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return (
-            self._interp(table.grid, cdf_at(lo), cdf_at(hi), hi, targets, clamped),
-            int(np.count_nonzero(clamped)),
-        )
-
-    @staticmethod
-    def _interp(grid, c_lo, c_hi, hi_idx, targets, clamped):
-        h = grid[1] - grid[0]
-        gap = c_hi - c_lo
-        frac = np.where(gap > 0.0, (targets - c_lo) / np.where(gap > 0.0, gap, 1.0), 0.0)
-        x = grid[hi_idx - 1] + np.clip(frac, 0.0, 1.0) * h
-        return np.where(clamped, grid[-1], x)
 
     # -- serialization ------------------------------------------------------
 

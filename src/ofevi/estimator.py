@@ -12,9 +12,9 @@ where z_b are draws from the proposal pi.  Minimizing over unit alpha is a
 minimum-eigenvalue problem, so the fit is a single symmetric eigensolve with
 no iterative optimization over the variational parameters.
 
-The batch is streamed in fixed-order chunks of samples.  Each chunk builds
-its (K, chunk, D) features from the 1-D basis tables, with the score folded
-into one table per component, and adds one matrix product
+The batch is streamed in fixed-order chunks of `CHUNK` samples.  Each
+chunk builds its (K, chunk, D) features from the 1-D basis tables, with the
+score folded into one table per component, and adds one matrix product
 (sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * chunk * D).
 Matrix products of different shapes need not round alike, so fits of
 nested bases on one batch share their common block through `ScoreCache`
@@ -45,9 +45,10 @@ from .proposals import Proposal
 # instead: a silent bias is worse than a loud failure.
 MAX_REJECT_FRAC = 0.01
 
-# Samples per streamed chunk when the caller sets none.  One chunk's
-# features take K * 1024 * D doubles: 23.6 MB at K = 576, D = 5.
-DEFAULT_CHUNK = 1024
+# Samples per streamed chunk of a fit.  One chunk's features take
+# K * 1024 * D doubles: 23.6 MB at K = 576, D = 5.  Smaller chunks assemble
+# more slowly; 2048 is no faster.
+CHUNK = 1024
 
 
 @runtime_checkable
@@ -153,32 +154,20 @@ def feature_vectors(basis: ProductBasis, z: np.ndarray, scores: np.ndarray) -> n
     return u.transpose(0, 2, 1)
 
 
-def assemble_moment_matrix(
-    u: np.ndarray,
-    weights: np.ndarray | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """Accumulate M_jk = sum_b w_b u_j(z_b) . u_k(z_b).
+def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """M_jk = sum_b w_b u_j(z_b) . u_k(z_b) over the samples of u, one matrix product.
 
-    Samples are processed in fixed-order chunks, one matrix product each,
-    so the result is reproducible for a given chunk layout, and a
-    duplicated batch sums to exactly twice the original when the chunk size
-    equals the original batch length.  M is the mirrored upper triangle,
-    so it is exactly symmetric.  Each chunk's (component, sample) pairs are
-    flattened component-major, which for `feature_vectors` output needs no
-    copy.
+    The (component, sample) pairs of u are flattened component-major, which
+    for `feature_vectors` output needs no copy.  M is the mirrored upper
+    triangle, so it is exactly symmetric.  `fit_from_batch` calls this once
+    per chunk of its batch.
     """
-    k, b, _ = u.shape
+    k = u.shape[0]
     ut = u.transpose(0, 2, 1)
     if weights is not None:
         ut = ut * np.sqrt(np.asarray(weights, dtype=float))
-    step = b if chunk_size is None else int(chunk_size)
-    if step <= 0:
-        raise ValueError("chunk_size must be positive")
-    m = np.zeros((k, k))
-    for start in range(0, b, step):
-        block = ut[:, :, start : start + step].reshape(k, -1)
-        m += block @ block.T
+    block = ut.reshape(k, -1)
+    m = block @ block.T
     i_lo = np.tril_indices(k, -1)
     m[i_lo] = m.T[i_lo]
     return m
@@ -246,7 +235,6 @@ def fit_from_batch(
     basis: ProductBasis,
     z: np.ndarray,
     weights: np.ndarray,
-    chunk_size: int | None = None,
     residual_tol: float = 1e-8,
 ) -> FitResult:
     """Fit on an existing batch; lets several basis sizes share draws and scores."""
@@ -259,9 +247,6 @@ def fit_from_batch(
             f"batch size {n} is below the basis size {basis.size}; M is rank-deficient",
             stacklevel=2,
         )
-    step = DEFAULT_CHUNK if chunk_size is None else int(chunk_size)
-    if step <= 0:
-        raise ValueError("chunk_size must be positive")
     t0 = time.perf_counter()
     scores = np.asarray(target.score(z))
     t1 = time.perf_counter()
@@ -277,8 +262,8 @@ def fit_from_batch(
 
     def assemble():
         m = np.zeros((basis.size, basis.size))
-        for start in range(0, z.shape[0], step):
-            c = slice(start, start + step)
+        for start in range(0, z.shape[0], CHUNK):
+            c = slice(start, start + CHUNK)
             m += assemble_moment_matrix(feature_vectors(basis, z[c], scores[c]), weights[c])
         return m
 

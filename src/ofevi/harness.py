@@ -31,10 +31,10 @@ import numpy as np
 from .basis1d import BasisFamily
 from .density import OfeDensity
 from .estimator import ScoreCache, fit_from_batch
-from .exceptions import ConfigError
+from .exceptions import ConfigError, PoleError, TableBuildError
 from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
-from .standardize import estimate_transform, pull_density, push_target
+from .standardize import StandardizedTarget, estimate_transform, pull_density
 from .targets import TARGET_REGISTRY, make_target
 
 SCHEMA_VERSION = 1
@@ -57,8 +57,6 @@ class ExperimentConfig:
     standardize_samples: int = 10_000
     eval_samples: int = 100_000
     sample_probe: int = 0
-    # Samples per streamed chunk of a fit's assembly; None means 1024.
-    chunk_size: int | None = None
     out_prefix: str | None = None
 
     def __post_init__(self):
@@ -91,8 +89,6 @@ class ExperimentConfig:
             raise ConfigError("eval_samples must be positive")
         if self.sample_probe < 0:
             raise ConfigError("sample_probe must be nonnegative")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError("chunk_size must be positive")
         if not isinstance(self.seed, int):
             raise ConfigError("seed is mandatory and must be an integer")
 
@@ -187,15 +183,6 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 # Metrics.
 
-def forward_kl(target, q, n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo estimate of KL(p || q) from n exact target samples."""
-    if n < 1:
-        raise ValueError("forward KL needs at least one sample")
-    z = target.sample(rng, int(n))
-    kl, se, _ = kl_from_samples(z, np.asarray(target.log_density(z)), q)
-    return kl, se
-
-
 def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, int]:
     """KL(p || q) from precomputed target samples and log densities.
 
@@ -267,7 +254,7 @@ def fit_cells(config: ExperimentConfig, target):
         transform = estimate_transform(
             target, proposal, config.standardize_samples, np.random.default_rng((config.seed, 2))
         )
-        fit_target = push_target(target, transform)
+        fit_target = StandardizedTarget(target, transform)
     else:
         transform = None
         fit_target = target
@@ -297,7 +284,7 @@ def fit_cells(config: ExperimentConfig, target):
                     weights = 1.0 / proposal.density(z)
                 else:
                     z, weights = shared
-                result = fit_from_batch(cache, basis, z, weights, chunk_size=config.chunk_size)
+                result = fit_from_batch(cache, basis, z, weights)
                 q = result.density if transform is None else pull_density(result.density, transform)
             except Exception as exc:  # per-cell isolation: record and move on
                 yield bi, ki, replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
@@ -309,7 +296,9 @@ def run(config: ExperimentConfig):
     """Fit and evaluate every sweep cell; returns (records, densities) in cell order.
 
     A cell failure, in its fit or its evaluation, is recorded with its
-    reason and the run continues.  Randomness is drawn from per-purpose
+    reason and the run continues.  A sampling probe that cannot build its
+    CDF table or meets a pole is reported in the cell's `note` instead, and
+    the fit's metrics stand.  Randomness is drawn from per-purpose
     streams keyed by the seed, so a rerun with the same config reproduces
     every number except wall-clock timings.
     """
@@ -342,8 +331,11 @@ def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki)
     tail_clips, note = None, ""
     if config.sample_probe > 0:
         rng_probe = np.random.default_rng((config.seed, 4, bi, ki))
-        _, info = q.sample_with_info(rng_probe, config.sample_probe)
-        tail_clips = int(np.sum(info["boundary_clamps"]))
+        try:
+            _, info = q.sample_with_info(rng_probe, config.sample_probe)
+            tail_clips = int(np.sum(info["boundary_clamps"]))
+        except (TableBuildError, PoleError) as exc:  # the fit's metrics stand
+            note = f"sample probe failed: {type(exc).__name__}: {exc}"
     else:
         note = "tail_clips null: no sampling probe requested"
 

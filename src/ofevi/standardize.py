@@ -106,11 +106,6 @@ class StandardizedTarget:
         return self.transform.to_standard(self.target.sample(rng, n))
 
 
-def push_target(target, transform: StandardizingTransform) -> StandardizedTarget:
-    """Re-express a target in standardized coordinates."""
-    return StandardizedTarget(target, transform)
-
-
 def pull_density(q_std: OfeDensity, transform: StandardizingTransform) -> OfeDensity:
     """Attach a transform so a density fitted in standardized coordinates
     evaluates, samples, and reports moments in original coordinates."""

@@ -17,6 +17,7 @@ from ofevi import (
     OfeDensity,
     ProductBasis,
     ScoreCache,
+    StandardizedTarget,
     UniformBox,
     assemble_moment_matrix,
     estimate_transform,
@@ -28,7 +29,6 @@ from ofevi import (
     hermite,
     make_target,
     pull_density,
-    push_target,
     records_to_csv,
     run,
     SinhArcsinh,
@@ -181,7 +181,7 @@ def test_criterion_06_standardization_benefit():
     log_p = np.asarray(target.log_density(z_ref))
 
     transform = estimate_transform(target, proposal, 500_000, np.random.default_rng((0, 2)))
-    res_std = fit(push_target(target, transform), basis_nd(1, 1), proposal,
+    res_std = fit(StandardizedTarget(target, transform), basis_nd(1, 1), proposal,
                   np.random.default_rng((0, 3)), n_samples=100)
     kl_std, _, _ = kl_from_samples(z_ref, log_p, pull_density(res_std.density, transform))
 

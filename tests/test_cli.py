@@ -223,7 +223,9 @@ def test_fit_flag_errors_exit_one(capsys, extra):
     assert code == 1 and "config error" in stderr
 
 
-@pytest.mark.parametrize("field", [{"orders": [["a"]]}, {"samples": ["x"]}])
+@pytest.mark.parametrize(
+    "field", [{"orders": [["a"]]}, {"samples": ["x"]}, {"chunk_size": 1024}]
+)
 def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):
     config = dict({"target": "bimodal1d", "orders": [[3]], "seed": 0}, **field)
     cfg_path = tmp_path / "bad.json"

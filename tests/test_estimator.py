@@ -21,6 +21,7 @@ from ofevi import (
     hermite,
     min_eigenpair,
 )
+from ofevi.estimator import CHUNK
 
 from oracles import fd_gradient
 
@@ -87,24 +88,17 @@ def test_moment_matrix_matches_direct_sum():
 
 
 def test_doubling_the_batch_doubles_the_matrix_exactly():
+    # A batch of exactly one chunk, repeated, streams as two identical chunks.
     rng = np.random.default_rng(3)
-    u = rng.normal(size=(3, 25, 2))
-    w = rng.uniform(0.5, 2.0, size=25)
-    m1 = assemble_moment_matrix(u, w)
-    m2 = assemble_moment_matrix(
-        np.concatenate([u, u], axis=1), np.concatenate([w, w]), chunk_size=25
-    )
+    target = standard_gaussian(2)
+    basis = ProductBasis([hermite()] * 2, (3, 2))
+    z = rng.uniform(-4.0, 4.0, size=(CHUNK, 2))
+    w = rng.uniform(0.5, 2.0, size=CHUNK)
+    m1 = fit_from_batch(target, basis, z, w).moment_matrix
+    m2 = fit_from_batch(
+        target, basis, np.concatenate([z, z]), np.concatenate([w, w])
+    ).moment_matrix
     assert np.array_equal(m2, 2.0 * m1)
-
-
-def test_chunking_layout_is_respected():
-    rng = np.random.default_rng(4)
-    u = rng.normal(size=(3, 64, 1))
-    a = assemble_moment_matrix(u, chunk_size=16)
-    b = assemble_moment_matrix(u, chunk_size=16)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        assemble_moment_matrix(u, chunk_size=0)
 
 
 # -- eigensolver -----------------------------------------------------------------
@@ -343,10 +337,12 @@ def test_streamed_fit_matches_one_unchunked_product():
     w = rng.uniform(0.5, 2.0, size=2500)
     u = feature_vectors(basis, z, np.asarray(target.score(z)))
     direct = np.einsum("b,jbd,kbd->jk", w, u, u)
-    for chunk in (None, 7, 2500):
-        m = fit_from_batch(target, basis, z, w, chunk_size=chunk).moment_matrix
-        assert np.array_equal(m, m.T)
-        assert np.allclose(m, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
+    # 2500 samples stream as two full chunks and one partial one.
+    m = fit_from_batch(target, basis, z, w).moment_matrix
+    assert np.array_equal(m, m.T)
+    assert np.allclose(m, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
+    # The chunk layout is fixed, so a refit of the batch repeats M bit for bit.
+    assert np.array_equal(fit_from_batch(target, basis, z, w).moment_matrix, m)
 
 
 def test_the_held_matrix_serves_only_its_own_batch_and_weights():

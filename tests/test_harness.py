@@ -13,7 +13,6 @@ from ofevi import (
     RunRecord,
     StandardizingTransform,
     fisher_divergence_empirical,
-    forward_kl,
     hermite,
     pull_density,
     records_from_json,
@@ -35,7 +34,8 @@ def standard_fit_density(k=1):
 
 def test_forward_kl_of_a_perfect_fit_is_zero():
     target = Gaussian(np.zeros(1), np.eye(1))
-    kl, se = forward_kl(target, standard_fit_density(), 10_000, np.random.default_rng(0))
+    z = target.sample(np.random.default_rng(0), 10_000)
+    kl, se, _ = kl_from_samples(z, np.asarray(target.log_density(z)), standard_fit_density())
     assert abs(kl) < 1e-12 and se < 1e-12
 
 
@@ -45,16 +45,11 @@ def test_forward_kl_matches_the_gaussian_formula():
     wide = pull_density(
         standard_fit_density(), StandardizingTransform(np.zeros(1), np.array([[math.sqrt(2.0)]]))
     )
-    kl, se = forward_kl(target, wide, 200_000, np.random.default_rng(1))
+    z = target.sample(np.random.default_rng(1), 200_000)
+    kl, se, _ = kl_from_samples(z, np.asarray(target.log_density(z)), wide)
     expected = 0.5 * (0.5 + math.log(2.0) - 1.0)
     assert abs(kl - expected) < 3.0 * se
     assert kl == pytest.approx(expected, abs=0.005)
-
-
-def test_forward_kl_needs_samples():
-    with pytest.raises(ValueError):
-        forward_kl(Gaussian(np.zeros(1), np.eye(1)), standard_fit_density(), 0,
-                   np.random.default_rng(2))
 
 
 def test_kl_excludes_poles_with_a_warning():
@@ -132,7 +127,6 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=((3,),), seed=0, family="hermit"),
         dict(target="bimodal1d", orders=((3,),), seed=0, standardize_samples=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, sample_probe=-1),
-        dict(target="bimodal1d", orders=((3,),), seed=0, chunk_size=0),
         dict(target="bimodal1d", orders=(("a",),), seed=0),
         dict(target="bimodal1d", orders=((1e400,),), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=("x",)),
@@ -156,6 +150,9 @@ def test_config_schema_and_seed_are_enforced():
         ExperimentConfig.from_json("not json {")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json("[1, 2]")
+    # The chunk size of a fit is not a setting; a config naming one is refused.
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(dict(good, chunk_size=1024))
 
 
 # -- runs --------------------------------------------------------------------------
@@ -213,6 +210,22 @@ def test_run_records_cell_failures_and_continues():
     assert "OrderLimitError" in records[1].error
     assert densities[1] is None
     assert records[1].kl is None
+
+
+def test_a_failed_sampling_probe_keeps_the_fit_metrics():
+    # The order-26 Hermite CDF table fails its mass check on the default
+    # grid, so the probe of the second cell raises TableBuildError.
+    records, densities = run(ExperimentConfig(
+        target="bimodal1d", orders=((20,), (26,)), seed=0, proposal_scale=9.0,
+        eval_samples=2_000, sample_probe=100,
+    ))
+    assert records[0].error is None and records[0].tail_clips is not None
+    rec = records[1]
+    assert rec.error is None and densities[1] is not None
+    for key in ("lambda_min", "kl", "kl_se", "fisher_div"):
+        assert math.isfinite(getattr(rec, key))
+    assert rec.tail_clips is None
+    assert rec.note.startswith("sample probe failed: TableBuildError: grid [-12.0, 12.0]")
 
 
 def test_run_rejects_dimension_mismatch():

@@ -12,6 +12,7 @@ from ofevi import (
     OfeDensity,
     ProductBasis,
     ProposalSupportError,
+    StandardizedTarget,
     StandardizingTransform,
     TransformError,
     UniformBox,
@@ -19,7 +20,6 @@ from ofevi import (
     estimate_transform,
     hermite,
     pull_density,
-    push_target,
 )
 
 from oracles import fd_gradient
@@ -67,12 +67,12 @@ def test_scale_moments():
     assert np.allclose(cov, t.chol @ t.chol.T)
 
 
-def test_push_target_standardizes_a_gaussian_exactly():
+def test_standardized_target_standardizes_a_gaussian_exactly():
     mean = np.array([3.0, -1.0])
     cov = np.array([[0.5, 0.2], [0.2, 0.8]])
     target = Gaussian(mean, cov)
     t = StandardizingTransform.from_moments(mean, cov)
-    std = push_target(target, t)
+    std = StandardizedTarget(target, t)
     ref = Gaussian(np.zeros(2), np.eye(2))
     z = np.random.default_rng(2).normal(size=(100, 2))
     assert np.allclose(std.log_density(z), ref.log_density(z), rtol=1e-12, atol=1e-12)
@@ -85,7 +85,7 @@ def test_push_target_standardizes_a_gaussian_exactly():
 def test_pushforward_score_matches_finite_differences():
     target = Gaussian(np.array([1.0, 2.0]), np.array([[1.0, 0.3], [0.3, 2.0]]))
     t = random_transform(np.random.default_rng(4), 2)
-    std = push_target(target, t)
+    std = StandardizedTarget(target, t)
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = rng.normal(size=2)
