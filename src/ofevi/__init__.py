@@ -51,7 +51,7 @@ from .harness import (
     run,
     write_outputs,
 )
-from .product_basis import ProductBasis, eval_product, grad_product
+from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
 from .standardize import (
     StandardizedTarget,
@@ -81,7 +81,7 @@ __all__ = [
     "BasisFamily", "HERMITE", "LEGENDRE", "FOURIER", "LAGUERRE",
     "hermite", "legendre", "fourier", "laguerre",
     "basis_tables", "eval_basis", "eval_basis_grad", "recurrence_z_phi",
-    "ProductBasis", "eval_product", "grad_product",
+    "ProductBasis",
     "UniformBox", "IsotropicGaussian",
     "Gaussian", "GaussianMixture", "Funnel", "SinhArcsinh",
     "bimodal_1d", "mixture_2d", "funnel_2d", "cross_2d",

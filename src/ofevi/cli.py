@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -67,7 +68,6 @@ def _cmd_fit(args) -> int:
     summary = {
         "lambda_min": result.eigenvalue,
         "residual": result.residual,
-        "solver": result.solver,
         "K": record.K,
         "B": record.B,
         "rejected": result.rejected,
@@ -112,14 +112,15 @@ def _cmd_evaluate(args) -> int:
     # One reference set serves both divergences, as in a sweep.
     z_ref = target.sample(np.random.default_rng(args.seed), args.n)
     kl, se, _ = kl_from_samples(z_ref, np.asarray(target.log_density(z_ref)), q)
-    fisher = fisher_divergence_empirical(target, q, z_ref)
-    print(json.dumps({"kl": kl, "kl_se": se, "fisher_div": fisher, "n": args.n}, indent=2))
+    fisher, fisher_se = fisher_divergence_empirical(target, q, z_ref)
+    payload = {"kl": kl, "kl_se": se, "fisher_div": fisher, "fisher_se": fisher_se, "n": args.n}
+    print(json.dumps(payload, indent=2))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     try:
-        text = open(args.config).read()
+        text = Path(args.config).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = ExperimentConfig.from_json(text)

@@ -9,13 +9,16 @@ alpha^T M alpha with
     w_b = 1 / pi(z_b),
 
 where z_b are draws from the proposal pi.  Minimizing over unit alpha is a
-minimum-eigenvalue problem, so the fit is a single symmetric eigensolve with
-no iterative optimization over the variational parameters.
+minimum-eigenvalue problem, so the fit is a single dense symmetric
+eigensolve (LAPACK, lowest eigenpair only) with no iterative optimization
+over the variational parameters.
 
 The batch is streamed in fixed-order chunks of `CHUNK` samples.  Each
 chunk builds its (K, chunk, D) features from the 1-D basis tables, with the
 score folded into one table per component, and adds one matrix product
 (sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * chunk * D).
+`largest_array_bytes` gives the larger of the two terms, and a config whose
+bases would pass `MAX_ARRAY_BYTES` (1 GiB) is refused before any draw.
 Matrix products of different shapes need not round alike, so fits of
 nested bases on one batch share their common block through `ScoreCache`
 rather than by recomputing it: a basis nested in the largest one assembled
@@ -33,7 +36,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .density import OfeDensity
 from .exceptions import ProposalSupportError, ScoreRejectionError
@@ -49,6 +51,11 @@ MAX_REJECT_FRAC = 0.01
 # K * 1024 * D doubles: 23.6 MB at K = 576, D = 5.  Smaller chunks assemble
 # more slowly; 2048 is no faster.
 CHUNK = 1024
+
+# The largest array a fit may hold, in bytes: M (8 K^2) or one chunk's
+# features (8 K * CHUNK * D).  1 GiB admits every 2-D basis up to the
+# default max_order (K = 64^2 needs a 134 MB M); 64^3 would need 550 GB.
+MAX_ARRAY_BYTES = 1 << 30
 
 
 @runtime_checkable
@@ -173,29 +180,19 @@ def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray | None = None) -> 
     return m
 
 
-def min_eigenpair(m: np.ndarray, dense_cutoff: int = 2048) -> tuple[float, np.ndarray, str]:
+def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of a symmetric matrix, with a fixed sign convention.
 
-    Dense LAPACK below the cutoff; Lanczos above it, falling back to dense if
-    it stalls.  The eigenvector is flipped so its largest-magnitude entry
-    (first such, on ties) is nonnegative.
+    One dense LAPACK solve for the lowest eigenpair only, at every size the
+    memory bound admits.  The eigenvector is flipped so its largest-magnitude
+    entry (first such, on ties) is nonnegative.
     """
-    k = m.shape[0]
-    if k <= dense_cutoff:
-        vals, vecs = eigh(m, subset_by_index=(0, 0))
-        lam, alpha, solver = float(vals[0]), vecs[:, 0], "dense"
-    else:
-        try:
-            vals, vecs = eigsh(m, k=1, which="SA", tol=0.0)
-            lam, alpha, solver = float(vals[0]), vecs[:, 0], "lanczos"
-        except ArpackNoConvergence:
-            vals, vecs = eigh(m, subset_by_index=(0, 0))
-            lam, alpha, solver = float(vals[0]), vecs[:, 0], "dense-fallback"
-    alpha = alpha / np.linalg.norm(alpha)
+    vals, vecs = eigh(m, subset_by_index=(0, 0))
+    alpha = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     lead = int(np.argmax(np.abs(alpha)))
     if alpha[lead] < 0.0:
         alpha = -alpha
-    return lam, alpha, solver
+    return float(vals[0]), alpha
 
 
 @dataclass(frozen=True)
@@ -203,12 +200,16 @@ class FitResult:
     density: OfeDensity
     eigenvalue: float
     residual: float
-    solver: str
     moment_matrix: np.ndarray
     samples: np.ndarray
     weights: np.ndarray
     rejected: int
     timings_ms: dict
+
+
+def largest_array_bytes(size: int, dim: int) -> int:
+    """Bytes of the larger of M and one chunk's features for K = size in dim dimensions."""
+    return 8 * size * max(size, CHUNK * dim)
 
 
 def default_sample_count(basis: ProductBasis) -> int:
@@ -272,7 +273,7 @@ def fit_from_batch(
     else:
         m = assemble()
     t2 = time.perf_counter()
-    lam, alpha, solver = min_eigenpair(m)
+    lam, alpha = min_eigenpair(m)
     t3 = time.perf_counter()
     residual = float(np.linalg.norm(m @ alpha - lam * alpha))
     bound = residual_tol * np.linalg.norm(m, "fro")
@@ -284,7 +285,6 @@ def fit_from_batch(
         density=OfeDensity(basis, alpha),
         eigenvalue=lam,
         residual=residual,
-        solver=solver,
         moment_matrix=m,
         samples=z,
         weights=weights,

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 
 from .basis1d import BasisFamily
 from .density import OfeDensity
-from .estimator import ScoreCache, fit_from_batch
+from .estimator import MAX_ARRAY_BYTES, ScoreCache, fit_from_batch, largest_array_bytes
 from .exceptions import ConfigError, PoleError, TableBuildError
 from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
@@ -39,7 +40,7 @@ from .targets import TARGET_REGISTRY, make_target
 
 SCHEMA_VERSION = 1
 
-CSV_METRICS = ("lambda_min", "residual", "kl", "kl_se", "fisher_div")
+CSV_METRICS = ("lambda_min", "residual", "kl", "kl_se", "fisher_div", "fisher_se")
 CSV_HEADER = ("config", "target", "family", "orders", "K", "B", "seed", "metric", "value")
 
 
@@ -71,6 +72,13 @@ class ExperimentConfig:
             raise ConfigError("orders must be a nonempty list of positive-integer lists")
         if len({len(o) for o in self.orders}) != 1:
             raise ConfigError("every orders entry must have the same dimension")
+        for o in self.orders:
+            need = largest_array_bytes(math.prod(o), len(o))
+            if need > MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"orders {list(o)} need {need:,} bytes for M or one chunk of "
+                    f"features; the limit is {MAX_ARRAY_BYTES:,}"
+                )
         if not self.samples or any(b is not None and b < 1 for b in self.samples):
             raise ConfigError("samples must be a nonempty list of positive counts or nulls")
         if self.target not in TARGET_REGISTRY:
@@ -154,11 +162,11 @@ class RunRecord:
     standardize: bool
     lambda_min: float | None = None
     residual: float | None = None
-    solver: str | None = None
     kl: float | None = None
     kl_se: float | None = None
     kl_excluded: int | None = None
     fisher_div: float | None = None
+    fisher_se: float | None = None
     fisher_excluded: int | None = None
     rejected: int | None = None
     tail_clips: int | None = None
@@ -204,19 +212,19 @@ def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, 
     return float(np.mean(diff)), se, excluded
 
 
-def fisher_divergence_empirical(target, q, reference_samples) -> float:
-    """Mean squared score mismatch over reference samples.
+def fisher_divergence_empirical(target, q, reference_samples) -> tuple[float, float]:
+    """Mean squared score mismatch over reference samples, and its standard error.
 
     (1/S) sum_s ||grad log p(z_s) - grad log q(z_s)||^2; samples at poles of
     q are excluded with a warning.
     """
-    value, _ = _fisher_from_scores(
+    value, se, _ = _fisher_from_scores(
         np.asarray(target.score(reference_samples)), q, reference_samples
     )
-    return value
+    return value, se
 
 
-def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, int]:
+def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, float, int]:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("reference samples must be a nonempty (n, dim) array")
@@ -230,7 +238,9 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
         )
         z, p_scores = z[keep], p_scores[keep]
     gap = p_scores - q.score(z)
-    return float(np.mean(np.sum(gap * gap, axis=1))), excluded
+    sq = np.sum(gap * gap, axis=1)
+    se = float(np.std(sq, ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else float("nan")
+    return float(np.mean(sq)), se, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +336,7 @@ def run(config: ExperimentConfig):
 
 def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki):
     kl, kl_se, kl_excluded = kl_from_samples(z_ref, log_p_ref, q)
-    fisher, fisher_excluded = _fisher_from_scores(p_scores_ref, q, z_ref)
+    fisher, fisher_se, fisher_excluded = _fisher_from_scores(p_scores_ref, q, z_ref)
 
     tail_clips, note = None, ""
     if config.sample_probe > 0:
@@ -343,11 +353,11 @@ def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki)
         record,
         lambda_min=result.eigenvalue,
         residual=result.residual,
-        solver=result.solver,
         kl=kl,
         kl_se=kl_se,
         kl_excluded=kl_excluded,
         fisher_div=fisher,
+        fisher_se=fisher_se,
         fisher_excluded=fisher_excluded,
         rejected=result.rejected,
         tail_clips=tail_clips,

@@ -103,17 +103,3 @@ def _combine(tables: list[np.ndarray]) -> np.ndarray:
         acc = (acc[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
     return acc
 
-
-def eval_product(basis: ProductBasis, i: int, z) -> float:
-    """Value of the i-th (flat, 1-based) product basis function at a point."""
-    z = np.asarray(z, dtype=float).reshape(1, basis.dim)
-    basis.unflatten_index(i)
-    return float(basis.feature_matrix(z)[i - 1, 0])
-
-
-def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
-    """Gradient (length D) of the i-th product basis function at a point."""
-    z = np.asarray(z, dtype=float).reshape(1, basis.dim)
-    basis.unflatten_index(i)
-    _, g = basis.feature_gradients(z)
-    return g[i - 1, 0, :].copy()

@@ -2,13 +2,17 @@
 
 The closed-form CDF oracle below never touches the package's recurrences:
 it expands the squared Hermite-function series into a polynomial times the
-standard normal density and integrates monomial moments exactly.
+standard normal density and integrates monomial moments exactly.  The
+single-function product-basis evaluators are point-at-a-time references for
+the vectorized feature code.
 """
 
 import math
 
 import numpy as np
 from scipy import special
+
+from ofevi import ProductBasis
 
 
 def fd_gradient(fn, z, h=1e-6):
@@ -83,3 +87,18 @@ def hermite_expansion_pdf(alpha, x):
 def random_unit(rng, k):
     v = rng.standard_normal(k)
     return v / np.linalg.norm(v)
+
+
+def eval_product(basis: ProductBasis, i: int, z) -> float:
+    """Value of the i-th (flat, 1-based) product basis function at a point."""
+    z = np.asarray(z, dtype=float).reshape(1, basis.dim)
+    basis.unflatten_index(i)
+    return float(basis.feature_matrix(z)[i - 1, 0])
+
+
+def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
+    """Gradient (length D) of the i-th product basis function at a point."""
+    z = np.asarray(z, dtype=float).reshape(1, basis.dim)
+    basis.unflatten_index(i)
+    _, g = basis.feature_gradients(z)
+    return g[i - 1, 0, :].copy()

@@ -23,7 +23,7 @@ from ofevi import (
 )
 from ofevi.estimator import CHUNK
 
-from oracles import fd_gradient
+from oracles import eval_product, fd_gradient
 
 
 def standard_gaussian(dim=1):
@@ -59,8 +59,6 @@ def test_features_match_finite_differences():
     basis = ProductBasis([hermite()] * 2, (3, 2))
     z = rng.normal(size=(6, 2))
     u = feature_vectors(basis, z, np.asarray(target.score(z)))
-    from ofevi import eval_product
-
     for i in range(1, basis.size + 1):
         for n in range(z.shape[0]):
             grad = fd_gradient(lambda x: eval_product(basis, i, x), z[n])
@@ -101,17 +99,16 @@ def test_doubling_the_batch_doubles_the_matrix_exactly():
     assert np.array_equal(m2, 2.0 * m1)
 
 
-# -- eigensolver -----------------------------------------------------------------
+# -- eigensolve ------------------------------------------------------------------
 
 def test_min_eigenpair_diagonal_example():
-    lam, alpha, solver = min_eigenpair(np.diag([3.0, 1.0, 2.0]))
+    lam, alpha = min_eigenpair(np.diag([3.0, 1.0, 2.0]))
     assert lam == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(alpha, [0.0, 1.0, 0.0], atol=1e-14)
-    assert solver == "dense"
 
 
 def test_min_eigenpair_identity_matrix():
-    lam, alpha, _ = min_eigenpair(np.eye(3))
+    lam, alpha = min_eigenpair(np.eye(3))
     assert lam == pytest.approx(1.0, rel=1e-14)
     assert np.linalg.norm(alpha) == pytest.approx(1.0, rel=1e-14)
     assert np.allclose(np.eye(3) @ alpha, lam * alpha, atol=1e-14)
@@ -121,7 +118,7 @@ def test_min_eigenpair_matches_dense_oracle():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(12, 12))
     m = a @ a.T
-    lam, alpha, _ = min_eigenpair(m)
+    lam, alpha = min_eigenpair(m)
     vals, vecs = np.linalg.eigh(m)
     assert lam == pytest.approx(vals[0], rel=1e-10, abs=1e-12)
     ref = vecs[:, 0]
@@ -129,22 +126,31 @@ def test_min_eigenpair_matches_dense_oracle():
     assert gap < 1e-8
 
 
-def test_iterative_path_agrees_with_dense():
+def test_min_eigenpair_above_two_thousand_functions():
+    # H D H with H = I - 2 v v^T has eigenvalues D and eigenvectors H e_i,
+    # so the smallest pair is known without a solve.
+    k = 2049
     rng = np.random.default_rng(6)
-    a = rng.normal(size=(40, 40))
-    m = a @ a.T + 40.0 * np.eye(40)
-    lam_d, alpha_d, s_d = min_eigenpair(m)
-    lam_i, alpha_i, s_i = min_eigenpair(m, dense_cutoff=10)
-    assert s_d == "dense" and s_i in ("lanczos", "dense-fallback")
-    assert lam_i == pytest.approx(lam_d, rel=1e-9)
-    assert min(np.linalg.norm(alpha_i - alpha_d), np.linalg.norm(alpha_i + alpha_d)) < 1e-6
+    v = rng.normal(size=k)
+    v /= np.linalg.norm(v)
+    d = rng.uniform(1.0, 2.0, size=k)
+    d[700] = 0.5
+    hd = d[:, None] * (np.eye(k) - 2.0 * np.outer(v, v))
+    m = hd - 2.0 * np.outer(v, v @ hd)
+    lam, alpha = min_eigenpair(m)
+    known = -2.0 * v[700] * v
+    known[700] += 1.0
+    vals, vecs = np.linalg.eigh(m)
+    for ref_lam, ref in ((0.5, known), (vals[0], vecs[:, 0])):
+        assert lam == pytest.approx(ref_lam, abs=1e-10)
+        assert min(np.linalg.norm(alpha - ref), np.linalg.norm(alpha + ref)) < 1e-10
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_eigenvector_sign_convention(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(6, 6))
-    _, alpha, _ = min_eigenpair(a + a.T)
+    _, alpha = min_eigenpair(a + a.T)
     lead = int(np.argmax(np.abs(alpha)))
     assert alpha[lead] >= 0.0
 
@@ -159,7 +165,6 @@ def test_gaussian_fit_is_exact_at_order_one():
     assert result.eigenvalue == 0.0
     assert np.array_equal(result.moment_matrix, np.zeros((1, 1)))
     assert np.array_equal(result.density.coeffs, [1.0])
-    assert result.solver == "dense"
     assert result.rejected == 0
     assert set(result.timings_ms) == {"score_eval", "assemble", "eigensolve"}
 

@@ -21,6 +21,7 @@ from ofevi import (
     run,
     write_outputs,
 )
+from ofevi.estimator import MAX_ARRAY_BYTES, largest_array_bytes
 from ofevi.harness import CSV_HEADER, kl_from_samples
 
 
@@ -76,14 +77,27 @@ def test_fisher_divergence_example():
     # q = N(0,1), p = N(0,2): E_p[(z/2 - z)^2] = E_p[z^2]/4 = 1/2.
     target = Gaussian(np.zeros(1), 2.0 * np.eye(1))
     z = target.sample(np.random.default_rng(3), 200_000)
-    val = fisher_divergence_empirical(target, standard_fit_density(), z)
+    val, se = fisher_divergence_empirical(target, standard_fit_density(), z)
     assert val == pytest.approx(0.5, abs=0.01)
+    assert 0.0 < se < 0.01
+
+
+def test_fisher_standard_error_by_hand():
+    # q = N(0,1), p = N(0,2): the squared gaps at z = 1, 2, 3 are z^2/4 =
+    # 1/4, 1, 9/4, with mean 7/6, sample variance 49/48 and so SE
+    # sqrt(49/48 / 3) = 7/12.
+    target = Gaussian(np.zeros(1), 2.0 * np.eye(1))
+    z = np.array([[1.0], [2.0], [3.0]])
+    val, se = fisher_divergence_empirical(target, standard_fit_density(), z)
+    assert val == pytest.approx(7.0 / 6.0, rel=1e-12)
+    assert se == pytest.approx(7.0 / 12.0, rel=1e-12)
 
 
 def test_fisher_divergence_of_a_perfect_fit_is_zero():
     target = Gaussian(np.zeros(1), np.eye(1))
     z = target.sample(np.random.default_rng(4), 1000)
-    assert fisher_divergence_empirical(target, standard_fit_density(), z) < 1e-28
+    val, se = fisher_divergence_empirical(target, standard_fit_density(), z)
+    assert val < 1e-28 and se < 1e-28
 
 
 def test_fisher_divergence_validates_input():
@@ -155,6 +169,16 @@ def test_config_schema_and_seed_are_enforced():
         ExperimentConfig.from_dict(dict(good, chunk_size=1024))
 
 
+def test_config_refuses_bases_past_the_memory_bound():
+    # 64^3 functions need a 550 GB M.  (2,)*13 + (1,)*4 has a 537 MB M, but
+    # one chunk of its 17-D features takes 1.14 GB.
+    for orders in ((64, 64, 64), (2,) * 13 + (1,) * 4):
+        assert largest_array_bytes(math.prod(orders), len(orders)) > MAX_ARRAY_BYTES
+        with pytest.raises(ConfigError, match="bytes for M or one chunk"):
+            ExperimentConfig(target="mixture2d", orders=(orders,), seed=0)
+    ExperimentConfig(target="mixture2d", orders=((64, 64),), seed=0)
+
+
 # -- runs --------------------------------------------------------------------------
 
 def small_config(**overrides):
@@ -175,9 +199,8 @@ def test_run_produces_complete_records():
         assert rec.lambda_min is not None and rec.lambda_min >= -1e-10
         assert rec.kl is not None and math.isfinite(rec.kl)
         assert rec.kl_se > 0.0
-        assert math.isfinite(rec.fisher_div)
+        assert math.isfinite(rec.fisher_div) and rec.fisher_se > 0.0
         assert rec.tail_clips is not None
-        assert rec.solver == "dense"
         assert rec.B == 400
         for field in ("score_ms", "assemble_ms", "eigensolve_ms"):
             assert getattr(rec, field) >= 0.0
@@ -191,7 +214,7 @@ def test_run_is_deterministic_apart_from_timings():
     for a, b in zip(rec_a, rec_b):
         assert a.lambda_min == b.lambda_min
         assert a.kl == b.kl and a.kl_se == b.kl_se
-        assert a.fisher_div == b.fisher_div
+        assert a.fisher_div == b.fisher_div and a.fisher_se == b.fisher_se
         assert a.tail_clips == b.tail_clips
     for qa, qb in zip(dens_a, dens_b):
         assert np.array_equal(qa.coeffs, qb.coeffs)
@@ -264,8 +287,8 @@ def test_csv_is_long_format_and_byte_stable():
     text = records_to_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
-    # two cells, five metrics each
-    assert len(lines) == 1 + 2 * 5
+    # two cells, six metrics each
+    assert len(lines) == 1 + 2 * 6
     assert records_to_csv(records) == text
     row = lines[1].split(",")
     assert row[CSV_HEADER.index("metric")] == "lambda_min"
@@ -307,8 +330,8 @@ def test_write_outputs_requires_a_prefix():
 def test_record_round_trip_preserves_every_field():
     rec = RunRecord(
         config="abc", target="bimodal1d", family="hermite", orders=(3,), K=3, B=30,
-        seed=1, standardize=False, lambda_min=1e-4, residual=1e-12, solver="dense",
-        kl=0.5, kl_se=0.01, kl_excluded=0, fisher_div=0.2, fisher_excluded=0,
+        seed=1, standardize=False, lambda_min=1e-4, residual=1e-12,
+        kl=0.5, kl_se=0.01, kl_excluded=0, fisher_div=0.2, fisher_se=0.02, fisher_excluded=0,
         rejected=0, tail_clips=2, score_ms=1.5, assemble_ms=0.3, eigensolve_ms=0.1,
         error=None, note="",
     )

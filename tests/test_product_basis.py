@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from ofevi import (
     ProductBasis,
     eval_basis,
-    eval_product,
-    grad_product,
     hermite,
     legendre,
 )
 
-from oracles import fd_gradient, gauss_panels
+from oracles import eval_product, fd_gradient, gauss_panels, grad_product
 
 
 def test_flatten_examples():
