@@ -79,6 +79,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
     q = _load_density(args.density)
     rng = np.random.default_rng(args.seed)
     samples, info = q.sample_with_info(rng, args.n)
@@ -108,7 +110,7 @@ def _cmd_evaluate(args) -> int:
     if target.dim != q.dim:
         raise ConfigError(f"density has dimension {q.dim}, target has {target.dim}")
     if args.n < 1:
-        raise ValueError("forward KL needs at least one sample")
+        raise ConfigError("--n must be at least 1")
     # One reference set serves both divergences, as in a sweep.
     z_ref = target.sample(np.random.default_rng(args.seed), args.n)
     kl, se, _ = kl_from_samples(z_ref, np.asarray(target.log_density(z_ref)), q)

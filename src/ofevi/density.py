@@ -16,21 +16,25 @@ Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
 expansions, with coefficient matrices S obtained by contracting the
 coefficient tensor against basis values at the drawn prefix (the first
-coordinate's prefix is empty).  Each 1-D CDF is trace(S @ prefix) on a
-precomputed grid of pairwise basis integrals, and one bisection (`_invert`)
-inverts them all: the first coordinate's CDF is tabulated once, since every
-draw shares its S, and a conditional's is contracted per draw.
+coordinate's prefix is empty).  Each 1-D CDF is the inner product of S with
+a precomputed grid of pairwise basis integrals, and one bisection
+(`_invert`) inverts them all: the first coordinate's CDF is tabulated once,
+since every draw shares its S, and a conditional's is contracted per draw.
 
-First and second moments are closed-form for the Hermite family:
-multiplication by z acts on Hermite coefficients as a banded matrix, so
-moments reduce to a few banded matrix-vector products with the coefficient
-tensor.  Other families integrate their 1-D and pairwise marginals
-numerically.
+First and second moments contract the coefficient tensor, one axis at a
+time, with per-axis matrices of the integrals of x phi_a phi_b and
+x^2 phi_a phi_b: banded recurrences for Hermite, quadrature otherwise.
+
+Every other 1-D integral, for the CDF tables and the non-Hermite moments,
+comes from one composite 7-point Gauss-Lobatto rule on a grid sized from
+the family and the order, so sampling and moments hold at every order up
+to the family's max_order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,14 +86,17 @@ def _invert(grid: np.ndarray, cdf_at, targets: np.ndarray) -> tuple[np.ndarray, 
 
 
 def default_grid_spec(family: BasisFamily, order: int) -> tuple[float, float, int]:
-    """Inversion grid (lo, hi, points) wide enough for moderate orders.
+    """Quadrature grid (lo, hi, points) that holds the order-`order` mass.
 
-    High orders spread mass toward the support boundary on unbounded
-    domains; the completeness check in `build_cdf_table` catches a grid that
-    is too narrow.
+    Bounded supports use the whole support.  On unbounded domains high orders
+    spread mass outward: phi_order oscillates out to about sqrt(4 * order + 2)
+    on the Hermite line and 4 * order on the Laguerre half line, and the grid
+    reaches past that (never less than 12 and 60).  The mass check in
+    `build_cdf_table` catches a grid that is too narrow.
     """
     if family.kind == HERMITE:
-        return (-12.0, 12.0, 4001)
+        half = max(12.0, math.sqrt(4.0 * order + 2.0) + 2.0)
+        return (-half, half, 4001)
     if family.kind == LEGENDRE:
         return (-1.0, 1.0, 2001)
     if family.kind == FOURIER:
@@ -99,15 +106,43 @@ def default_grid_spec(family: BasisFamily, order: int) -> tuple[float, float, in
     raise ValueError(f"unknown family kind {family.kind!r}")
 
 
+# 7-point Gauss-Lobatto rule on [-1, 1], exact for polynomials of degree 11
+# (Simpson's rule is its 3-point case).  Its end nodes are the cell edges, so
+# the composite rule on a grid needs the basis on the grid and at 5 interior
+# nodes per cell.
+_OUTER, _INNER = (math.sqrt((5.0 + s * 2.0 * math.sqrt(5.0 / 3.0)) / 11.0) for s in (1, -1))
+_LOBATTO_NODES = np.array([-1.0, -_OUTER, -_INNER, 0.0, _INNER, _OUTER, 1.0])
+_R15 = 21.0 * math.sqrt(15.0)
+_LOBATTO_WEIGHTS = np.array(
+    [50.0, 372.0 - _R15, 372.0 + _R15, 512.0, 372.0 + _R15, 372.0 - _R15, 50.0]
+) / 1050.0
+_MASS_TOL = 1e-6
+_CHUNK_CELLS = 512
+
+
+def _composite_rule(family: BasisFamily, order: int):
+    """The family's grid and the nodes and weights of the rule on its cells.
+
+    Returns grid (points,), nodes and weights (points - 1, 7); row c holds
+    grid[c], the 5 interior nodes of cell c, and grid[c + 1].
+    """
+    grid = np.linspace(*default_grid_spec(family, order))
+    half = 0.5 * np.diff(grid)[:, None]
+    nodes = 0.5 * (grid[:-1] + grid[1:])[:, None] + half * _LOBATTO_NODES
+    nodes[:, 0], nodes[:, -1] = grid[:-1], grid[1:]
+    return grid, nodes, half * _LOBATTO_WEIGHTS
+
+
 @dataclass(frozen=True)
 class CdfTable:
     """Precomputed quantities for inverting 1-D squared-expansion CDFs.
 
-    pair_prefix[k, l, g] approximates the integral of phi_{k+1} phi_{l+1}
-    from below up to grid[g] (composite Simpson with cell midpoints), so the
-    CDF of any conditional with coefficient matrix S is trace(S @ prefix).
-    The sampler reads only `grid` and `pair_prefix`, for the first
-    coordinate and the conditionals alike.
+    vals holds the basis on the grid and mid_vals at the 5 interior
+    Gauss-Lobatto nodes of each cell, shape (order, points - 1, 5).
+    pair_prefix[g, k, l] is the integral of phi_{k+1} phi_{l+1} from the
+    grid's lower end up to grid[g], so the CDF of any conditional with
+    coefficient matrix S is the inner product of S with pair_prefix[g]; each
+    grid point's block is one contiguous row.
     """
 
     family: BasisFamily
@@ -122,79 +157,70 @@ class CdfTable:
         return self.grid.shape[0]
 
 
-def build_cdf_table(
-    family: BasisFamily,
-    order: int,
-    lo: float | None = None,
-    hi: float | None = None,
-    points: int | None = None,
-    mass_tol: float = 1e-6,
-) -> CdfTable:
-    d_lo, d_hi, d_points = default_grid_spec(family, order)
-    lo = d_lo if lo is None else float(lo)
-    hi = d_hi if hi is None else float(hi)
-    points = d_points if points is None else int(points)
-    if not (hi > lo and points >= 3):
-        raise TableBuildError("grid needs hi > lo and at least 3 points")
+def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
+    """Pairwise prefix integrals on `default_grid_spec(family, order)`.
 
-    grid = np.linspace(lo, hi, points)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    Each cell's (order, order) block of integrals is one weighted product of
+    its 7 rows of basis values; blocks are accumulated in grid order, a
+    chunk of cells at a time to bound memory.  Raises TableBuildError when
+    the prefix at the grid's upper end is farther than 1e-6 from the
+    identity, i.e. the grid misses mass of some basis product.
+    """
+    grid, nodes, weights = _composite_rule(family, order)
+    points = grid.shape[0]
     vals, _ = basis_tables(family, order, grid)
-    mid_vals, _ = basis_tables(family, order, mids)
+    mid_vals, _ = basis_tables(family, order, nodes[:, 1:-1].reshape(-1))
+    mid_vals = mid_vals.reshape(order, points - 1, 5)
 
-    h = (hi - lo) / (points - 1)
-    prefix = np.empty((order, order, points))
-    prefix[:, :, 0] = 0.0
-    # Simpson per cell, accumulated in grid order; chunked to bound memory.
-    for start in range(0, points - 1, 4096):
-        stop = min(start + 4096, points - 1)
-        left = np.einsum("kg,lg->klg", vals[:, start:stop], vals[:, start:stop])
-        right = np.einsum("kg,lg->klg", vals[:, start + 1 : stop + 1], vals[:, start + 1 : stop + 1])
-        mid = np.einsum("kg,lg->klg", mid_vals[:, start:stop], mid_vals[:, start:stop])
-        cells = (h / 6.0) * (left + 4.0 * mid + right)
-        prefix[:, :, start + 1 : stop + 1] = np.cumsum(cells, axis=2)
-        prefix[:, :, start + 1 : stop + 1] += prefix[:, :, start, None]
+    prefix = np.empty((points, order, order))
+    prefix[0] = 0.0
+    for start in range(0, points - 1, _CHUNK_CELLS):
+        stop = min(start + _CHUNK_CELLS, points - 1)
+        v = np.concatenate(
+            [vals[:, start:stop, None], mid_vals[:, start:stop],
+             vals[:, start + 1 : stop + 1, None]],
+            axis=2,
+        ).transpose(1, 2, 0)  # (cells, 7, order)
+        cells = np.matmul((v * weights[start:stop, :, None]).transpose(0, 2, 1), v)
+        block = prefix[start + 1 : stop + 1]
+        np.cumsum(cells, axis=0, out=block)
+        block += prefix[start]
 
-    gap = np.linalg.eigvalsh(prefix[:, :, -1] - np.eye(order))
-    err = float(np.max(np.abs(gap)))
-    if err > mass_tol:
+    err = float(np.max(np.abs(np.linalg.eigvalsh(prefix[-1] - np.eye(order)))))
+    if err > _MASS_TOL:
         raise TableBuildError(
-            f"grid [{lo}, {hi}] captures the order-{order} {family.kind} mass only to "
-            f"{err:.2e} (tolerance {mass_tol:.0e}); widen the grid or add points"
+            f"grid [{grid[0]}, {grid[-1]}] captures the order-{order} {family.kind} mass "
+            f"only to {err:.2e} (tolerance {_MASS_TOL:.0e}); widen the grid"
         )
     return CdfTable(family, order, grid, vals, mid_vals, prefix)
 
 
-# ---------------------------------------------------------------------------
-# Banded moment operators for the Hermite family (0-based index a).
-#
-# Multiplication by z maps coefficient a onto neighbors:
-#   (mu t)_a = sqrt(a) t_{a-1} + sqrt(a+1) t_{a+1}
-# and by z^2 onto a band of width two:
-#   (nu t)_a = (2a+1) t_a + sqrt((a-1)a) t_{a-2} + sqrt((a+1)(a+2)) t_{a+2}
-# nu is the square of the untruncated mu, not of its top-left block.
+def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, order) matrices of the integrals of x phi_a phi_b and x^2 phi_a phi_b.
 
-def _mu_apply(t: np.ndarray, axis: int) -> np.ndarray:
-    tm = np.moveaxis(t, axis, 0)
-    n = tm.shape[0]
-    root = np.sqrt(np.arange(n, dtype=float)).reshape((n,) + (1,) * (tm.ndim - 1))
-    out = np.zeros_like(tm)
-    out[1:] += root[1:] * tm[:-1]
-    out[:-1] += root[1:] * tm[1:]
-    return np.moveaxis(out, 0, axis)
+    For the Hermite family these are the closed-form bands of the
+    recurrence z phi_a = sqrt(a) phi_{a+1} + sqrt(a-1) phi_{a-1} (1-based):
+    x couples neighbours, and x^2 is the square of the untruncated x band,
+    not of its top-left block.  Other families integrate on the nodes of the
+    composite rule that builds their CDF tables.
+    """
+    if family.kind == HERMITE:
+        a = np.arange(order)
+        first = np.zeros((order, order))
+        first[a[:-1], a[1:]] = first[a[1:], a[:-1]] = np.sqrt(a[1:])
+        second = np.diag(2.0 * a + 1.0)
+        second[a[:-2], a[2:]] = second[a[2:], a[:-2]] = np.sqrt((a[:-2] + 1.0) * (a[:-2] + 2.0))
+        return first, second
+    _, nodes, weights = _composite_rule(family, order)
+    x, w = nodes.reshape(-1), weights.reshape(-1)
+    vals, _ = basis_tables(family, order, x)
+    weighted = vals * (w * x)
+    return weighted @ vals.T, (weighted * x) @ vals.T
 
 
-def _nu_apply(t: np.ndarray, axis: int) -> np.ndarray:
-    tm = np.moveaxis(t, axis, 0)
-    n = tm.shape[0]
-    a = np.arange(n, dtype=float)
-    out = (2.0 * a + 1.0).reshape((n,) + (1,) * (tm.ndim - 1)) * tm
-    if n > 2:
-        band = np.sqrt((a[:-2] + 1.0) * (a[:-2] + 2.0))
-        band = band.reshape((n - 2,) + (1,) * (tm.ndim - 1))
-        out[2:] += band * tm[:-2]
-        out[:-2] += band * tm[2:]
-    return np.moveaxis(out, 0, axis)
+def _apply_axis(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """Contract axis `axis` of tensor t with the matrix mat (mat @ t along it)."""
+    return np.moveaxis(np.tensordot(mat, t, axes=(1, axis)), 0, axis)
 
 
 class OfeDensity:
@@ -317,54 +343,25 @@ class OfeDensity:
     def mean_and_cov(self) -> tuple[np.ndarray, np.ndarray]:
         """First and second moments, in original coordinates if transformed.
 
-        Closed form when every dimension is Hermite; numerical quadrature of
-        1-D and pairwise marginals otherwise.
+        Each moment is the coefficient tensor contracted with itself through
+        one per-axis matrix of x or x^2 integrals (two for a cross moment),
+        the identity standing for every other axis by orthonormality.
         """
-        if all(f.kind == HERMITE for f in self.basis.families):
-            mean, cov = self._hermite_moments()
-        else:
-            mean, cov = self._quadrature_moments()
+        beta = self.coeffs.reshape(self.basis.orders)
+        ndim = self.dim
+        mats = [_moment_matrices(f, k) for f, k in zip(self.basis.families, self.basis.orders)]
+        moved = [_apply_axis(beta, first, d) for d, (first, _) in enumerate(mats)]
+        mean = np.array([np.sum(beta * m) for m in moved])
+        second = np.empty((ndim, ndim))
+        for d in range(ndim):
+            second[d, d] = np.sum(beta * _apply_axis(beta, mats[d][1], d))
+            for e in range(d):
+                m = np.sum(beta * _apply_axis(moved[d], mats[e][0], e))
+                second[d, e] = second[e, d] = m
+        cov = second - np.outer(mean, mean)
         if self.transform is not None:
             mean, cov = self.transform.scale_moments(mean, cov)
         return mean, cov
-
-    def _hermite_moments(self):
-        beta = self.coeffs.reshape(self.basis.orders)
-        ndim = self.dim
-        mean = np.array([np.sum(beta * _mu_apply(beta, d)) for d in range(ndim)])
-        second = np.empty((ndim, ndim))
-        for d in range(ndim):
-            second[d, d] = np.sum(beta * _nu_apply(beta, d))
-            for e in range(d):
-                m = np.sum(beta * _mu_apply(_mu_apply(beta, d), e))
-                second[d, e] = second[e, d] = m
-        return mean, second - np.outer(mean, mean)
-
-    def _quadrature_moments(self):
-        ndim = self.dim
-        mean = np.empty(ndim)
-        second = np.empty((ndim, ndim))
-        nodes, weights = {}, {}
-        for d in range(ndim):
-            fam, order = self.basis.families[d], self.basis.orders[d]
-            x, w = _panel_gauss(*default_grid_spec(fam, order)[:2])
-            nodes[d], weights[d] = x, w
-            s = self._axis_coefficients((d,))
-            vals, _ = basis_tables(fam, order, x)
-            rho = np.einsum("ag,ab,bg->g", vals, s, vals)
-            mean[d] = np.dot(w, x * rho)
-            second[d, d] = np.dot(w, x * x * rho)
-        for d in range(ndim):
-            for e in range(d):
-                s2 = self._axis_coefficients((e, d))
-                vx, _ = basis_tables(self.basis.families[e], self.basis.orders[e], nodes[e])
-                vy, _ = basis_tables(self.basis.families[d], self.basis.orders[d], nodes[d])
-                pair = np.einsum("ax,by->abxy", vx, vy).reshape(s2.shape[0], -1)
-                rho = np.einsum("ag,ab,bg->g", pair, s2, pair)
-                xy = np.outer(nodes[e], nodes[d]).reshape(-1)
-                ww = np.outer(weights[e], weights[d]).reshape(-1)
-                second[d, e] = second[e, d] = np.dot(ww, xy * rho)
-        return mean, second - np.outer(mean, mean)
 
     # -- sampling -----------------------------------------------------------
 
@@ -374,12 +371,6 @@ class OfeDensity:
         if key not in self._tables:
             self._tables[key] = build_cdf_table(fam, self.basis.orders[d])
         return self._tables[key]
-
-    def use_cdf_table(self, d: int, table: CdfTable) -> None:
-        """Override the inversion table for dimension d (0-based)."""
-        if table.family != self.basis.families[d] or table.order != self.basis.orders[d]:
-            raise ValueError("table family/order does not match dimension")
-        self._tables[(table.family.kind, table.order)] = table
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         samples, _ = self.sample_with_info(rng, n)
@@ -404,13 +395,15 @@ class OfeDensity:
         # coefficient matrix for every draw, so its CDF is tabulated once.
         table = self._table_for(0)
         s0 = self._axis_coefficients((0,))
-        cdf0 = np.einsum("ab,abg->g", s0, table.pair_prefix)
+        rows = table.pair_prefix.reshape(table.points, -1)
+        cdf0 = rows @ s0.reshape(-1)
         out[:, 0], clamps[0] = _invert(
             table.grid, lambda idx: cdf0[idx], uniforms[:, 0] * np.trace(s0)
         )
 
         for d in range(1, ndim):
             table = self._table_for(d)
+            rows = table.pair_prefix.reshape(table.points, -1)
             for start in range(0, n, _CHUNK_DRAWS):
                 stop = min(start + _CHUNK_DRAWS, n)
                 s_mats = self._conditional_matrices(out[start:stop, :d], d)
@@ -418,8 +411,10 @@ class OfeDensity:
                 if np.any(traces <= 0.0):
                     raise PoleError("conditional density requested at a zero of the marginal")
 
+                flat = s_mats.reshape(stop - start, -1)
+
                 def cdf_at(idx):
-                    return np.einsum("cab,abc->c", s_mats, table.pair_prefix[:, :, idx])
+                    return np.einsum("cj,cj->c", flat, rows[idx])
 
                 out[start:stop, d], c = _invert(
                     table.grid, cdf_at, uniforms[start:stop, d] * traces
@@ -487,13 +482,3 @@ class OfeDensity:
     def load(cls, path) -> "OfeDensity":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-
-def _panel_gauss(lo: float, hi: float, panels: int = 24, order: int = 24):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * x0[None, :]).reshape(-1)
-    w = (half[:, None] * w0[None, :]).reshape(-1)
-    return x, w

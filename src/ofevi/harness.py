@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.proposal not in ("uniform", "gaussian"):
             raise ConfigError("proposal must be 'uniform' or 'gaussian'")
-        if self.proposal_scale <= 0:
-            raise ConfigError("proposal_scale must be positive")
+        if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
+            raise ConfigError("proposal_scale must be positive and finite")
         if self.standardize_samples < 1:
             raise ConfigError("standardize_samples must be positive")
         if self.eval_samples < 1:

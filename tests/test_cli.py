@@ -101,6 +101,19 @@ def test_evaluate_reports_divergences(tmp_path, capsys):
     assert payload["n"] == 5000
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("sample",),
+        ("evaluate", "--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[1.0]]}'),
+    ],
+)
+def test_a_draw_count_below_one_exits_one(tmp_path, capsys, command):
+    density, _ = fit_gaussian(tmp_path, capsys)
+    code, _, stderr = run_cli(capsys, *command, "--density", str(density), "--n", "0")
+    assert code == 1 and "config error" in stderr
+
+
 def test_evaluate_draws_one_reference_set_for_both_divergences(tmp_path, capsys, monkeypatch):
     from ofevi import harness, targets
 
@@ -214,6 +227,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ("--standardize", "--standardize-samples", "0"),
         ("--target-params", '{"bogus": 1}'),
         ("--orders", "64,64,64"),
+        ("--scale", "nan"),
+        ("--scale", "inf"),
     ],
 )
 def test_fit_flag_errors_exit_one(capsys, extra):
@@ -226,7 +241,13 @@ def test_fit_flag_errors_exit_one(capsys, extra):
 
 @pytest.mark.parametrize(
     "field",
-    [{"orders": [["a"]]}, {"samples": ["x"]}, {"chunk_size": 1024}, {"orders": [[64, 64, 64]]}],
+    [
+        {"orders": [["a"]]},
+        {"samples": ["x"]},
+        {"chunk_size": 1024},
+        {"orders": [[64, 64, 64]]},
+        {"proposal_scale": math.nan},
+    ],
 )
 def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):
     config = dict({"target": "bimodal1d", "orders": [[3]], "seed": 0}, **field)

@@ -19,6 +19,7 @@ from ofevi import (
     laguerre,
     legendre,
 )
+from ofevi import density
 from ofevi.density import _CHUNK_POINTS, default_grid_spec
 
 from oracles import (
@@ -312,47 +313,83 @@ def test_mixed_family_moments():
     assert cov[0, 1] == pytest.approx(cross - m1[0] * m1[1], abs=1e-8)
 
 
+def test_moment_memory_stays_bounded():
+    # A 2-D Legendre 12 x 12 density: per-axis (12, 12) moment matrices, no
+    # pairwise node arrays.
+    basis = ProductBasis([legendre()] * 2, (12, 12))
+    q = OfeDensity(basis, np.random.default_rng(12).normal(size=basis.size))
+    tracemalloc.start()
+    try:
+        q.mean_and_cov()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 # -- inversion tables -----------------------------------------------------------
 
 def test_cdf_table_matches_standard_normal():
     table = build_cdf_table(hermite(), 1)
     mid = table.points // 2
     assert table.grid[mid] == 0.0
-    assert table.pair_prefix[0, 0, mid] == pytest.approx(0.5, abs=1e-9)
-    interp = np.interp(1.959964, table.grid, table.pair_prefix[0, 0])
+    assert table.pair_prefix[mid, 0, 0] == pytest.approx(0.5, abs=1e-9)
+    interp = np.interp(1.959964, table.grid, table.pair_prefix[:, 0, 0])
     assert interp == pytest.approx(0.975, abs=1e-6)
 
 
 def test_cdf_table_cross_terms_and_bounds():
     table = build_cdf_table(hermite(), 8)
-    assert abs(table.pair_prefix[0, 1, -1]) < 1e-8
+    assert abs(table.pair_prefix[-1, 0, 1]) < 1e-8
     assert np.max(np.abs(table.pair_prefix)) <= 1.0 + 1e-9
-    assert np.allclose(table.pair_prefix[:, :, -1], np.eye(8), atol=1e-6)
+    assert np.allclose(table.pair_prefix[-1], np.eye(8), atol=1e-6)
 
 
-def test_cdf_table_rejects_a_grid_that_misses_mass():
+def test_cdf_table_rejects_a_grid_that_misses_mass(monkeypatch):
+    monkeypatch.setattr(density, "default_grid_spec", lambda family, order: (-3.0, 3.0, 601))
     with pytest.raises(TableBuildError, match="widen"):
-        build_cdf_table(hermite(), 6, lo=-3.0, hi=3.0)
-    with pytest.raises(TableBuildError):
-        build_cdf_table(hermite(), 2, lo=1.0, hi=-1.0)
-    with pytest.raises(TableBuildError):
-        build_cdf_table(hermite(), 2, points=2)
+        build_cdf_table(hermite(), 6)
 
 
 def test_default_grid_specs():
     assert default_grid_spec(hermite(), 8) == (-12.0, 12.0, 4001)
+    half = math.sqrt(258.0) + 2.0
+    assert default_grid_spec(hermite(), 64) == (-half, half, 4001)
     assert default_grid_spec(legendre(), 8) == (-1.0, 1.0, 2001)
     lo, hi, _ = default_grid_spec(fourier(), 8)
     assert (lo, hi) == (0.0, 2.0 * math.pi)
 
 
-def test_use_cdf_table_validates_and_overrides():
-    q = hermite_density([1.0, 0.0, 0.0])
-    table = build_cdf_table(hermite(), 3)
-    q.use_cdf_table(0, table)
-    assert q._table_for(0) is table
-    with pytest.raises(ValueError):
-        q.use_cdf_table(0, build_cdf_table(hermite(), 2))
+_ORACLE_RANGES = {
+    "hermite": (-40.0, 40.0),
+    "legendre": (-1.0, 1.0),
+    "fourier": (0.0, 2.0 * math.pi),
+    "laguerre": (0.0, 600.0),
+}
+
+
+@pytest.mark.parametrize("order", [1, 11, 22, 26, 40, 64])
+@pytest.mark.parametrize("make_family", [hermite, legendre, fourier, laguerre])
+def test_every_order_samples_and_reports_moments(make_family, order):
+    # Every order up to max_order builds its table, samples without a clamp,
+    # and has moments that agree with the draws and with a Gauss-Legendre
+    # quadrature of the density on a range far wider than the table's grid.
+    family = make_family()
+    build_cdf_table(family, order)
+    alpha = random_unit(np.random.default_rng(order), order)
+    q = OfeDensity(ProductBasis([family], (order,)), alpha)
+    mean, cov = q.mean_and_cov()
+    n = 20_000
+    z, info = q.sample_with_info(np.random.default_rng(order + 1), n)
+    assert np.array_equal(info["boundary_clamps"], [0])
+    assert abs(z[:, 0].mean() - mean[0]) < 5.0 * math.sqrt(cov[0, 0] / n)
+
+    nodes, weights = gauss_panels(*_ORACLE_RANGES[family.kind], panels=200, order=40)
+    rho = q.density(nodes[:, None])
+    m1 = np.dot(weights, nodes * rho)
+    var = np.dot(weights, (nodes - m1) ** 2 * rho)
+    assert mean[0] == pytest.approx(m1, abs=1e-8)
+    assert cov[0, 0] == pytest.approx(var, abs=1e-8)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -431,12 +468,17 @@ def test_three_dimensional_sampler_runs_and_matches_means():
 
 
 def test_truncated_table_counts_boundary_clamps():
-    q = hermite_density([1.0, 0.3])
-    table = build_cdf_table(hermite(), 2, lo=-1.5, hi=1.5, mass_tol=1.0)
-    q.use_cdf_table(0, table)
-    z, info = q.sample_with_info(np.random.default_rng(22), 5_000)
-    assert info["boundary_clamps"][0] > 0
-    assert np.all(z >= -1.5) and np.all(z <= 1.5)
+    # A CDF whose last grid value is 0.9 cannot reach the top tenth of the
+    # targets: those draws are pinned to the grid's upper end and counted.
+    grid = np.linspace(-1.5, 1.5, 31)
+    cdf = 0.9 * np.linspace(0.0, 1.0, 31)
+    targets = np.random.default_rng(22).random(5_000)
+    z, clamps = density._invert(grid, lambda idx: cdf[idx], targets)
+    clamped = targets >= 0.9
+    assert clamps == np.count_nonzero(clamped) > 0
+    assert np.all(z[clamped] == grid[-1])
+    assert np.all(z >= -1.5) and np.all(z < 1.5 + 1e-12)
+    assert np.allclose(z[~clamped], -1.5 + 3.0 * targets[~clamped] / 0.9)
 
 
 def test_transformed_sampler_lands_in_original_coordinates():

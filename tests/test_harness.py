@@ -12,6 +12,7 @@ from ofevi import (
     ProductBasis,
     RunRecord,
     StandardizingTransform,
+    TableBuildError,
     fisher_divergence_empirical,
     hermite,
     pull_density,
@@ -21,6 +22,7 @@ from ofevi import (
     run,
     write_outputs,
 )
+from ofevi import density
 from ofevi.estimator import MAX_ARRAY_BYTES, largest_array_bytes
 from ofevi.harness import CSV_HEADER, kl_from_samples
 
@@ -137,6 +139,8 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="nope", orders=((3,),), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, proposal="cauchy"),
         dict(target="bimodal1d", orders=((3,),), seed=0, proposal_scale=-1.0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, proposal_scale=math.nan),
+        dict(target="bimodal1d", orders=((3,),), seed=0, proposal_scale=math.inf),
         dict(target="bimodal1d", orders=((3,),), seed=0, eval_samples=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, family="hermit"),
         dict(target="bimodal1d", orders=((3,),), seed=0, standardize_samples=0),
@@ -235,13 +239,24 @@ def test_run_records_cell_failures_and_continues():
     assert records[1].kl is None
 
 
-def test_a_failed_sampling_probe_keeps_the_fit_metrics():
-    # The order-26 Hermite CDF table fails its mass check on the default
-    # grid, so the probe of the second cell raises TableBuildError.
-    records, densities = run(ExperimentConfig(
+def test_a_failed_sampling_probe_keeps_the_fit_metrics(monkeypatch):
+    config = ExperimentConfig(
         target="bimodal1d", orders=((20,), (26,)), seed=0, proposal_scale=9.0,
         eval_samples=2_000, sample_probe=100,
-    ))
+    )
+    records, _ = run(config)
+    assert [r.tail_clips for r in records] == [0, 0]
+
+    # A table that fails to build for the second cell fails only its probe.
+    build = density.build_cdf_table
+
+    def failing_build(family, order):
+        if order == 26:
+            raise TableBuildError("grid [-12.0, 12.0] misses mass; widen the grid")
+        return build(family, order)
+
+    monkeypatch.setattr(density, "build_cdf_table", failing_build)
+    records, densities = run(config)
     assert records[0].error is None and records[0].tail_clips is not None
     rec = records[1]
     assert rec.error is None and densities[1] is not None
