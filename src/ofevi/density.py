@@ -16,10 +16,15 @@ Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
 expansions, with coefficient matrices S obtained by contracting the
 coefficient tensor against basis values at the drawn prefix (the first
-coordinate's prefix is empty).  Each 1-D CDF is the inner product of S with
-a precomputed grid of pairwise basis integrals, and one bisection
+coordinate's prefix is empty).  Each 1-D CDF is the inner product of the
+upper triangle of S with a row of a precomputed grid of pairwise basis
+integrals, packed to order * (order + 1) / 2 columns, and one bisection
 (`_invert`) inverts them all: the first coordinate's CDF is tabulated once,
 since every draw shares its S, and a conditional's is contracted per draw.
+One GEMM per chunk of draws gives every draw's CDF at every 128th grid
+point, so each search starts inside one such stretch.  Draws go through a
+chunk at a time, every coordinate in the same loop, so the sampler's
+working memory beyond its uniforms and samples is O(chunk).
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
@@ -48,6 +53,10 @@ from .utils import as_batch
 
 _CHUNK_DRAWS = 1024
 _CHUNK_POINTS = 8192
+# Grid-index spacing of the nodes at which one GEMM per chunk of draws gives
+# every draw's CDF; a draw's bisection starts inside the node cell holding
+# its target, so it takes log2(_COARSE_STRIDE) steps.
+_COARSE_STRIDE = 128
 
 
 def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -60,28 +69,42 @@ def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("cnr,nc->cr", w, table)
 
 
-def _invert(grid: np.ndarray, cdf_at, targets: np.ndarray) -> tuple[np.ndarray, int]:
+def _invert(
+    grid: np.ndarray, cdf_at, targets: np.ndarray, nodes: np.ndarray, node_cdf: np.ndarray
+) -> tuple[np.ndarray, int]:
     """Points where a CDF tabulated on `grid` reaches `targets`; also the clamp count.
 
-    cdf_at(idx) gives, for each target, its CDF at grid index idx (an array
-    shaped like targets).  One bisection finds the grid cell holding each
-    target, and the point is interpolated linearly inside it.  A target at
-    or above the CDF's last grid value is pinned to the grid edge and
-    counted as a clamp.
+    nodes are increasing grid indices from 0 to the last, and node_cdf the
+    CDF at them, shape (len(nodes),) when every target shares one CDF or
+    (targets, len(nodes)).  Each target's search starts in the node cell
+    that holds it; cdf_at(idx) gives, for each target, its CDF at grid index
+    idx (an array shaped like targets), and one bisection narrows the cell
+    to one grid step, keeping the CDF values at both ends.  The point is
+    interpolated linearly inside that step.  A target at or above the CDF's
+    last grid value is pinned to the grid edge and counted as a clamp.
     """
-    last = grid.shape[0] - 1
-    clamped = targets >= cdf_at(np.full(targets.shape, last))
-    lo = np.zeros(targets.shape, dtype=int)
-    hi = np.full(targets.shape, last)
+    node_cdf = np.broadcast_to(node_cdf, targets.shape + nodes.shape)
+    clamped = targets >= node_cdf[:, -1]
+    # Start from the last node at or below the target (node 0 at the least),
+    # so the bracket keeps cdf(lo) <= target < cdf(hi) even where rounding
+    # makes the CDF dip.
+    below = node_cdf[:, :-1] <= targets[:, None]
+    below[:, 0] = True
+    cell = nodes.shape[0] - 2 - np.argmax(below[:, ::-1], axis=1)
+    each = np.arange(targets.shape[0])
+    lo, hi = nodes[cell], nodes[cell + 1]
+    c_lo, c_hi = node_cdf[each, cell], node_cdf[each, cell + 1]
     while np.max(hi - lo) > 1:
         mid = (lo + hi) // 2
-        below = cdf_at(mid) <= targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    c_lo, c_hi = cdf_at(lo), cdf_at(hi)
+        c_mid = cdf_at(mid)
+        below = c_mid <= targets
+        lo, c_lo = np.where(below, mid, lo), np.where(below, c_mid, c_lo)
+        hi, c_hi = np.where(below, hi, mid), np.where(below, c_hi, c_mid)
     gap = c_hi - c_lo
     frac = np.where(gap > 0.0, (targets - c_lo) / np.where(gap > 0.0, gap, 1.0), 0.0)
-    x = grid[lo] + np.clip(frac, 0.0, 1.0) * (grid[1] - grid[0])
+    # Rounding can make cdf_at disagree with node_cdf at a node by an ulp,
+    # which may collapse a finished bracket to hi == lo: its point is grid[lo].
+    x = grid[lo] + np.clip(frac, 0.0, 1.0) * (grid[hi] - grid[lo])
     return np.where(clamped, grid[-1], x), int(np.count_nonzero(clamped))
 
 
@@ -139,10 +162,12 @@ class CdfTable:
 
     vals holds the basis on the grid and mid_vals at the 5 interior
     Gauss-Lobatto nodes of each cell, shape (order, points - 1, 5).
-    pair_prefix[g, k, l] is the integral of phi_{k+1} phi_{l+1} from the
-    grid's lower end up to grid[g], so the CDF of any conditional with
-    coefficient matrix S is the inner product of S with pair_prefix[g]; each
-    grid point's block is one contiguous row.
+    pair_prefix is packed, shape (points, order * (order + 1) / 2): column j
+    of row g is the integral of phi_{k+1} phi_{l+1} from the grid's lower
+    end up to grid[g], for (k, l) the j-th pair of np.triu_indices(order),
+    doubled when k != l.  The CDF of any conditional with symmetric
+    coefficient matrix S is then pair_prefix[g] @ S[np.triu_indices(order)],
+    and each grid point's block is one contiguous row.
     """
 
     family: BasisFamily
@@ -161,18 +186,21 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
     """Pairwise prefix integrals on `default_grid_spec(family, order)`.
 
     Each cell's (order, order) block of integrals is one weighted product of
-    its 7 rows of basis values; blocks are accumulated in grid order, a
-    chunk of cells at a time to bound memory.  Raises TableBuildError when
-    the prefix at the grid's upper end is farther than 1e-6 from the
-    identity, i.e. the grid misses mass of some basis product.
+    its 7 rows of basis values, packed to its upper triangle at once; blocks
+    are accumulated in grid order, a chunk of cells at a time to bound
+    memory.  Raises TableBuildError when the prefix at the grid's upper end
+    is farther than 1e-6 from the identity, i.e. the grid misses mass of
+    some basis product.
     """
     grid, nodes, weights = _composite_rule(family, order)
     points = grid.shape[0]
     vals, _ = basis_tables(family, order, grid)
     mid_vals, _ = basis_tables(family, order, nodes[:, 1:-1].reshape(-1))
     mid_vals = mid_vals.reshape(order, points - 1, 5)
+    upper, lower = np.triu_indices(order)
+    doubled = np.where(upper == lower, 1.0, 2.0)
 
-    prefix = np.empty((points, order, order))
+    prefix = np.empty((points, upper.shape[0]))
     prefix[0] = 0.0
     for start in range(0, points - 1, _CHUNK_CELLS):
         stop = min(start + _CHUNK_CELLS, points - 1)
@@ -183,16 +211,24 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
         ).transpose(1, 2, 0)  # (cells, 7, order)
         cells = np.matmul((v * weights[start:stop, :, None]).transpose(0, 2, 1), v)
         block = prefix[start + 1 : stop + 1]
-        np.cumsum(cells, axis=0, out=block)
+        np.cumsum(cells[:, upper, lower] * doubled, axis=0, out=block)
         block += prefix[start]
 
-    err = float(np.max(np.abs(np.linalg.eigvalsh(prefix[-1] - np.eye(order)))))
+    total = np.empty((order, order))
+    total[upper, lower] = total[lower, upper] = prefix[-1] / doubled
+    err = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(order)))))
     if err > _MASS_TOL:
         raise TableBuildError(
             f"grid [{grid[0]}, {grid[-1]}] captures the order-{order} {family.kind} mass "
             f"only to {err:.2e} (tolerance {_MASS_TOL:.0e}); widen the grid"
         )
     return CdfTable(family, order, grid, vals, mid_vals, prefix)
+
+
+def _packed_positions(order: int) -> np.ndarray:
+    """Flat positions in an (order, order) matrix of the packed table columns."""
+    upper, lower = np.triu_indices(order)
+    return upper * order + lower
 
 
 def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,9 +415,12 @@ class OfeDensity:
     def sample_with_info(self, rng: np.random.Generator, n: int):
         """Draw n exact samples; info reports boundary clamps per dimension.
 
-        A clamp happens when a uniform draw targets the sliver of mass the
-        grid does not capture (at most the build tolerance); the sample is
-        pinned to the grid edge and counted.
+        Draws go through in chunks of `_CHUNK_DRAWS`, every coordinate of a
+        chunk before the next, so working memory beyond the (n, dim)
+        uniforms and samples is O(chunk).  A clamp happens when a uniform
+        draw targets the sliver of mass the grid does not capture (at most
+        the build tolerance); the sample is pinned to the grid edge and
+        counted.
         """
         n = int(n)
         if n <= 0:
@@ -390,34 +429,40 @@ class OfeDensity:
         out = np.empty((n, ndim))
         clamps = np.zeros(ndim, dtype=int)
         uniforms = rng.random((n, ndim))
+        tables = [self._table_for(d) for d in range(ndim)]
+        coarse = [np.append(np.arange(0, t.points - 1, _COARSE_STRIDE), t.points - 1) for t in tables]
+        coarse_rows = [t.pair_prefix[i] for t, i in zip(tables, coarse)]
+        pairs = [_packed_positions(k) for k in self.basis.orders]
 
         # The first coordinate is the conditional on an empty prefix: one
         # coefficient matrix for every draw, so its CDF is tabulated once.
-        table = self._table_for(0)
         s0 = self._axis_coefficients((0,))
-        rows = table.pair_prefix.reshape(table.points, -1)
-        cdf0 = rows @ s0.reshape(-1)
-        out[:, 0], clamps[0] = _invert(
-            table.grid, lambda idx: cdf0[idx], uniforms[:, 0] * np.trace(s0)
-        )
+        cdf0 = tables[0].pair_prefix @ s0.reshape(-1)[pairs[0]]
+        trace0 = np.trace(s0)
 
-        for d in range(1, ndim):
-            table = self._table_for(d)
-            rows = table.pair_prefix.reshape(table.points, -1)
-            for start in range(0, n, _CHUNK_DRAWS):
-                stop = min(start + _CHUNK_DRAWS, n)
+        for start in range(0, n, _CHUNK_DRAWS):
+            stop = min(start + _CHUNK_DRAWS, n)
+            out[start:stop, 0], c = _invert(
+                tables[0].grid, lambda idx: cdf0[idx], uniforms[start:stop, 0] * trace0,
+                coarse[0], cdf0[coarse[0]],
+            )
+            clamps[0] += c
+            for d in range(1, ndim):
                 s_mats = self._conditional_matrices(out[start:stop, :d], d)
                 traces = np.einsum("caa->c", s_mats)
                 if np.any(traces <= 0.0):
                     raise PoleError("conditional density requested at a zero of the marginal")
-
-                flat = s_mats.reshape(stop - start, -1)
+                # np.take returns C-contiguous rows; S[:, u, l] would not, and each
+                # bisection step's dot product would run strided.
+                packed = np.take(s_mats.reshape(stop - start, -1), pairs[d], axis=1)
+                rows = tables[d].pair_prefix
 
                 def cdf_at(idx):
-                    return np.einsum("cj,cj->c", flat, rows[idx])
+                    return np.einsum("cj,cj->c", packed, rows[idx])
 
                 out[start:stop, d], c = _invert(
-                    table.grid, cdf_at, uniforms[start:stop, d] * traces
+                    tables[d].grid, cdf_at, uniforms[start:stop, d] * traces,
+                    coarse[d], packed @ coarse_rows[d].T,
                 )
                 clamps[d] += c
         if self.transform is not None:
@@ -425,19 +470,21 @@ class OfeDensity:
         return out, {"boundary_clamps": clamps}
 
     def _conditional_matrices(self, prefix: np.ndarray, d: int) -> np.ndarray:
-        """Unnormalized conditional coefficient matrices S for dimension d.
+        """Unnormalized conditional coefficient matrices S for dimension d >= 1.
 
         Contract the coefficient tensor with basis values at the drawn
-        prefix, then form S = W W^T over the trailing (not yet drawn) axes.
-        trace(S) is the conditional's normalizer.
+        prefix, the first axis by one GEMM and later ones by
+        `_contract_axis`, then form S = W W^T over the trailing (not yet
+        drawn) axes.  trace(S) is the conditional's normalizer.
         """
         orders = self.basis.orders
-        c = prefix.shape[0]
-        w = np.broadcast_to(self.coeffs, (c, self.size))
-        for e in range(d):
-            vals, _ = basis_tables(self.basis.families[e], orders[e], prefix[:, e])
+        families = self.basis.families
+        vals, _ = basis_tables(families[0], orders[0], prefix[:, 0])
+        w = vals.T @ self.coeffs.reshape(orders[0], -1)
+        for e in range(1, d):
+            vals, _ = basis_tables(families[e], orders[e], prefix[:, e])
             w = _contract_axis(w, vals)
-        w = w.reshape(c, orders[d], -1)
+        w = w.reshape(prefix.shape[0], orders[d], -1)
         return np.einsum("cap,cbp->cab", w, w)
 
     # -- serialization ------------------------------------------------------

@@ -332,17 +332,28 @@ def test_moment_memory_stays_bounded():
 def test_cdf_table_matches_standard_normal():
     table = build_cdf_table(hermite(), 1)
     mid = table.points // 2
+    assert table.pair_prefix.shape == (table.points, 1)
     assert table.grid[mid] == 0.0
-    assert table.pair_prefix[mid, 0, 0] == pytest.approx(0.5, abs=1e-9)
-    interp = np.interp(1.959964, table.grid, table.pair_prefix[:, 0, 0])
+    assert table.pair_prefix[mid, 0] == pytest.approx(0.5, abs=1e-9)
+    interp = np.interp(1.959964, table.grid, table.pair_prefix[:, 0])
     assert interp == pytest.approx(0.975, abs=1e-6)
 
 
 def test_cdf_table_cross_terms_and_bounds():
+    # The packed rows hold the upper triangle, off-diagonal entries doubled.
     table = build_cdf_table(hermite(), 8)
-    assert abs(table.pair_prefix[-1, 0, 1]) < 1e-8
-    assert np.max(np.abs(table.pair_prefix)) <= 1.0 + 1e-9
-    assert np.allclose(table.pair_prefix[-1], np.eye(8), atol=1e-6)
+    upper, lower = np.triu_indices(8)
+    assert table.pair_prefix.shape == (table.points, upper.size)
+    plain = table.pair_prefix / np.where(upper == lower, 1.0, 2.0)
+    last = np.empty((8, 8))
+    last[upper, lower] = last[lower, upper] = plain[-1]
+    assert abs(last[0, 1]) < 1e-8
+    assert np.max(np.abs(plain)) <= 1.0 + 1e-9
+    assert np.allclose(last, np.eye(8), atol=1e-6)
+
+    alpha = random_unit(np.random.default_rng(3), 8)
+    cdf = table.pair_prefix @ np.outer(alpha, alpha)[upper, lower]
+    assert np.max(np.abs(cdf - hermite_expansion_cdf(alpha, table.grid))) < 1e-9
 
 
 def test_cdf_table_rejects_a_grid_that_misses_mass(monkeypatch):
@@ -424,6 +435,79 @@ def test_inversion_hits_the_exact_cdf_draw_by_draw(orders):
         assert np.max(np.abs(hermite_expansion_cdf(f, x[:, d]) - u[:, d])) < 1e-5
 
 
+_LINE_RANGES = {
+    "hermite": (-12.0, 12.0),
+    "legendre": (-1.0, 1.0),
+    "fourier": (0.0, 2.0 * math.pi),
+}
+
+
+def _quadrature_conditional_cdf(q, prefix, x):
+    """CDF at x of coordinate len(prefix) of q given the prefix, by quadrature.
+
+    Integrates q.density over [lower end, x] along the coordinate and over
+    the full range of every later coordinate, divided by the same integral
+    over the coordinate's full range.
+    """
+    d = len(prefix)
+    families = q.basis.families
+    later = [gauss_panels(*_LINE_RANGES[f.kind], panels=2, order=24) for f in families[d + 1 :]]
+    lo, hi = _LINE_RANGES[families[d].kind]
+
+    def mass(upper):
+        axes = [gauss_panels(lo, upper, panels=2, order=24)] + later
+        mesh = np.meshgrid(*[nodes for nodes, _ in axes], indexing="ij")
+        weights = axes[0][1]
+        for _, w in axes[1:]:
+            weights = np.multiply.outer(weights, w)
+        points = np.column_stack(
+            [np.full(mesh[0].size, p) for p in prefix] + [m.ravel() for m in mesh]
+        )
+        return weights.ravel() @ q.density(points)
+
+    return mass(x) / mass(hi)
+
+
+@pytest.mark.parametrize(
+    "families, orders",
+    [
+        ((hermite(), hermite()), (6, 5)),
+        ((legendre(), fourier()), (5, 4)),
+        ((hermite(), hermite(), hermite()), (4, 3, 5)),
+    ],
+    ids=["hermite-2d", "legendre-fourier", "hermite-3d"],
+)
+def test_non_separable_inversion_hits_the_conditional_cdf_draw_by_draw(families, orders):
+    # Random coefficients give conditionals of rank > 1 that differ draw by
+    # draw: each coordinate must sit where the quadrature CDF of its
+    # conditional, given the coordinates drawn before it, equals its uniform.
+    basis = ProductBasis(list(families), orders)
+    q = OfeDensity(basis, np.random.default_rng(30).normal(size=basis.size))
+    n, seed = 40, 31
+    x = q.sample(np.random.default_rng(seed), n)
+    u = np.random.default_rng(seed).random((n, len(orders)))
+    for i in range(n):
+        for d in range(len(orders)):
+            cdf = _quadrature_conditional_cdf(q, x[i, :d], x[i, d])
+            assert abs(cdf - u[i, d]) < 1e-5
+
+
+def test_sampler_memory_does_not_grow_with_draws():
+    # Beyond the (n, 2) uniforms and samples, 32 bytes a draw, the sampler
+    # works a chunk of draws at a time.
+    basis = ProductBasis([hermite()] * 2, (20, 20))
+    q = OfeDensity(basis, np.random.default_rng(32).normal(size=basis.size))
+    q.sample(np.random.default_rng(33), 10)  # builds the CDF table
+    n = 400_000
+    tracemalloc.start()
+    try:
+        q.sample(np.random.default_rng(34), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 32 * n <= 12 * 2**20
+
+
 def test_low_order_sampler_moments():
     q = hermite_density([1.0])
     z = q.sample(np.random.default_rng(14), 100_000)[:, 0]
@@ -471,14 +555,28 @@ def test_truncated_table_counts_boundary_clamps():
     # A CDF whose last grid value is 0.9 cannot reach the top tenth of the
     # targets: those draws are pinned to the grid's upper end and counted.
     grid = np.linspace(-1.5, 1.5, 31)
+    ends = np.array([0, 30])
     cdf = 0.9 * np.linspace(0.0, 1.0, 31)
     targets = np.random.default_rng(22).random(5_000)
-    z, clamps = density._invert(grid, lambda idx: cdf[idx], targets)
+    z, clamps = density._invert(grid, lambda idx: cdf[idx], targets, ends, cdf[ends])
     clamped = targets >= 0.9
     assert clamps == np.count_nonzero(clamped) > 0
     assert np.all(z[clamped] == grid[-1])
     assert np.all(z >= -1.5) and np.all(z < 1.5 + 1e-12)
     assert np.allclose(z[~clamped], -1.5 + 3.0 * targets[~clamped] / 0.9)
+
+    # Starting each search in its node cell gives bitwise the points and
+    # clamps of a search from the two ends, also on a flat stretch of the
+    # CDF (node 16 sits in one) and at targets equal to node values.
+    nodes = np.array([0, 8, 16, 24, 30])
+    flat = np.concatenate([np.linspace(0.0, 0.4, 11), np.full(10, 0.4), np.linspace(0.4, 0.9, 11)[1:]])
+    for c in (cdf, flat):
+        t = np.concatenate([targets, c[nodes], cdf[nodes]])
+        per_target = np.tile(c[nodes], (t.size, 1))
+        coarse = density._invert(grid, lambda idx: c[idx], t, nodes, per_target)
+        two_point = density._invert(grid, lambda idx: c[idx], t, ends, c[ends])
+        assert np.array_equal(coarse[0], two_point[0])
+        assert coarse[1] == two_point[1] > 0
 
 
 def test_transformed_sampler_lands_in_original_coordinates():
