@@ -45,11 +45,8 @@ def main() -> None:
             if record.error is not None:
                 print(f"{name} K={record.K}: FAILED ({record.error})")
                 continue
-            print(
-                f"{name} K={record.K} B={record.B}: "
-                f"kl={record.kl:.4f} (se {record.kl_se:.4f}) "
-                f"lambda_min={record.lambda_min:.3e}"
-            )
+            kl = "n/a" if record.kl is None else f"{record.kl:.4f} (se {record.kl_se:.4f})"
+            print(f"{name} K={record.K} B={record.B}: kl={kl} lambda_min={record.lambda_min:.3e}")
         for path in write_outputs(config, records, densities):
             print(f"  wrote {path}")
 

@@ -136,7 +136,8 @@ def _cmd_sweep(args) -> int:
         if record.error is not None:
             print(f"{label}: FAILED ({record.error})")
         else:
-            print(f"{label}: lambda_min={record.lambda_min:.6e} kl={record.kl:.6f}")
+            kl = f"n/a ({record.note})" if record.kl is None else f"{record.kl:.6f}"
+            print(f"{label}: lambda_min={record.lambda_min:.6e} kl={kl}")
     if config.out_prefix is not None:
         for path in write_outputs(config, records, densities):
             print(f"wrote {path}")

@@ -7,24 +7,24 @@ density for every unit coefficient vector with no normalizing constant to
 track.  An optional affine transform re-expresses the density in original
 (unstandardized) coordinates; evaluation, sampling, and moments all honor it.
 
-Evaluation never forms the K product features.  f and grad f come from
-contracting the (K_1, ..., K_D) coefficient tensor against one 1-D table at a
-time, in chunks of points, so memory is O(chunk * (K / K_1 * D + sum K_d))
-however many points are evaluated.
+Evaluation never forms the K product features.  One primitive,
+`_contract_axis`, contracts the (K_1, ..., K_D) coefficient tensor against
+per-point 1-D tables one axis at a time; f and grad f take every axis in
+turn, in chunks of points, so memory is O(chunk * (K / K_1 * D + sum K_d)).
 
 Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
-expansions, with coefficient matrices S obtained by contracting the
-coefficient tensor against basis values at the drawn prefix (the first
-coordinate's prefix is empty).  Each 1-D CDF is the inner product of the
-upper triangle of S with a row of a precomputed grid of pairwise basis
-integrals, packed to order * (order + 1) / 2 columns, and one bisection
-(`_invert`) inverts them all: the first coordinate's CDF is tabulated once,
-since every draw shares its S, and a conditional's is contracted per draw.
-One GEMM per chunk of draws gives every draw's CDF at every 128th grid
-point, so each search starts inside one such stretch.  Draws go through a
-chunk at a time, every coordinate in the same loop, so the sampler's
-working memory beyond its uniforms and samples is O(chunk).
+expansions, with coefficient matrices S = W W^T.  W is a running block per
+chunk of draws that `_contract_axis` takes each coordinate into once it is
+drawn.  Each 1-D CDF is the inner product of the upper triangle of S with a
+row of a precomputed grid of pairwise basis integrals, packed to
+order * (order + 1) / 2 columns, and one bisection (`_invert`) inverts them
+all: the first coordinate's CDF is tabulated once, since every draw shares
+its S, and a conditional's is contracted per draw.  One GEMM per chunk of
+draws gives every draw's CDF at every 128th grid point, so each search
+starts inside one such stretch.  Every coordinate of a chunk goes through
+the same loop, so the sampler's working memory beyond its uniforms and
+samples is O(chunk).
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
@@ -60,11 +60,14 @@ _COARSE_STRIDE = 128
 
 
 def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Contract each point's coefficient block with its 1-D basis values.
+    """Contract a coefficient block with the 1-D basis values of c points.
 
-    w holds one block per point, shape (c, K_d * rest), with the axis of
-    table (K_d, c) leading; returns (c, rest).
+    table is (K_d, c).  w is either one block shared by every point, shape
+    (K_d * rest,), contracted by one GEMM, or one block per point, shape
+    (c, K_d * rest); the axis of table leads the block.  Returns (c, rest).
     """
+    if w.ndim == 1:
+        return table.T @ w.reshape(table.shape[0], -1)
     w = w.reshape(w.shape[0], table.shape[0], -1)
     return np.einsum("cnr,nc->cr", w, table)
 
@@ -329,21 +332,19 @@ class OfeDensity:
 
         Works through the points in chunks of `_CHUNK_POINTS`.  Per chunk the
         coefficient tensor is contracted one axis at a time against the 1-D
-        tables: a GEMM for the first axis, then `_contract_axis` for each
-        later one.  Each partial derivative carries its own running partial,
-        which takes the derivative table on its own axis and value tables
-        elsewhere.
+        tables by `_contract_axis`.  Each partial derivative carries its own
+        running partial, which takes the derivative table on its own axis and
+        value tables elsewhere.
         """
         n, ndim = z.shape
-        lead = self.coeffs.reshape(self.basis.orders[0], -1)
         f = np.empty(n)
         g = np.empty((n, ndim)) if gradient else None
         for start in range(0, n, _CHUNK_POINTS):
             stop = min(start + _CHUNK_POINTS, n)
             vals, grads = self.basis.tables(z[start:stop])
-            w = vals[0].T @ lead
-            partials = [grads[0].T @ lead] if gradient else []
-            for d in range(1, ndim):
+            w = self.coeffs
+            partials = []
+            for d in range(ndim):
                 partials = [_contract_axis(p, vals[d]) for p in partials]
                 if gradient:
                     partials.append(_contract_axis(w, grads[d]))
@@ -364,14 +365,7 @@ class OfeDensity:
         """
         if not 1 <= keep < self.dim:
             raise ValueError("keep must satisfy 1 <= keep < dim")
-        return self._axis_coefficients(tuple(range(keep)))
-
-    def _axis_coefficients(self, axes: tuple[int, ...]) -> np.ndarray:
-        """Marginal coefficient matrix over `axes`, the others integrated out."""
-        beta = self.coeffs.reshape(self.basis.orders)
-        front = np.moveaxis(beta, axes, range(len(axes)))
-        lead = int(np.prod([self.basis.orders[a] for a in axes]))
-        w = front.reshape(lead, -1)
+        w = self.coeffs.reshape(math.prod(self.basis.orders[:keep]), -1)
         return w @ w.T
 
     # -- moments ------------------------------------------------------------
@@ -417,75 +411,61 @@ class OfeDensity:
 
         Draws go through in chunks of `_CHUNK_DRAWS`, every coordinate of a
         chunk before the next, so working memory beyond the (n, dim)
-        uniforms and samples is O(chunk).  A clamp happens when a uniform
-        draw targets the sliver of mass the grid does not capture (at most
-        the build tolerance); the sample is pinned to the grid edge and
-        counted.
+        uniforms and samples is O(chunk).  A chunk's running block W starts
+        as the coefficient tensor and takes in each coordinate once it is
+        drawn; coordinate d's S = W W^T sums over the axes not yet drawn,
+        and trace(S) is its normalizer.  A clamp happens when a uniform draw
+        targets the sliver of mass the grid does not capture (at most the
+        build tolerance); the sample is pinned to the grid edge and counted.
         """
         n = int(n)
         if n <= 0:
             raise ValueError("n must be positive")
         ndim = self.dim
+        orders, families = self.basis.orders, self.basis.families
         out = np.empty((n, ndim))
         clamps = np.zeros(ndim, dtype=int)
         uniforms = rng.random((n, ndim))
         tables = [self._table_for(d) for d in range(ndim)]
         coarse = [np.append(np.arange(0, t.points - 1, _COARSE_STRIDE), t.points - 1) for t in tables]
         coarse_rows = [t.pair_prefix[i] for t, i in zip(tables, coarse)]
-        pairs = [_packed_positions(k) for k in self.basis.orders]
+        pairs = [_packed_positions(k) for k in orders]
 
-        # The first coordinate is the conditional on an empty prefix: one
-        # coefficient matrix for every draw, so its CDF is tabulated once.
-        s0 = self._axis_coefficients((0,))
+        # Every draw shares the first coordinate's S: its CDF is tabulated once.
+        lead = self.coeffs.reshape(orders[0], -1)
+        s0 = lead @ lead.T
         cdf0 = tables[0].pair_prefix @ s0.reshape(-1)[pairs[0]]
         trace0 = np.trace(s0)
 
         for start in range(0, n, _CHUNK_DRAWS):
             stop = min(start + _CHUNK_DRAWS, n)
-            out[start:stop, 0], c = _invert(
-                tables[0].grid, lambda idx: cdf0[idx], uniforms[start:stop, 0] * trace0,
-                coarse[0], cdf0[coarse[0]],
-            )
-            clamps[0] += c
-            for d in range(1, ndim):
-                s_mats = self._conditional_matrices(out[start:stop, :d], d)
-                traces = np.einsum("caa->c", s_mats)
-                if np.any(traces <= 0.0):
-                    raise PoleError("conditional density requested at a zero of the marginal")
-                # np.take returns C-contiguous rows; S[:, u, l] would not, and each
-                # bisection step's dot product would run strided.
-                packed = np.take(s_mats.reshape(stop - start, -1), pairs[d], axis=1)
-                rows = tables[d].pair_prefix
+            w = self.coeffs
+            for d in range(ndim):
+                if d == 0:
+                    traces, cdf_at, node_cdf = trace0, cdf0.__getitem__, cdf0[coarse[0]]
+                else:
+                    vals, _ = basis_tables(families[d - 1], orders[d - 1], out[start:stop, d - 1])
+                    w = _contract_axis(w, vals)
+                    block = w.reshape(stop - start, orders[d], -1)
+                    s_mats = np.einsum("cap,cbp->cab", block, block)
+                    traces = np.einsum("caa->c", s_mats)
+                    if np.any(traces <= 0.0):
+                        raise PoleError("conditional density requested at a zero of the marginal")
+                    # np.take returns C-contiguous rows; S[:, u, l] would not, and
+                    # each bisection step's dot product would run strided.
+                    packed = np.take(s_mats.reshape(stop - start, -1), pairs[d], axis=1)
+                    rows, node_cdf = tables[d].pair_prefix, packed @ coarse_rows[d].T
 
-                def cdf_at(idx):
-                    return np.einsum("cj,cj->c", packed, rows[idx])
+                    def cdf_at(idx):
+                        return np.einsum("cj,cj->c", packed, rows[idx])
 
                 out[start:stop, d], c = _invert(
-                    tables[d].grid, cdf_at, uniforms[start:stop, d] * traces,
-                    coarse[d], packed @ coarse_rows[d].T,
+                    tables[d].grid, cdf_at, uniforms[start:stop, d] * traces, coarse[d], node_cdf
                 )
                 clamps[d] += c
         if self.transform is not None:
             out = self.transform.from_standard(out)
         return out, {"boundary_clamps": clamps}
-
-    def _conditional_matrices(self, prefix: np.ndarray, d: int) -> np.ndarray:
-        """Unnormalized conditional coefficient matrices S for dimension d >= 1.
-
-        Contract the coefficient tensor with basis values at the drawn
-        prefix, the first axis by one GEMM and later ones by
-        `_contract_axis`, then form S = W W^T over the trailing (not yet
-        drawn) axes.  trace(S) is the conditional's normalizer.
-        """
-        orders = self.basis.orders
-        families = self.basis.families
-        vals, _ = basis_tables(families[0], orders[0], prefix[:, 0])
-        w = vals.T @ self.coeffs.reshape(orders[0], -1)
-        for e in range(1, d):
-            vals, _ = basis_tables(families[e], orders[e], prefix[:, e])
-            w = _contract_axis(w, vals)
-        w = w.reshape(prefix.shape[0], orders[d], -1)
-        return np.einsum("cap,cbp->cab", w, w)
 
     # -- serialization ------------------------------------------------------
 

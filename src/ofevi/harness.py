@@ -32,7 +32,7 @@ import numpy as np
 from .basis1d import BasisFamily
 from .density import OfeDensity
 from .estimator import MAX_ARRAY_BYTES, ScoreCache, fit_from_batch, largest_array_bytes
-from .exceptions import ConfigError, PoleError, TableBuildError
+from .exceptions import ConfigError, PoleError, SupportError, TableBuildError
 from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
 from .standardize import StandardizedTarget, estimate_transform, pull_density
@@ -81,6 +81,12 @@ class ExperimentConfig:
                 )
         if not self.samples or any(b is not None and b < 1 for b in self.samples):
             raise ConfigError("samples must be a nonempty list of positive counts or nulls")
+        # A cell's CSV rows and density file are keyed by its orders and B.
+        cells = [(o, 10 * math.prod(o) if b is None else b) for b in self.samples for o in self.orders]
+        if len(set(cells)) != len(cells):
+            raise ConfigError("two cells have the same orders and sample count B")
+        if not isinstance(self.target_params, dict):
+            raise ConfigError("target_params must be an object")
         if self.target not in TARGET_REGISTRY:
             raise ConfigError(f"unknown target {self.target!r}")
         try:
@@ -306,9 +312,11 @@ def run(config: ExperimentConfig):
     """Fit and evaluate every sweep cell; returns (records, densities) in cell order.
 
     A cell failure, in its fit or its evaluation, is recorded with its
-    reason and the run continues.  A sampling probe that cannot build its
-    CDF table or meets a pole is reported in the cell's `note` instead, and
-    the fit's metrics stand.  Randomness is drawn from per-purpose
+    reason and the run continues.  A diagnostic (KL, Fisher divergence or
+    the sampling probe) that meets a point outside the density's support, a
+    pole or a CDF table that cannot be built is reported in the cell's
+    `note` instead: its own fields stay None, and the fit, its density and
+    the other diagnostics stand.  Randomness is drawn from per-purpose
     streams keyed by the seed, so a rerun with the same config reproduces
     every number except wall-clock timings.
     """
@@ -335,20 +343,28 @@ def run(config: ExperimentConfig):
 
 
 def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki):
-    kl, kl_se, kl_excluded = kl_from_samples(z_ref, log_p_ref, q)
-    fisher, fisher_se, fisher_excluded = _fisher_from_scores(p_scores_ref, q, z_ref)
+    notes = []
 
-    tail_clips, note = None, ""
+    def diagnostic(name, compute):
+        try:
+            return compute()
+        except (SupportError, PoleError, TableBuildError) as exc:
+            notes.append(f"{name} failed: {type(exc).__name__}: {exc}")
+            return None
+
+    kl = diagnostic("kl", lambda: kl_from_samples(z_ref, log_p_ref, q))
+    fisher = diagnostic("fisher", lambda: _fisher_from_scores(p_scores_ref, q, z_ref))
+    tail_clips = None
     if config.sample_probe > 0:
         rng_probe = np.random.default_rng((config.seed, 4, bi, ki))
-        try:
-            _, info = q.sample_with_info(rng_probe, config.sample_probe)
-            tail_clips = int(np.sum(info["boundary_clamps"]))
-        except (TableBuildError, PoleError) as exc:  # the fit's metrics stand
-            note = f"sample probe failed: {type(exc).__name__}: {exc}"
+        probe = diagnostic("sample probe", lambda: q.sample_with_info(rng_probe, config.sample_probe))
+        if probe is not None:
+            tail_clips = int(np.sum(probe[1]["boundary_clamps"]))
     else:
-        note = "tail_clips null: no sampling probe requested"
+        notes.append("tail_clips null: no sampling probe requested")
 
+    kl, kl_se, kl_excluded = kl or (None, None, None)
+    fisher, fisher_se, fisher_excluded = fisher or (None, None, None)
     return replace(
         record,
         lambda_min=result.eigenvalue,
@@ -364,12 +380,17 @@ def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki)
         score_ms=result.timings_ms["score_eval"],
         assemble_ms=result.timings_ms["assemble"],
         eigensolve_ms=result.timings_ms["eigensolve"],
-        note=note,
+        note="; ".join(notes),
     )
 
 
 # ---------------------------------------------------------------------------
 # Serialization.
+
+def _orders_label(orders) -> str:
+    """A cell's orders as its CSV rows and density file name write them, e.g. 2x8."""
+    return "x".join(str(k) for k in orders)
+
 
 def records_to_csv(records: list[RunRecord]) -> str:
     """Long-format metric rows; deterministic bytes for a given config+seed.
@@ -382,10 +403,7 @@ def records_to_csv(records: list[RunRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        prefix = (
-            r.config, r.target, r.family, "x".join(str(k) for k in r.orders),
-            r.K, r.B, r.seed,
-        )
+        prefix = (r.config, r.target, r.family, _orders_label(r.orders), r.K, r.B, r.seed)
         for metric in CSV_METRICS:
             value = getattr(r, metric)
             writer.writerow(prefix + (metric, "" if value is None else repr(value)))
@@ -415,7 +433,7 @@ def write_outputs(config: ExperimentConfig, records, densities) -> list[Path]:
     for record, density in zip(records, densities):
         if density is None:
             continue
-        name = f"{prefix.name}_density_K{record.K}_B{record.B}.json"
+        name = f"{prefix.name}_density_{_orders_label(record.orders)}_B{record.B}.json"
         path = prefix.with_name(name)
         density.save(path)
         written.append(path)

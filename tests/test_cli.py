@@ -168,6 +168,22 @@ def test_sweep_runs_a_config_and_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "demo_records.json").exists()
 
 
+def test_sweep_prints_a_missing_kl(tmp_path, capsys):
+    # Mixture samples fall outside the Legendre support: KL and Fisher fail,
+    # the fit and its density stand.
+    config = {
+        "target": "mixture2d", "orders": [[3, 3]], "family": "legendre",
+        "proposal_scale": 1.0, "seed": 1, "eval_samples": 500,
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    prefix = tmp_path / "out" / "run"
+    code, stdout, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out-prefix", str(prefix))
+    assert code == 0
+    assert "kl=n/a (kl failed: SupportError" in stdout
+    assert (prefix.parent / "run_density_3x3_B90.json").exists()
+
+
 def test_sweep_seed_override_changes_the_hash(tmp_path, capsys):
     config = {
         "target": "bimodal1d", "orders": [[3]], "samples": [300],
@@ -247,6 +263,8 @@ def test_fit_flag_errors_exit_one(capsys, extra):
         {"chunk_size": 1024},
         {"orders": [[64, 64, 64]]},
         {"proposal_scale": math.nan},
+        {"target_params": [1]},
+        {"orders": [[3], [3]]},
     ],
 )
 def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):

@@ -551,6 +551,19 @@ def test_three_dimensional_sampler_runs_and_matches_means():
     assert np.all(np.abs(z.mean(axis=0) - mean) < 4.0 * se)
 
 
+def test_four_dimensional_mixed_family_sampler_matches_means():
+    # The draw-by-draw oracle's cost grows with D; at D = 4 the sampler's
+    # running contraction is checked through its means across all families.
+    basis = ProductBasis([hermite(), legendre(), fourier(), laguerre()], (4, 3, 3, 3))
+    q = OfeDensity(basis, np.random.default_rng(0).normal(size=basis.size))
+    mean, cov = q.mean_and_cov()
+    n = 20_000
+    z, info = q.sample_with_info(np.random.default_rng(1), n)
+    assert np.array_equal(info["boundary_clamps"], [0, 0, 0, 0])
+    se = np.sqrt(np.diag(cov) / n)
+    assert np.all(np.abs(z.mean(axis=0) - mean) < 5.0 * se)
+
+
 def test_truncated_table_counts_boundary_clamps():
     # A CDF whose last grid value is 0.9 cannot reach the top tenth of the
     # targets: those draws are pinned to the grid's upper end and counted.

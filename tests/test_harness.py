@@ -148,6 +148,10 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=(("a",),), seed=0),
         dict(target="bimodal1d", orders=((1e400,),), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=("x",)),
+        # Two cells with the same orders and B, a null sample count being 10 K.
+        dict(target="mixture2d", orders=((2, 8), (2, 8)), seed=0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, samples=(None, 30)),
+        dict(target="bimodal1d", orders=((3,),), seed=0, target_params=[1]),
     ],
 )
 def test_config_validation(kwargs):
@@ -266,6 +270,27 @@ def test_a_failed_sampling_probe_keeps_the_fit_metrics(monkeypatch):
     assert rec.note.startswith("sample probe failed: TableBuildError: grid [-12.0, 12.0]")
 
 
+@pytest.mark.parametrize("target, orders", [("mixture2d", ((3, 3),)), ("bimodal1d", ((3,),))])
+def test_a_failed_evaluation_keeps_the_fit_and_its_density(tmp_path, target, orders):
+    # Target samples outside the Legendre support fail KL and Fisher only.
+    config = ExperimentConfig(
+        target=target, orders=orders, seed=1, family="legendre", proposal_scale=1.0,
+        eval_samples=2_000, sample_probe=100, out_prefix=str(tmp_path / "run"),
+    )
+    records, densities = run(config)
+    [rec] = records
+    assert rec.error is None and densities[0] is not None
+    for key in ("lambda_min", "residual", "score_ms", "assemble_ms", "eigensolve_ms"):
+        assert math.isfinite(getattr(rec, key))
+    assert rec.rejected == 0 and rec.tail_clips == 0
+    for key in ("kl", "kl_se", "kl_excluded", "fisher_div", "fisher_se", "fisher_excluded"):
+        assert getattr(rec, key) is None
+    assert rec.note.startswith("kl failed: SupportError: point outside legendre support")
+    assert "; fisher failed: SupportError" in rec.note
+    name = f"run_density_{'x'.join(map(str, rec.orders))}_B{rec.B}.json"
+    assert tmp_path / name in write_outputs(config, records, densities)
+
+
 def test_run_rejects_dimension_mismatch():
     with pytest.raises(ConfigError):
         run(small_config(target="bimodal1d"))
@@ -327,13 +352,25 @@ def test_write_outputs_creates_all_files(tmp_path):
     names = {p.name for p in paths}
     assert names == {
         "demo_metrics.csv", "demo_records.json",
-        "demo_density_K4_B400.json", "demo_density_K9_B400.json",
+        "demo_density_2x2_B400.json", "demo_density_3x3_B400.json",
     }
     for p in paths:
         assert p.exists() and p.stat().st_size > 0
     payload = json.loads((tmp_path / "demo_records.json").read_text())
     assert len(payload) == 2
     assert payload[0]["target"] == "mixture2d"
+
+
+def test_cells_of_equal_size_write_separate_density_files(tmp_path):
+    cfg = small_config(
+        orders=((2, 8), (8, 2)), samples=(None,), eval_samples=500, sample_probe=0,
+        out_prefix=str(tmp_path / "demo"),
+    )
+    records, densities = run(cfg)
+    paths = [p for p in write_outputs(cfg, records, densities) if "_density_" in p.name]
+    assert [p.name for p in paths] == ["demo_density_2x8_B160.json", "demo_density_8x2_B160.json"]
+    for path, q in zip(paths, densities):
+        assert OfeDensity.load(path).basis.orders == q.basis.orders
 
 
 def test_write_outputs_requires_a_prefix():
