@@ -12,13 +12,14 @@ import argparse
 import numpy as np
 
 from ofevi import (
+    HERMITE,
+    BasisFamily,
     Gaussian,
     ProductBasis,
     StandardizedTarget,
     UniformBox,
     estimate_transform,
     fit,
-    hermite,
     pull_density,
 )
 from ofevi.harness import kl_from_samples
@@ -37,7 +38,7 @@ def main() -> None:
 
     print("raw fits:")
     for order in (1, 2, 4, 8):
-        result = fit(target, ProductBasis([hermite()], (order,)), proposal,
+        result = fit(target, ProductBasis([BasisFamily(HERMITE)], (order,)), proposal,
                      np.random.default_rng((args.seed, 4, order)))
         kl, se, _ = kl_from_samples(z_ref, log_p, result.density)
         print(f"  K={order}: kl={kl:.6f} (se {se:.6f})")
@@ -47,7 +48,7 @@ def main() -> None:
         np.random.default_rng((args.seed, 2)),
     )
     print(f"estimated mean {transform.mean}, scale {transform.chol.ravel()}")
-    result = fit(StandardizedTarget(target, transform), ProductBasis([hermite()], (1,)),
+    result = fit(StandardizedTarget(target, transform), ProductBasis([BasisFamily(HERMITE)], (1,)),
                  proposal, np.random.default_rng((args.seed, 5)), n_samples=100)
     kl, se, _ = kl_from_samples(z_ref, log_p, pull_density(result.density, transform))
     print(f"standardized K=1: kl={kl:.6e} (se {se:.6e})")

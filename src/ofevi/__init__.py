@@ -12,13 +12,6 @@ from .basis1d import (
     LEGENDRE,
     BasisFamily,
     basis_tables,
-    eval_basis,
-    eval_basis_grad,
-    fourier,
-    hermite,
-    laguerre,
-    legendre,
-    recurrence_z_phi,
 )
 from .density import CdfTable, OfeDensity, build_cdf_table
 from .estimator import (
@@ -79,8 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisFamily", "HERMITE", "LEGENDRE", "FOURIER", "LAGUERRE",
-    "hermite", "legendre", "fourier", "laguerre",
-    "basis_tables", "eval_basis", "eval_basis_grad", "recurrence_z_phi",
+    "basis_tables",
     "ProductBasis",
     "UniformBox", "IsotropicGaussian",
     "Gaussian", "GaussianMixture", "Funnel", "SinhArcsinh",

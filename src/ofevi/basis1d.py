@@ -8,7 +8,11 @@ family consists of weighted probabilist's Hermite polynomials,
     phi_{k+1}(z) = (sqrt(2*pi) * k!)^(-1/2) * exp(-z^2/4) * H_k(z),
 
 evaluated through the normalized three-term recurrence so that no factorial
-or raw polynomial value is ever formed.
+or raw polynomial value is ever formed.  The other families are normalized
+Legendre polynomials on [-1, 1], the Fourier functions {1, cos, sin,
+cos 2., sin 2., ...} on [0, 2*pi], and weighted Laguerre functions
+exp(-z/2) * L_k(z) on [0, inf).  A family is `BasisFamily(kind, max_order)`
+and `basis_tables` evaluates it.
 """
 
 from __future__ import annotations
@@ -65,26 +69,6 @@ class BasisFamily:
         z = np.asarray(z)
         if not np.all(np.isfinite(z)) or np.any(z < lo) or np.any(z > hi):
             raise SupportError(f"point outside {self.kind} support [{lo}, {hi}]")
-
-
-def hermite(max_order: int = DEFAULT_MAX_ORDER) -> BasisFamily:
-    """Weighted Hermite family on the real line."""
-    return BasisFamily(HERMITE, max_order)
-
-
-def legendre(max_order: int = DEFAULT_MAX_ORDER) -> BasisFamily:
-    """Normalized Legendre family on [-1, 1]."""
-    return BasisFamily(LEGENDRE, max_order)
-
-
-def fourier(max_order: int = DEFAULT_MAX_ORDER) -> BasisFamily:
-    """Fourier family {1, cos, sin, cos 2., sin 2., ...} on the circle [0, 2*pi)."""
-    return BasisFamily(FOURIER, max_order)
-
-
-def laguerre(max_order: int = DEFAULT_MAX_ORDER) -> BasisFamily:
-    """Weighted Laguerre family exp(-z/2) * L_k(z) on the half line."""
-    return BasisFamily(LAGUERRE, max_order)
 
 
 def _hermite_tables(order, z):
@@ -183,27 +167,3 @@ def basis_tables(family: BasisFamily, order: int, z) -> tuple[np.ndarray, np.nda
     z = np.atleast_1d(np.asarray(z, dtype=float))
     family.check_support(z)
     return _TABLE_BUILDERS[family.kind](order, z)
-
-
-def eval_basis(family: BasisFamily, k: int, z: float) -> float:
-    """phi_k(z) for the normalized family."""
-    vals, _ = basis_tables(family, k, [z])
-    return float(vals[k - 1, 0])
-
-
-def eval_basis_grad(family: BasisFamily, k: int, z: float) -> float:
-    """d(phi_k)/dz at z (for the Fourier family, the derivative in the angle)."""
-    _, grads = basis_tables(family, k, [z])
-    return float(grads[k - 1, 0])
-
-
-def recurrence_z_phi(family: BasisFamily, k: int) -> tuple[tuple[int, float], tuple[int, float]]:
-    """Expansion of z*phi_k in the basis: sqrt(k) on phi_{k+1}, sqrt(k-1) on phi_{k-1}.
-
-    Only the Hermite family admits this two-term expansion.  Returns
-    ((k+1, sqrt(k)), (k-1, sqrt(k-1))); the second coefficient is zero at k=1.
-    """
-    if family.kind != HERMITE:
-        raise NotImplementedError(f"z*phi recurrence not available for {family.kind}")
-    family.check_order(k)
-    return (k + 1, math.sqrt(k)), (k - 1, math.sqrt(k - 1))

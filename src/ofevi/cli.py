@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--orders", required=True, help="comma-separated per-dimension orders")
     p_fit.add_argument("--family", default="hermite")
     p_fit.add_argument("--proposal", default="uniform", choices=("uniform", "gaussian"))
-    p_fit.add_argument("--scale", type=float, default=6.0, help="box halfwidth or Gaussian sd")
+    p_fit.add_argument("--scale", type=float, default=6.0, help="box half-width (unbounded sides) or Gaussian sd")
     p_fit.add_argument("--samples", type=int, default=None,
                        help="batch size (default: ten draws per basis function)")
     p_fit.add_argument("--standardize", action="store_true")

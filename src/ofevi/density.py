@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis1d import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, basis_tables
+from .basis1d import HERMITE, LAGUERRE, BasisFamily, basis_tables
 from .exceptions import PoleError, TableBuildError
 from .product_basis import ProductBasis
 from .utils import as_batch
@@ -123,13 +123,10 @@ def default_grid_spec(family: BasisFamily, order: int) -> tuple[float, float, in
     if family.kind == HERMITE:
         half = max(12.0, math.sqrt(4.0 * order + 2.0) + 2.0)
         return (-half, half, 4001)
-    if family.kind == LEGENDRE:
-        return (-1.0, 1.0, 2001)
-    if family.kind == FOURIER:
-        return (0.0, 2.0 * np.pi, 2001)
+    lo, hi = family.support
     if family.kind == LAGUERRE:
-        return (0.0, max(60.0, 4.0 * order + 10.0 * np.sqrt(order) + 20.0), 4001)
-    raise ValueError(f"unknown family kind {family.kind!r}")
+        return (lo, max(60.0, 4.0 * order + 10.0 * np.sqrt(order) + 20.0), 4001)
+    return (lo, hi, 2001)
 
 
 # 7-point Gauss-Lobatto rule on [-1, 1], exact for polynomials of degree 11

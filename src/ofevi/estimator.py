@@ -60,11 +60,9 @@ MAX_ARRAY_BYTES = 1 << 30
 
 @runtime_checkable
 class ScoreTarget(Protocol):
-    """What the fitter needs from a target: dimension, log density, score."""
+    """What the fitter needs from a target: dimension and score."""
 
     dim: int
-
-    def log_density(self, z): ...
 
     def score(self, z): ...
 
@@ -91,14 +89,8 @@ class ScoreCache:
         self._scores = None
         self._held = None
 
-    def log_density(self, z):
-        return self.target.log_density(z)
-
     def score(self, z):
-        z = np.asarray(z)
-        if z.ndim == 1:
-            self.n_score_evals += 1
-            return self.target.score(z)
+        """Scores of the (n, D) batch z, evaluated once per batch object."""
         if z is not self._batch:
             self._scores = np.asarray(self.target.score(z))
             self.n_score_evals += z.shape[0]
@@ -212,8 +204,9 @@ def largest_array_bytes(size: int, dim: int) -> int:
     return 8 * size * max(size, CHUNK * dim)
 
 
-def default_sample_count(basis: ProductBasis) -> int:
-    return 10 * basis.size
+def default_sample_count(size: int) -> int:
+    """The batch size B of a fit with K = size basis functions and no set count: 10 K."""
+    return 10 * size
 
 
 def fit(
@@ -226,7 +219,7 @@ def fit(
     """Draw from the proposal, assemble M, and solve for the best unit alpha."""
     if target.dim != basis.dim:
         raise ValueError("target and basis dimensions differ")
-    n = default_sample_count(basis) if n_samples is None else int(n_samples)
+    n = default_sample_count(basis.size) if n_samples is None else int(n_samples)
     z = proposal.sample(rng, n)
     return fit_from_batch(target, basis, z, 1.0 / proposal.density(z))
 

@@ -29,9 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis1d import BasisFamily
+from .basis1d import HERMITE, BasisFamily
 from .density import OfeDensity
-from .estimator import MAX_ARRAY_BYTES, ScoreCache, fit_from_batch, largest_array_bytes
+from .estimator import (
+    MAX_ARRAY_BYTES,
+    ScoreCache,
+    default_sample_count,
+    fit_from_batch,
+    largest_array_bytes,
+)
 from .exceptions import ConfigError, PoleError, SupportError, TableBuildError
 from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
@@ -82,7 +88,8 @@ class ExperimentConfig:
         if not self.samples or any(b is not None and b < 1 for b in self.samples):
             raise ConfigError("samples must be a nonempty list of positive counts or nulls")
         # A cell's CSV rows and density file are keyed by its orders and B.
-        cells = [(o, 10 * math.prod(o) if b is None else b) for b in self.samples for o in self.orders]
+        cells = [(o, default_sample_count(math.prod(o)) if b is None else b)
+                 for b in self.samples for o in self.orders]
         if len(set(cells)) != len(cells):
             raise ConfigError("two cells have the same orders and sample count B")
         if not isinstance(self.target_params, dict):
@@ -95,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.proposal not in ("uniform", "gaussian"):
             raise ConfigError("proposal must be 'uniform' or 'gaussian'")
+        if self.proposal == "gaussian" and self.family != HERMITE:
+            raise ConfigError(
+                f"the gaussian proposal draws outside the {self.family} support; use 'uniform'"
+            )
         if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
             raise ConfigError("proposal_scale must be positive and finite")
         if self.standardize_samples < 1:
@@ -260,8 +271,16 @@ def fit_cells(config: ExperimentConfig, target):
     coordinates.  A cell whose fit raised yields its record with `error`
     set and None for the result and the density.
     """
+    family = BasisFamily(config.family)
     if config.proposal == "uniform":
-        proposal = UniformBox.centered(config.proposal_scale, target.dim)
+        # Every draw must lie in the family's support: a finite support edge
+        # is a side of the box, and -/+ proposal_scale stands in for an infinite one.
+        lo, hi = family.support
+        s = config.proposal_scale
+        proposal = UniformBox(
+            np.full(target.dim, lo if math.isfinite(lo) else -s),
+            np.full(target.dim, hi if math.isfinite(hi) else s),
+        )
     else:
         proposal = IsotropicGaussian(np.zeros(target.dim), config.proposal_scale**2)
     config_hash = config.hash()
@@ -289,12 +308,12 @@ def fit_cells(config: ExperimentConfig, target):
                 family=config.family,
                 orders=orders,
                 K=size,
-                B=b_spec if b_spec is not None else 10 * size,
+                B=b_spec if b_spec is not None else default_sample_count(size),
                 seed=config.seed,
                 standardize=config.standardize,
             )
             try:
-                basis = ProductBasis([BasisFamily(config.family)] * len(orders), orders)
+                basis = ProductBasis([family] * len(orders), orders)
                 if shared is None:
                     z = proposal.sample(np.random.default_rng((config.seed, 1, bi, ki)), record.B)
                     weights = 1.0 / proposal.density(z)

@@ -1,11 +1,12 @@
 """Cartesian products of 1-D basis families.
 
 A D-dimensional basis function is a product of one 1-D function per
-dimension.  Multi-indices (m_1, ..., m_D) with m_d in 1..K_d are flattened
-row-major (last dimension fastest) into flat indices 1..K, K = prod(K_d).
-The flattening order is load-bearing: weight vectors reshape to tensors of
-shape (K_1, ..., K_D) with numpy's default C order, and the contraction
-code in `density` relies on that layout.
+dimension.  Its multi-index (m_1, ..., m_D), 0-based with m_d < K_d, maps to
+a row of the K = prod(K_d) features in numpy C order (last dimension
+fastest): row `np.ravel_multi_index(m, orders)`, and back through
+`np.unravel_index`.  The layout is load-bearing: weight vectors reshape to
+tensors of shape (K_1, ..., K_D) in that order, and the contraction code in
+`density` relies on it.
 """
 
 from __future__ import annotations
@@ -45,28 +46,6 @@ class ProductBasis:
     @property
     def size(self) -> int:
         return math.prod(self.orders)
-
-    def flatten_index(self, m: tuple[int, ...]) -> int:
-        """Multi-index (1-based per dimension) to flat index in 1..size."""
-        if len(m) != self.dim:
-            raise IndexError(f"multi-index length {len(m)} != dim {self.dim}")
-        flat = 0
-        for md, kd in zip(m, self.orders):
-            if not 1 <= md <= kd:
-                raise IndexError(f"multi-index component {md} outside [1, {kd}]")
-            flat = flat * kd + (md - 1)
-        return flat + 1
-
-    def unflatten_index(self, i: int) -> tuple[int, ...]:
-        """Flat index in 1..size back to the 1-based multi-index."""
-        if not 1 <= i <= self.size:
-            raise IndexError(f"flat index {i} outside [1, {self.size}]")
-        rem = i - 1
-        out = []
-        for kd in reversed(self.orders):
-            out.append(rem % kd + 1)
-            rem //= kd
-        return tuple(reversed(out))
 
     def tables(self, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-dimension value and derivative tables at points z of shape (n, D)."""

@@ -40,10 +40,6 @@ class StandardizingTransform:
         object.__setattr__(self, "chol", chol)
 
     @classmethod
-    def identity(cls, dim: int) -> "StandardizingTransform":
-        return cls(np.zeros(dim), np.eye(dim))
-
-    @classmethod
     def from_moments(cls, mean, cov) -> "StandardizingTransform":
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         try:

@@ -90,15 +90,13 @@ def random_unit(rng, k):
 
 
 def eval_product(basis: ProductBasis, i: int, z) -> float:
-    """Value of the i-th (flat, 1-based) product basis function at a point."""
+    """Value at a point of the product basis function in feature row i (0-based)."""
     z = np.asarray(z, dtype=float).reshape(1, basis.dim)
-    basis.unflatten_index(i)
-    return float(basis.feature_matrix(z)[i - 1, 0])
+    return float(basis.feature_matrix(z)[i, 0])
 
 
 def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
-    """Gradient (length D) of the i-th product basis function at a point."""
+    """Gradient (length D) at a point of the product basis function in feature row i."""
     z = np.asarray(z, dtype=float).reshape(1, basis.dim)
-    basis.unflatten_index(i)
     _, g = basis.feature_gradients(z)
-    return g[i - 1, 0, :].copy()
+    return g[i, 0, :].copy()

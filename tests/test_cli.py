@@ -265,6 +265,7 @@ def test_fit_flag_errors_exit_one(capsys, extra):
         {"proposal_scale": math.nan},
         {"target_params": [1]},
         {"orders": [[3], [3]]},
+        {"family": "fourier", "proposal": "gaussian"},
     ],
 )
 def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ofevi import (
+    FOURIER,
+    HERMITE,
+    LAGUERRE,
+    LEGENDRE,
+    BasisFamily,
     OfeDensity,
     PoleError,
     ProductBasis,
     StandardizingTransform,
     TableBuildError,
     build_cdf_table,
-    fourier,
-    hermite,
-    laguerre,
-    legendre,
 )
 from ofevi import density
 from ofevi.density import _CHUNK_POINTS, default_grid_spec
@@ -32,13 +33,13 @@ from oracles import (
 
 
 def hermite_density(alpha, transform=None):
-    basis = ProductBasis([hermite()] * 1, (len(alpha),))
+    basis = ProductBasis([BasisFamily(HERMITE)] * 1, (len(alpha),))
     return OfeDensity(basis, np.asarray(alpha, dtype=float), transform)
 
 
 def hermite_density_2d(beta, transform=None):
     beta = np.asarray(beta, dtype=float)
-    basis = ProductBasis([hermite()] * 2, beta.shape)
+    basis = ProductBasis([BasisFamily(HERMITE)] * 2, beta.shape)
     return OfeDensity(basis, beta.reshape(-1), transform)
 
 
@@ -135,11 +136,11 @@ def _max_rel(a, b):
 
 @pytest.mark.parametrize("standardized", [False, True])
 @pytest.mark.parametrize("orders", [(6,), (5, 3), (4, 2, 3)])
-@pytest.mark.parametrize("make_family", [hermite, legendre, fourier, laguerre])
-def test_evaluation_matches_the_product_feature_oracle(make_family, orders, standardized):
+@pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
+def test_evaluation_matches_the_product_feature_oracle(kind, orders, standardized):
     rng = np.random.default_rng(len(orders))
     dim = len(orders)
-    basis = ProductBasis([make_family()] * dim, orders)
+    basis = ProductBasis([BasisFamily(kind)] * dim, orders)
     transform = None
     if standardized:
         chol = np.diag(np.linspace(1.3, 0.8, dim)) + np.tril(np.full((dim, dim), 0.2), -1)
@@ -170,9 +171,9 @@ def test_evaluation_matches_the_product_feature_oracle(make_family, orders, stan
 
 
 def test_score_raises_at_a_zero_past_the_first_chunk():
-    basis = ProductBasis([hermite()] * 2, (2, 3))
+    basis = ProductBasis([BasisFamily(HERMITE)] * 2, (2, 3))
     coeffs = np.zeros(basis.size)
-    coeffs[basis.flatten_index((2, 1)) - 1] = 1.0  # f vanishes on z_1 = 0
+    coeffs[np.ravel_multi_index((1, 0), basis.orders)] = 1.0  # f vanishes on z_1 = 0
     q = OfeDensity(basis, coeffs)
     z = np.random.default_rng(7).normal(size=(_CHUNK_POINTS + 1, 2))
     z[-1, 0] = 0.0
@@ -220,7 +221,7 @@ def test_marginal_matches_numerical_integration():
     for x in np.linspace(-2.0, 2.0, 9):
         joint = q.density(np.column_stack([np.full(nodes.size, x), nodes]))
         direct = np.dot(weights, joint)
-        vals, _ = basis_tables(hermite(), 3, [x])
+        vals, _ = basis_tables(BasisFamily(HERMITE), 3, [x])
         via_s = float(vals[:, 0] @ s @ vals[:, 0])
         assert via_s == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -286,7 +287,7 @@ def test_separable_density_has_no_cross_covariance():
 def test_non_hermite_moments_use_quadrature():
     rng = np.random.default_rng(10)
     alpha = random_unit(rng, 3)
-    basis = ProductBasis([legendre()], (3,))
+    basis = ProductBasis([BasisFamily(LEGENDRE)], (3,))
     q = OfeDensity(basis, alpha)
     nodes, weights = gauss_panels(-1.0, 1.0, panels=8, order=24)
     rho = q.density(nodes[:, None])
@@ -299,7 +300,7 @@ def test_non_hermite_moments_use_quadrature():
 
 def test_mixed_family_moments():
     rng = np.random.default_rng(11)
-    basis = ProductBasis([hermite(), legendre()], (2, 3))
+    basis = ProductBasis([BasisFamily(HERMITE), BasisFamily(LEGENDRE)], (2, 3))
     q = OfeDensity(basis, rng.normal(size=6))
     hx, hw = gauss_panels(-12.0, 12.0, panels=48, order=20)
     lx, lw = gauss_panels(-1.0, 1.0, panels=8, order=24)
@@ -316,7 +317,7 @@ def test_mixed_family_moments():
 def test_moment_memory_stays_bounded():
     # A 2-D Legendre 12 x 12 density: per-axis (12, 12) moment matrices, no
     # pairwise node arrays.
-    basis = ProductBasis([legendre()] * 2, (12, 12))
+    basis = ProductBasis([BasisFamily(LEGENDRE)] * 2, (12, 12))
     q = OfeDensity(basis, np.random.default_rng(12).normal(size=basis.size))
     tracemalloc.start()
     try:
@@ -330,7 +331,7 @@ def test_moment_memory_stays_bounded():
 # -- inversion tables -----------------------------------------------------------
 
 def test_cdf_table_matches_standard_normal():
-    table = build_cdf_table(hermite(), 1)
+    table = build_cdf_table(BasisFamily(HERMITE), 1)
     mid = table.points // 2
     assert table.pair_prefix.shape == (table.points, 1)
     assert table.grid[mid] == 0.0
@@ -341,7 +342,7 @@ def test_cdf_table_matches_standard_normal():
 
 def test_cdf_table_cross_terms_and_bounds():
     # The packed rows hold the upper triangle, off-diagonal entries doubled.
-    table = build_cdf_table(hermite(), 8)
+    table = build_cdf_table(BasisFamily(HERMITE), 8)
     upper, lower = np.triu_indices(8)
     assert table.pair_prefix.shape == (table.points, upper.size)
     plain = table.pair_prefix / np.where(upper == lower, 1.0, 2.0)
@@ -359,15 +360,15 @@ def test_cdf_table_cross_terms_and_bounds():
 def test_cdf_table_rejects_a_grid_that_misses_mass(monkeypatch):
     monkeypatch.setattr(density, "default_grid_spec", lambda family, order: (-3.0, 3.0, 601))
     with pytest.raises(TableBuildError, match="widen"):
-        build_cdf_table(hermite(), 6)
+        build_cdf_table(BasisFamily(HERMITE), 6)
 
 
 def test_default_grid_specs():
-    assert default_grid_spec(hermite(), 8) == (-12.0, 12.0, 4001)
+    assert default_grid_spec(BasisFamily(HERMITE), 8) == (-12.0, 12.0, 4001)
     half = math.sqrt(258.0) + 2.0
-    assert default_grid_spec(hermite(), 64) == (-half, half, 4001)
-    assert default_grid_spec(legendre(), 8) == (-1.0, 1.0, 2001)
-    lo, hi, _ = default_grid_spec(fourier(), 8)
+    assert default_grid_spec(BasisFamily(HERMITE), 64) == (-half, half, 4001)
+    assert default_grid_spec(BasisFamily(LEGENDRE), 8) == (-1.0, 1.0, 2001)
+    lo, hi, _ = default_grid_spec(BasisFamily(FOURIER), 8)
     assert (lo, hi) == (0.0, 2.0 * math.pi)
 
 
@@ -380,12 +381,12 @@ _ORACLE_RANGES = {
 
 
 @pytest.mark.parametrize("order", [1, 11, 22, 26, 40, 64])
-@pytest.mark.parametrize("make_family", [hermite, legendre, fourier, laguerre])
-def test_every_order_samples_and_reports_moments(make_family, order):
+@pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
+def test_every_order_samples_and_reports_moments(kind, order):
     # Every order up to max_order builds its table, samples without a clamp,
     # and has moments that agree with the draws and with a Gauss-Legendre
     # quadrature of the density on a range far wider than the table's grid.
-    family = make_family()
+    family = BasisFamily(kind)
     build_cdf_table(family, order)
     alpha = random_unit(np.random.default_rng(order), order)
     q = OfeDensity(ProductBasis([family], (order,)), alpha)
@@ -427,7 +428,7 @@ def test_inversion_hits_the_exact_cdf_draw_by_draw(orders):
     coeffs = factors[0]
     for f in factors[1:]:
         coeffs = np.kron(coeffs, f)
-    q = OfeDensity(ProductBasis([hermite()] * len(orders), orders), coeffs)
+    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * len(orders), orders), coeffs)
     n, seed = 5_000, 25
     x = q.sample(np.random.default_rng(seed), n)
     u = np.random.default_rng(seed).random((n, len(orders)))
@@ -471,9 +472,9 @@ def _quadrature_conditional_cdf(q, prefix, x):
 @pytest.mark.parametrize(
     "families, orders",
     [
-        ((hermite(), hermite()), (6, 5)),
-        ((legendre(), fourier()), (5, 4)),
-        ((hermite(), hermite(), hermite()), (4, 3, 5)),
+        ((BasisFamily(HERMITE), BasisFamily(HERMITE)), (6, 5)),
+        ((BasisFamily(LEGENDRE), BasisFamily(FOURIER)), (5, 4)),
+        ((BasisFamily(HERMITE), BasisFamily(HERMITE), BasisFamily(HERMITE)), (4, 3, 5)),
     ],
     ids=["hermite-2d", "legendre-fourier", "hermite-3d"],
 )
@@ -495,7 +496,7 @@ def test_non_separable_inversion_hits_the_conditional_cdf_draw_by_draw(families,
 def test_sampler_memory_does_not_grow_with_draws():
     # Beyond the (n, 2) uniforms and samples, 32 bytes a draw, the sampler
     # works a chunk of draws at a time.
-    basis = ProductBasis([hermite()] * 2, (20, 20))
+    basis = ProductBasis([BasisFamily(HERMITE)] * 2, (20, 20))
     q = OfeDensity(basis, np.random.default_rng(32).normal(size=basis.size))
     q.sample(np.random.default_rng(33), 10)  # builds the CDF table
     n = 400_000
@@ -543,7 +544,7 @@ def test_separable_sampler_has_uncorrelated_dimensions():
 
 def test_three_dimensional_sampler_runs_and_matches_means():
     rng = np.random.default_rng(20)
-    basis = ProductBasis([hermite()] * 3, (2, 3, 2))
+    basis = ProductBasis([BasisFamily(HERMITE)] * 3, (2, 3, 2))
     q = OfeDensity(basis, rng.normal(size=12))
     mean, cov = q.mean_and_cov()
     z = q.sample(np.random.default_rng(21), 50_000)
@@ -554,7 +555,7 @@ def test_three_dimensional_sampler_runs_and_matches_means():
 def test_four_dimensional_mixed_family_sampler_matches_means():
     # The draw-by-draw oracle's cost grows with D; at D = 4 the sampler's
     # running contraction is checked through its means across all families.
-    basis = ProductBasis([hermite(), legendre(), fourier(), laguerre()], (4, 3, 3, 3))
+    basis = ProductBasis([BasisFamily(HERMITE), BasisFamily(LEGENDRE), BasisFamily(FOURIER), BasisFamily(LAGUERRE)], (4, 3, 3, 3))
     q = OfeDensity(basis, np.random.default_rng(0).normal(size=basis.size))
     mean, cov = q.mean_and_cov()
     n = 20_000
@@ -632,20 +633,20 @@ def test_serialization_with_transform(tmp_path):
 
 
 def test_serialization_other_families():
-    q = OfeDensity(ProductBasis([legendre(), fourier()], (2, 3)), np.arange(1.0, 7.0))
+    q = OfeDensity(ProductBasis([BasisFamily(LEGENDRE), BasisFamily(FOURIER)], (2, 3)), np.arange(1.0, 7.0))
     back = OfeDensity.from_dict(q.to_dict())
     assert back.basis == q.basis
     assert np.array_equal(back.coeffs, q.coeffs)
 
 
 def test_constructor_validation():
-    basis = ProductBasis([hermite()], (3,))
+    basis = ProductBasis([BasisFamily(HERMITE)], (3,))
     with pytest.raises(ValueError):
         OfeDensity(basis, np.zeros(3))
     with pytest.raises(ValueError):
         OfeDensity(basis, np.ones(4))
     with pytest.raises(ValueError):
-        OfeDensity(basis, np.ones(3), StandardizingTransform.identity(2))
+        OfeDensity(basis, np.ones(3), StandardizingTransform(np.zeros(2), np.eye(2)))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1), k=st.integers(min_value=1, max_value=8))

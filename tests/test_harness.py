@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ofevi import (
+    HERMITE,
+    BasisFamily,
     ConfigError,
     ExperimentConfig,
     Gaussian,
@@ -14,7 +16,6 @@ from ofevi import (
     StandardizingTransform,
     TableBuildError,
     fisher_divergence_empirical,
-    hermite,
     pull_density,
     records_from_json,
     records_to_csv,
@@ -30,7 +31,7 @@ from ofevi.harness import CSV_HEADER, kl_from_samples
 def standard_fit_density(k=1):
     coeffs = np.zeros(k)
     coeffs[0] = 1.0
-    return OfeDensity(ProductBasis([hermite()], (k,)), coeffs)
+    return OfeDensity(ProductBasis([BasisFamily(HERMITE)], (k,)), coeffs)
 
 
 # -- divergences -----------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_forward_kl_matches_the_gaussian_formula():
 
 
 def test_kl_excludes_poles_with_a_warning():
-    q = OfeDensity(ProductBasis([hermite()], (2,)), np.array([0.0, 1.0]))
+    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)], (2,)), np.array([0.0, 1.0]))
     z = np.array([[0.5], [0.0], [-0.3]])  # q vanishes exactly at the origin
     target = Gaussian(np.zeros(1), np.eye(1))
     with pytest.warns(UserWarning, match="excluded"):
@@ -66,7 +67,7 @@ def test_kl_excludes_poles_with_a_warning():
 
 
 def test_kl_with_every_point_excluded_is_nan():
-    q = OfeDensity(ProductBasis([hermite()], (2,)), np.array([0.0, 1.0]))
+    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)], (2,)), np.array([0.0, 1.0]))
     z = np.zeros((3, 1))
     target = Gaussian(np.zeros(1), np.eye(1))
     with pytest.warns(UserWarning):
@@ -152,6 +153,8 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="mixture2d", orders=((2, 8), (2, 8)), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=(None, 30)),
         dict(target="bimodal1d", orders=((3,),), seed=0, target_params=[1]),
+        # A Gaussian proposal draws outside every support but Hermite's.
+        dict(target="bimodal1d", orders=((3,),), seed=0, family="laguerre", proposal="gaussian"),
     ],
 )
 def test_config_validation(kwargs):
@@ -289,6 +292,20 @@ def test_a_failed_evaluation_keeps_the_fit_and_its_density(tmp_path, target, ord
     assert "; fisher failed: SupportError" in rec.note
     name = f"run_density_{'x'.join(map(str, rec.orders))}_B{rec.B}.json"
     assert tmp_path / name in write_outputs(config, records, densities)
+
+
+@pytest.mark.parametrize("family", ["legendre", "fourier", "laguerre"])
+def test_bounded_families_fit_on_a_box_inside_their_support(tmp_path, family):
+    # The box's sides are the support's finite edges, and -/+ proposal_scale
+    # where an edge is infinite: [-1, 1], [0, 2 pi] and [0, 6] here.
+    config = ExperimentConfig(
+        target="bimodal1d", orders=((6,),), seed=1, family=family, eval_samples=2_000,
+        out_prefix=str(tmp_path / "run"),
+    )
+    records, densities = run(config)
+    [rec] = records
+    assert rec.error is None and math.isfinite(rec.lambda_min)
+    assert tmp_path / "run_density_6_B60.json" in write_outputs(config, records, densities)
 
 
 def test_run_rejects_dimension_mismatch():
