@@ -1,0 +1,72 @@
+"""Pins the OpenBLAS copies that numpy and scipy bundle to one thread.
+
+The numpy and scipy wheels each ship their own OpenBLAS, each with its own
+thread pool.  A matrix product or eigensolve may sum in a different order
+at a different thread count, so a fit's last bits, and with them the CSV
+and density bytes, would depend on `OPENBLAS_NUM_THREADS`.  `pinned` sets
+both copies to one thread for the length of a call and restores their
+previous counts afterwards.  The libraries are looked up on the first pin,
+not at import, through the thread setters each copy exports.  A build
+without them (MKL, Accelerate, a system OpenBLAS) is left as it is.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
+
+import numpy
+import scipy
+
+# (package, library glob in the package's sibling `<name>.libs` directory,
+# suffix of the exported `scipy_openblas_{set,get}_num_threads` symbols).
+_BUNDLED = (
+    (numpy, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+)
+
+_found = None
+
+
+def _libraries() -> list[tuple]:
+    """(set_num_threads, get_num_threads) of every bundled OpenBLAS found; cached."""
+    global _found
+    if _found is None:
+        found = []
+        for package, pattern, suffix in _BUNDLED:
+            site = os.path.dirname(os.path.dirname(package.__file__))
+            for path in sorted(glob.glob(os.path.join(site, pattern))):
+                try:
+                    lib = ctypes.CDLL(path)
+                    setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+                    getter = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                except (OSError, AttributeError):
+                    continue
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+        _found = found
+    return _found
+
+
+@contextmanager
+def pinned():
+    """Run the block with every bundled OpenBLAS at one thread.
+
+    Yields the thread count the block runs at: 1, or None when no OpenBLAS
+    setter was found and nothing was changed.  The previous counts are
+    restored on exit, also when the block raises, so nested pins restore
+    the outer one's count.  The counts are process-wide: pins on two
+    Python threads at once do not keep each other's block at one thread.
+    """
+    libs = _libraries()
+    previous = [get() for _, get in libs]
+    for set_threads, _ in libs:
+        set_threads(1)
+    try:
+        yield max(get() for _, get in libs) if libs else None
+    finally:
+        for (set_threads, _), count in zip(libs, previous):
+            set_threads(count)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .density import OfeDensity
 from .exceptions import ConfigError
 from .harness import (
@@ -71,6 +72,7 @@ def _cmd_fit(args) -> int:
         "K": record.K,
         "B": record.B,
         "rejected": result.rejected,
+        "blas_threads": result.blas_threads,
         "standardized": args.standardize,
         "density_path": args.out,
     }
@@ -203,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        with _blas.pinned():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,8 @@ nested bases on one batch share their common block through `ScoreCache`
 rather than by recomputing it: a basis nested in the largest one assembled
 on the batch takes its block of that M, and a basis containing it gets that
 M copied into its own.  The nested blocks are then bit-identical whatever
-the BLAS kernels do.
+the BLAS kernels do.  A fit runs with BLAS pinned to one thread
+(`_blas.pinned`), so its result does not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 from scipy.linalg import eigh
 
+from . import _blas
 from .density import OfeDensity
 from .exceptions import ProposalSupportError, ScoreRejectionError
 from .product_basis import ProductBasis, _combine
@@ -196,6 +198,7 @@ class FitResult:
     samples: np.ndarray
     weights: np.ndarray
     rejected: int
+    blas_threads: int | None
     timings_ms: dict
 
 
@@ -241,39 +244,40 @@ def fit_from_batch(
             f"batch size {n} is below the basis size {basis.size}; M is rank-deficient",
             stacklevel=2,
         )
-    t0 = time.perf_counter()
-    scores = np.asarray(target.score(z))
-    t1 = time.perf_counter()
-    finite = np.all(np.isfinite(scores), axis=1)
-    rejected = int(n - np.count_nonzero(finite))
-    batch, batch_weights = z, weights
-    if rejected:
-        if rejected > MAX_REJECT_FRAC * n:
-            raise ScoreRejectionError(
-                f"{rejected} of {n} samples have non-finite scores"
+    with _blas.pinned() as blas_threads:
+        t0 = time.perf_counter()
+        scores = np.asarray(target.score(z))
+        t1 = time.perf_counter()
+        finite = np.all(np.isfinite(scores), axis=1)
+        rejected = int(n - np.count_nonzero(finite))
+        batch, batch_weights = z, weights
+        if rejected:
+            if rejected > MAX_REJECT_FRAC * n:
+                raise ScoreRejectionError(
+                    f"{rejected} of {n} samples have non-finite scores"
+                )
+            z, scores, weights = z[finite], scores[finite], weights[finite]
+
+        def assemble():
+            m = np.zeros((basis.size, basis.size))
+            for start in range(0, z.shape[0], CHUNK):
+                c = slice(start, start + CHUNK)
+                m += assemble_moment_matrix(feature_vectors(basis, z[c], scores[c]), weights[c])
+            return m
+
+        if isinstance(target, ScoreCache):
+            m = target.moment_matrix(basis, batch, batch_weights, assemble)
+        else:
+            m = assemble()
+        t2 = time.perf_counter()
+        lam, alpha = min_eigenpair(m)
+        t3 = time.perf_counter()
+        residual = float(np.linalg.norm(m @ alpha - lam * alpha))
+        bound = residual_tol * np.linalg.norm(m, "fro")
+        if residual > bound:
+            raise RuntimeError(
+                f"eigenpair residual {residual:.3e} exceeds {bound:.3e}; matrix may be ill-conditioned"
             )
-        z, scores, weights = z[finite], scores[finite], weights[finite]
-
-    def assemble():
-        m = np.zeros((basis.size, basis.size))
-        for start in range(0, z.shape[0], CHUNK):
-            c = slice(start, start + CHUNK)
-            m += assemble_moment_matrix(feature_vectors(basis, z[c], scores[c]), weights[c])
-        return m
-
-    if isinstance(target, ScoreCache):
-        m = target.moment_matrix(basis, batch, batch_weights, assemble)
-    else:
-        m = assemble()
-    t2 = time.perf_counter()
-    lam, alpha = min_eigenpair(m)
-    t3 = time.perf_counter()
-    residual = float(np.linalg.norm(m @ alpha - lam * alpha))
-    bound = residual_tol * np.linalg.norm(m, "fro")
-    if residual > bound:
-        raise RuntimeError(
-            f"eigenpair residual {residual:.3e} exceeds {bound:.3e}; matrix may be ill-conditioned"
-        )
     return FitResult(
         density=OfeDensity(basis, alpha),
         eigenvalue=lam,
@@ -282,6 +286,7 @@ def fit_from_batch(
         samples=z,
         weights=weights,
         rejected=rejected,
+        blas_threads=blas_threads,
         timings_ms={
             "score_eval": 1e3 * (t1 - t0),
             "assemble": 1e3 * (t2 - t1),

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .basis1d import HERMITE, BasisFamily
 from .density import OfeDensity
 from .estimator import (
@@ -190,6 +191,7 @@ class RunRecord:
     score_ms: float | None = None
     assemble_ms: float | None = None
     eigensolve_ms: float | None = None
+    blas_threads: int | None = None
     error: str | None = None
     note: str = ""
 
@@ -327,6 +329,7 @@ def fit_cells(config: ExperimentConfig, target):
             yield bi, ki, record, result, q
 
 
+@_blas.pinned()
 def run(config: ExperimentConfig):
     """Fit and evaluate every sweep cell; returns (records, densities) in cell order.
 
@@ -336,8 +339,11 @@ def run(config: ExperimentConfig):
     pole or a CDF table that cannot be built is reported in the cell's
     `note` instead: its own fields stay None, and the fit, its density and
     the other diagnostics stand.  Randomness is drawn from per-purpose
-    streams keyed by the seed, so a rerun with the same config reproduces
-    every number except wall-clock timings.
+    streams keyed by the seed, and fits and evaluation run with BLAS pinned
+    to one thread, so a rerun with the same config reproduces every number
+    except wall-clock timings, whatever `OPENBLAS_NUM_THREADS` is.  Where no
+    bundled OpenBLAS is found to pin (records report `blas_threads` None),
+    that holds only at the same BLAS thread count.
     """
     target = config.build_target()
 
@@ -399,6 +405,7 @@ def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki)
         score_ms=result.timings_ms["score_eval"],
         assemble_ms=result.timings_ms["assemble"],
         eigensolve_ms=result.timings_ms["eigensolve"],
+        blas_threads=result.blas_threads,
         note="; ".join(notes),
     )
 

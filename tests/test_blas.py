@@ -1,0 +1,127 @@
+"""The one-thread BLAS pin and the thread-count independence it buys."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ofevi import _blas, estimator, harness
+from ofevi.basis1d import BasisFamily
+from ofevi.product_basis import ProductBasis
+from ofevi.proposals import UniformBox
+from ofevi.targets import make_target
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class FakeLibrary:
+    """A thread setter and getter pair standing in for one OpenBLAS copy."""
+
+    def __init__(self, count):
+        self.count = count
+        self.pair = (self.set, self.get)
+
+    def set(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+
+@pytest.fixture
+def fakes(monkeypatch):
+    libs = [FakeLibrary(2), FakeLibrary(3)]
+    monkeypatch.setattr(_blas, "_libraries", lambda: [lib.pair for lib in libs])
+    return libs
+
+
+def test_pin_sets_one_thread_and_restores_each_count(fakes):
+    with _blas.pinned() as threads:
+        assert threads == 1
+        assert [lib.count for lib in fakes] == [1, 1]
+    assert [lib.count for lib in fakes] == [2, 3]
+
+
+def test_pin_restores_each_count_when_the_block_raises(fakes):
+    with pytest.raises(ZeroDivisionError):
+        with _blas.pinned():
+            1 / 0
+    assert [lib.count for lib in fakes] == [2, 3]
+
+
+def test_nested_pins_restore_the_outer_count(fakes):
+    with _blas.pinned():
+        with _blas.pinned() as inner:
+            assert inner == 1
+        assert [lib.count for lib in fakes] == [1, 1]
+    assert [lib.count for lib in fakes] == [2, 3]
+
+
+def test_no_library_found_yields_none_and_runs_the_call(monkeypatch):
+    monkeypatch.setattr(_blas, "_libraries", lambda: [])
+
+    @_blas.pinned()
+    def double(x):
+        return 2 * x
+
+    with _blas.pinned() as threads:
+        assert threads is None
+    assert double(21) == 42
+    result = estimator.fit(
+        make_target("gaussian", mean=[0.0], cov=[[1.0]]),
+        ProductBasis([BasisFamily("hermite")], [1]),
+        UniformBox.centered(6.0, 1),
+        np.random.default_rng(0),
+        n_samples=200,
+    )
+    assert result.blas_threads is None
+    assert result.eigenvalue == 0.0
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_pin_reaches_both_bundled_openblas_copies():
+    assert len(_blas._libraries()) == 2
+    before = [get() for _, get in _blas._libraries()]
+    with _blas.pinned() as threads:
+        assert threads == 1
+        assert [get() for _, get in _blas._libraries()] == [1, 1]
+    assert [get() for _, get in _blas._libraries()] == before
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # At one thread and at two, unpinned BLAS gives different K = 100 bytes.
+    config = harness.ExperimentConfig(
+        target="mixture2d",
+        orders=[[5, 5], [10, 10]],
+        proposal_scale=9.0,
+        eval_samples=20_000,
+        sample_probe=0,
+        seed=1,
+    )
+    script = (
+        "import json, sys\n"
+        "from ofevi import harness\n"
+        "config = harness.ExperimentConfig.from_json(sys.stdin.read())\n"
+        "records, _ = harness.run(config)\n"
+        "print(json.dumps({'csv': harness.records_to_csv(records),\n"
+        "                  'threads': [r.blas_threads for r in records]}))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=json.dumps(config.to_dict()),
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["csv"] == outputs[1]["csv"]
+    assert outputs[0]["threads"] == outputs[1]["threads"] == [1, 1]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ofevi import OfeDensity
+from ofevi import OfeDensity, _blas
 from ofevi.cli import main
 
 
@@ -31,6 +31,7 @@ def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
     assert out.exists()
     assert summary["lambda_min"] == 0.0
     assert summary["K"] == 1 and summary["B"] == 500
+    assert summary["blas_threads"] == (1 if _blas._libraries() else None)
     q = OfeDensity.load(out)
     assert np.array_equal(q.coeffs, [1.0])
 
