@@ -37,7 +37,6 @@ from .exceptions import (
 from .harness import (
     ExperimentConfig,
     RunRecord,
-    fisher_divergence_empirical,
     records_from_json,
     records_to_csv,
     records_to_json,
@@ -84,8 +83,8 @@ __all__ = [
     "ScoreTarget", "ScoreCache", "FitResult",
     "feature_vectors", "assemble_moment_matrix", "min_eigenpair",
     "fit", "fit_from_batch",
-    "ExperimentConfig", "RunRecord", "fisher_divergence_empirical",
-    "run", "records_to_csv", "records_to_json", "records_from_json", "write_outputs",
+    "ExperimentConfig", "RunRecord", "run",
+    "records_to_csv", "records_to_json", "records_from_json", "write_outputs",
     "SupportError", "OrderLimitError", "ProposalSupportError", "ScoreRejectionError",
     "PoleError", "TableBuildError", "TransformError", "ConfigError",
 ]

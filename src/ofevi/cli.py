@@ -21,9 +21,9 @@ from .density import OfeDensity
 from .exceptions import ConfigError
 from .harness import (
     ExperimentConfig,
-    fisher_divergence_empirical,
+    _divergences,
+    _reference_set,
     fit_cells,
-    kl_from_samples,
     run,
     write_outputs,
 )
@@ -113,12 +113,13 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError(f"density has dimension {q.dim}, target has {target.dim}")
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
-    # One reference set serves both divergences, as in a sweep.
-    z_ref = target.sample(np.random.default_rng(args.seed), args.n)
-    kl, se, _ = kl_from_samples(z_ref, np.asarray(target.log_density(z_ref)), q)
-    fisher, fisher_se = fisher_divergence_empirical(target, q, z_ref)
-    payload = {"kl": kl, "kl_se": se, "fisher_div": fisher, "fisher_se": fisher_se, "n": args.n}
-    print(json.dumps(payload, indent=2))
+    # A sweep's own evaluation, so this repeats its cell for this seed and n.
+    fields, notes = _divergences(q, _reference_set(target, args.seed, args.n))
+    if notes:
+        print(f"error: {'; '.join(notes)}", file=sys.stderr)
+        return 2
+    payload = {key: fields[key] for key in ("kl", "kl_se", "fisher_div", "fisher_se")}
+    print(json.dumps(payload | {"n": args.n}, indent=2))
     return 0
 
 

@@ -159,19 +159,17 @@ def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray | None = None) -> 
     """M_jk = sum_b w_b u_j(z_b) . u_k(z_b) over the samples of u, one matrix product.
 
     The (component, sample) pairs of u are flattened component-major, which
-    for `feature_vectors` output needs no copy.  M is the mirrored upper
-    triangle, so it is exactly symmetric.  `fit_from_batch` calls this once
-    per chunk of its batch.
+    for `feature_vectors` output needs no copy.  numpy computes `a @ a.T`
+    with one symmetric rank-k update (SYRK) and copies its upper triangle
+    into the lower one, so M is exactly symmetric.  `fit_from_batch` calls
+    this once per chunk of its batch.
     """
     k = u.shape[0]
     ut = u.transpose(0, 2, 1)
     if weights is not None:
         ut = ut * np.sqrt(np.asarray(weights, dtype=float))
     block = ut.reshape(k, -1)
-    m = block @ block.T
-    i_lo = np.tril_indices(k, -1)
-    m[i_lo] = m.T[i_lo]
-    return m
+    return block @ block.T
 
 
 def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:

@@ -8,7 +8,9 @@ of reference samples, and within a fixed sample-count cell all basis sizes
 share one proposal batch, one set of cached target scores and the moment
 matrix of the largest basis fitted on it, from which nested bases take
 their blocks bit for bit.  `ofevi fit` is `fit_cells` on a one-cell config,
-so it writes the density `ofevi sweep` writes for the same config and seed.
+so it writes the density `ofevi sweep` writes for the same config and seed;
+`ofevi evaluate` scores a saved density on the sweep's reference set with
+the sweep's divergence code, so it prints the numbers the sweep wrote.
 
 Outputs: a long-format CSV (one row per metric) whose bytes depend only on
 the config and seed, plus a JSON document carrying complete records
@@ -51,6 +53,20 @@ CSV_METRICS = ("lambda_min", "residual", "kl", "kl_se", "fisher_div", "fisher_se
 CSV_HEADER = ("config", "target", "family", "orders", "K", "B", "seed", "metric", "value")
 
 
+def _integer(value, name: str, least: int) -> int:
+    """value as an int of at least `least`; a bool or a value that is not whole is refused."""
+    try:
+        whole = int(value)  # strings too: `ofevi fit --orders 6,6` passes "6"
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    exact = whole is not None and (isinstance(value, str) or whole == value)
+    if not exact or isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name}: {value!r} is not an integer")
+    if whole < least:
+        raise ConfigError(f"{name} must be at least {least}")
+    return whole
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     target: str
@@ -69,14 +85,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            orders = tuple(tuple(int(k) for k in o) for o in self.orders)
-            samples = tuple(None if b is None else int(b) for b in self.samples)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("orders and samples must hold integers") from None
+            orders = tuple(tuple(_integer(k, "orders", 1) for k in o) for o in self.orders)
+            samples = tuple(None if b is None else _integer(b, "samples", 1) for b in self.samples)
+        except TypeError:
+            raise ConfigError("orders must be a list of lists and samples a list") from None
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "samples", samples)
-        if not self.orders or any(not o or min(o) < 1 for o in self.orders):
-            raise ConfigError("orders must be a nonempty list of positive-integer lists")
+        for name, least in (("seed", 0), ("standardize_samples", 1),
+                            ("eval_samples", 1), ("sample_probe", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        if not self.orders or not all(self.orders):
+            raise ConfigError("orders must be a nonempty list of nonempty lists")
         if len({len(o) for o in self.orders}) != 1:
             raise ConfigError("every orders entry must have the same dimension")
         for o in self.orders:
@@ -86,8 +105,8 @@ class ExperimentConfig:
                     f"orders {list(o)} need {need:,} bytes for M or one chunk of "
                     f"features; the limit is {MAX_ARRAY_BYTES:,}"
                 )
-        if not self.samples or any(b is not None and b < 1 for b in self.samples):
-            raise ConfigError("samples must be a nonempty list of positive counts or nulls")
+        if not self.samples:
+            raise ConfigError("samples must be a nonempty list of counts or nulls")
         # A cell's CSV rows and density file are keyed by its orders and B.
         cells = [(o, default_sample_count(math.prod(o)) if b is None else b)
                  for b in self.samples for o in self.orders]
@@ -109,14 +128,6 @@ class ExperimentConfig:
             )
         if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
             raise ConfigError("proposal_scale must be positive and finite")
-        if self.standardize_samples < 1:
-            raise ConfigError("standardize_samples must be positive")
-        if self.eval_samples < 1:
-            raise ConfigError("eval_samples must be positive")
-        if self.sample_probe < 0:
-            raise ConfigError("sample_probe must be nonnegative")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed is mandatory and must be an integer")
 
     @property
     def dim(self) -> int:
@@ -231,18 +242,6 @@ def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, 
     return float(np.mean(diff)), se, excluded
 
 
-def fisher_divergence_empirical(target, q, reference_samples) -> tuple[float, float]:
-    """Mean squared score mismatch over reference samples, and its standard error.
-
-    (1/S) sum_s ||grad log p(z_s) - grad log q(z_s)||^2; samples at poles of
-    q are excluded with a warning.
-    """
-    value, se, _ = _fisher_from_scores(
-        np.asarray(target.score(reference_samples)), q, reference_samples
-    )
-    return value, se
-
-
 def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, float, int]:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
@@ -346,20 +345,13 @@ def run(config: ExperimentConfig):
     that holds only at the same BLAS thread count.
     """
     target = config.build_target()
-
-    rng_eval = np.random.default_rng((config.seed, 3))
-    z_ref = target.sample(rng_eval, config.eval_samples)
-    log_p_ref = np.asarray(target.log_density(z_ref))
-    p_scores_ref = np.asarray(target.score(z_ref))
-
+    reference = _reference_set(target, config.seed, config.eval_samples)
     records: list[RunRecord] = []
     densities: list[OfeDensity | None] = []
     for bi, ki, record, result, q in fit_cells(config, target):
         if result is not None:
             try:
-                record = _run_cell(
-                    config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki
-                )
+                record = _run_cell(config, record, result, q, reference, bi, ki)
             except Exception as exc:  # per-cell isolation: record and move on
                 record, q = replace(record, error=f"{type(exc).__name__}: {exc}"), None
         records.append(record)
@@ -367,39 +359,48 @@ def run(config: ExperimentConfig):
     return records, densities
 
 
-def _run_cell(config, record, result, q, z_ref, log_p_ref, p_scores_ref, bi, ki):
-    notes = []
+def _reference_set(target, seed: int, n: int):
+    """n exact target draws from the sweep's evaluation stream, with log p and the score there."""
+    z = target.sample(np.random.default_rng((seed, 3)), n)
+    return z, np.asarray(target.log_density(z)), np.asarray(target.score(z))
 
-    def diagnostic(name, compute):
+
+def _divergences(q, reference) -> tuple[dict, list[str]]:
+    """q's KL and Fisher record fields on a reference set, and a note for each that
+    met a point outside q's support or a pole of q (its fields stay None)."""
+    z, log_p, p_scores = reference
+    fields, notes = {}, []
+    for name, keys, compute in (
+        ("kl", ("kl", "kl_se", "kl_excluded"), lambda: kl_from_samples(z, log_p, q)),
+        ("fisher", ("fisher_div", "fisher_se", "fisher_excluded"),
+         lambda: _fisher_from_scores(p_scores, q, z)),
+    ):
         try:
-            return compute()
-        except (SupportError, PoleError, TableBuildError) as exc:
+            values = compute()
+        except (SupportError, PoleError) as exc:
             notes.append(f"{name} failed: {type(exc).__name__}: {exc}")
-            return None
+            values = (None, None, None)
+        fields.update(zip(keys, values))
+    return fields, notes
 
-    kl = diagnostic("kl", lambda: kl_from_samples(z_ref, log_p_ref, q))
-    fisher = diagnostic("fisher", lambda: _fisher_from_scores(p_scores_ref, q, z_ref))
+
+def _run_cell(config, record, result, q, reference, bi, ki):
+    fields, notes = _divergences(q, reference)
     tail_clips = None
     if config.sample_probe > 0:
         rng_probe = np.random.default_rng((config.seed, 4, bi, ki))
-        probe = diagnostic("sample probe", lambda: q.sample_with_info(rng_probe, config.sample_probe))
-        if probe is not None:
-            tail_clips = int(np.sum(probe[1]["boundary_clamps"]))
+        try:
+            _, info = q.sample_with_info(rng_probe, config.sample_probe)
+            tail_clips = int(np.sum(info["boundary_clamps"]))
+        except (SupportError, PoleError, TableBuildError) as exc:
+            notes.append(f"sample probe failed: {type(exc).__name__}: {exc}")
     else:
         notes.append("tail_clips null: no sampling probe requested")
-
-    kl, kl_se, kl_excluded = kl or (None, None, None)
-    fisher, fisher_se, fisher_excluded = fisher or (None, None, None)
     return replace(
         record,
+        **fields,
         lambda_min=result.eigenvalue,
         residual=result.residual,
-        kl=kl,
-        kl_se=kl_se,
-        kl_excluded=kl_excluded,
-        fisher_div=fisher,
-        fisher_se=fisher_se,
-        fisher_excluded=fisher_excluded,
         rejected=result.rejected,
         tail_clips=tail_clips,
         score_ms=result.timings_ms["score_eval"],

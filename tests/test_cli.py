@@ -147,6 +147,48 @@ def test_evaluate_draws_one_reference_set_for_both_divergences(tmp_path, capsys,
     assert (payload["fisher_div"], payload["fisher_se"]) == (fisher, fisher_se)
 
 
+@pytest.mark.parametrize("standardize", [False, True])
+def test_evaluate_prints_the_divergences_a_sweep_wrote(tmp_path, capsys, standardize):
+    config = {
+        "target": "mixture2d", "orders": [[3, 3], [5, 5]], "samples": [None, 300], "seed": 7,
+        "proposal_scale": 9.0, "standardize": standardize, "eval_samples": 3000,
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    prefix = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out-prefix", str(prefix))
+    assert code == 0
+    rows = (tmp_path / "run_metrics.csv").read_text().strip().split("\n")[1:]
+    written = {}
+    for row in rows:
+        fields = row.split(",")
+        written[fields[3], fields[5], fields[7]] = fields[8]
+    for orders, b in (("3x3", "90"), ("5x5", "300")):
+        code, stdout, _ = run_cli(
+            capsys, "evaluate", "--density", str(tmp_path / f"run_density_{orders}_B{b}.json"),
+            "--target", "mixture2d", "--seed", "7", "--n", "3000",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        for key in ("kl", "kl_se", "fisher_div", "fisher_se"):
+            assert payload[key] == float(written[orders, b, key]), (orders, key)
+
+
+def test_evaluate_outside_the_density_support_exits_two_with_the_notes(tmp_path, capsys):
+    density = tmp_path / "legendre.json"
+    code, _, _ = run_cli(
+        capsys, "fit", "--target", "mixture2d", "--orders", "3,3", "--family", "legendre",
+        "--seed", "0", "--out", str(density),
+    )
+    assert code == 0
+    code, stdout, stderr = run_cli(
+        capsys, "evaluate", "--density", str(density), "--target", "mixture2d", "--n", "500",
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: kl failed: SupportError: point outside legendre support")
+    assert "; fisher failed: SupportError: point outside legendre support" in stderr
+
+
 def test_sweep_runs_a_config_and_writes_outputs(tmp_path, capsys):
     config = {
         "target": "mixture2d",
@@ -267,6 +309,12 @@ def test_fit_flag_errors_exit_one(capsys, extra):
         {"target_params": [1]},
         {"orders": [[3], [3]]},
         {"family": "fourier", "proposal": "gaussian"},
+        {"orders": [[2.5]]},
+        {"samples": [99.7]},
+        {"seed": True},
+        {"standardize_samples": 500.5},
+        {"eval_samples": 2000.5},
+        {"sample_probe": False},
     ],
 )
 def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):

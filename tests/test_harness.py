@@ -15,7 +15,6 @@ from ofevi import (
     RunRecord,
     StandardizingTransform,
     TableBuildError,
-    fisher_divergence_empirical,
     pull_density,
     records_from_json,
     records_to_csv,
@@ -23,9 +22,9 @@ from ofevi import (
     run,
     write_outputs,
 )
-from ofevi import density
+from ofevi import density, harness
 from ofevi.estimator import MAX_ARRAY_BYTES, largest_array_bytes
-from ofevi.harness import CSV_HEADER, kl_from_samples
+from ofevi.harness import CSV_HEADER, _fisher_from_scores, kl_from_samples
 
 
 def standard_fit_density(k=1):
@@ -76,13 +75,18 @@ def test_kl_with_every_point_excluded_is_nan():
     assert math.isnan(kl) and math.isnan(se)
 
 
+def fisher(target, q, z):
+    return _fisher_from_scores(np.asarray(target.score(z)), q, z)
+
+
 def test_fisher_divergence_example():
     # q = N(0,1), p = N(0,2): E_p[(z/2 - z)^2] = E_p[z^2]/4 = 1/2.
     target = Gaussian(np.zeros(1), 2.0 * np.eye(1))
     z = target.sample(np.random.default_rng(3), 200_000)
-    val, se = fisher_divergence_empirical(target, standard_fit_density(), z)
+    val, se, excluded = fisher(target, standard_fit_density(), z)
     assert val == pytest.approx(0.5, abs=0.01)
     assert 0.0 < se < 0.01
+    assert excluded == 0
 
 
 def test_fisher_standard_error_by_hand():
@@ -91,7 +95,7 @@ def test_fisher_standard_error_by_hand():
     # sqrt(49/48 / 3) = 7/12.
     target = Gaussian(np.zeros(1), 2.0 * np.eye(1))
     z = np.array([[1.0], [2.0], [3.0]])
-    val, se = fisher_divergence_empirical(target, standard_fit_density(), z)
+    val, se, _ = fisher(target, standard_fit_density(), z)
     assert val == pytest.approx(7.0 / 6.0, rel=1e-12)
     assert se == pytest.approx(7.0 / 12.0, rel=1e-12)
 
@@ -99,14 +103,28 @@ def test_fisher_standard_error_by_hand():
 def test_fisher_divergence_of_a_perfect_fit_is_zero():
     target = Gaussian(np.zeros(1), np.eye(1))
     z = target.sample(np.random.default_rng(4), 1000)
-    val, se = fisher_divergence_empirical(target, standard_fit_density(), z)
+    val, se, _ = fisher(target, standard_fit_density(), z)
     assert val < 1e-28 and se < 1e-28
 
 
 def test_fisher_divergence_validates_input():
     target = Gaussian(np.zeros(1), np.eye(1))
     with pytest.raises(ValueError):
-        fisher_divergence_empirical(target, standard_fit_density(), np.zeros((0, 1)))
+        fisher(target, standard_fit_density(), np.zeros((0, 1)))
+
+
+def test_divergences_fill_the_record_fields_from_one_reference_set():
+    target = Gaussian(np.zeros(1), 2.0 * np.eye(1))
+    q = standard_fit_density()
+    reference = harness._reference_set(target, 3, 5_000)
+    z, log_p, p_scores = reference
+    assert np.array_equal(z, target.sample(np.random.default_rng((3, 3)), 5_000))
+    fields, notes = harness._divergences(q, reference)
+    assert notes == []
+    assert (fields["kl"], fields["kl_se"], fields["kl_excluded"]) == kl_from_samples(z, log_p, q)
+    assert (fields["fisher_div"], fields["fisher_se"], fields["fisher_excluded"]) == fisher(
+        target, q, z
+    )
 
 
 # -- configs ----------------------------------------------------------------------
@@ -146,6 +164,7 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=((3,),), seed=0, family="hermit"),
         dict(target="bimodal1d", orders=((3,),), seed=0, standardize_samples=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, sample_probe=-1),
+        dict(target="bimodal1d", orders=((3,),), seed=-1),
         dict(target="bimodal1d", orders=(("a",),), seed=0),
         dict(target="bimodal1d", orders=((1e400,),), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=("x",)),
@@ -160,6 +179,44 @@ def test_config_hash_ignores_output_prefix_only():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("orders", ((2.5, 3.9),)),
+        ("orders", ((True, 3),)),
+        ("samples", (99.7,)),
+        ("samples", (False,)),
+        ("seed", True),
+        ("seed", 7.5),
+        ("seed", None),
+        ("standardize_samples", 500.5),
+        ("eval_samples", 2000.1),
+        ("eval_samples", True),
+        ("sample_probe", 0.5),
+        ("sample_probe", math.nan),
+    ],
+)
+def test_integer_fields_refuse_fractions_and_bools(field, value):
+    base = dict(target="bimodal1d", orders=((3,),), seed=0)
+    with pytest.raises(ConfigError, match=f"{field}: .* is not an integer"):
+        ExperimentConfig(**dict(base, **{field: value}))
+
+
+def test_integer_fields_take_whole_numbers_as_ints():
+    config = ExperimentConfig(
+        target="bimodal1d", orders=(("6",), (7.0,)), samples=(np.int64(80), 90.0), seed=7.0,
+        standardize_samples=500.0, eval_samples=2000.0, sample_probe=np.float64(3.0),
+    )
+    values = (config.orders, config.samples, config.seed, config.standardize_samples,
+              config.eval_samples, config.sample_probe)
+    assert values == (((6,), (7,)), (80, 90), 7, 500, 2000, 3)
+    assert all(type(v) is int for v in (*config.orders[0], *config.samples, *values[2:]))
+    assert config.hash() == ExperimentConfig(
+        target="bimodal1d", orders=((6,), (7,)), samples=(80, 90), seed=7,
+        standardize_samples=500, eval_samples=2000, sample_probe=3,
+    ).hash()
 
 
 def test_config_schema_and_seed_are_enforced():
@@ -319,6 +376,22 @@ def test_standardized_run_attaches_the_transform():
     assert all(r.error is None for r in records)
     assert all(q.transform is not None for q in densities)
     assert all(r.standardize for r in records)
+
+
+def test_each_cell_computes_each_divergence_once(monkeypatch):
+    # The traced benchmark reads KL and Fisher time from these two globals.
+    calls = {"kl_from_samples": 0, "_fisher_from_scores": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    records, _ = run(small_config(sample_probe=0))
+    assert len(records) == 2 and all(r.kl is not None for r in records)
+    assert calls == {"kl_from_samples": 2, "_fisher_from_scores": 2}
 
 
 def test_mandatory_fields_are_always_present():

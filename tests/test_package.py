@@ -2,10 +2,12 @@ import ofevi
 
 # Thin wrappers that were removed: each restated a primitive that stays
 # (`BasisFamily`, `basis_tables`, numpy's C-order flat index, the transform
-# constructor, the target itself).
+# constructor, the target itself, the harness's own evaluation).
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
-            "eval_basis", "eval_basis_grad", "recurrence_z_phi"),
+            "eval_basis", "eval_basis_grad", "recurrence_z_phi",
+            "fisher_divergence_empirical"),
+    ofevi.harness: ("fisher_divergence_empirical",),
     ofevi.basis1d: ("hermite", "legendre", "fourier", "laguerre",
                     "eval_basis", "eval_basis_grad", "recurrence_z_phi"),
     ofevi.ProductBasis: ("flatten_index", "unflatten_index"),
