@@ -34,7 +34,7 @@ def main() -> None:
     target = Gaussian(np.array([3.0]), np.array([[0.125]]))
     proposal = UniformBox.centered(6.0, 1)
     z_ref = target.sample(np.random.default_rng((args.seed, 3)), 100_000)
-    log_p = np.asarray(target.log_density(z_ref))
+    log_p = target.log_density(z_ref)
 
     print("raw fits:")
     for order in (1, 2, 4, 8):

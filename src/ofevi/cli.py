@@ -22,6 +22,7 @@ from .exceptions import ConfigError
 from .harness import (
     ExperimentConfig,
     _divergences,
+    _integer,
     _reference_set,
     fit_cells,
     run,
@@ -43,7 +44,7 @@ def _parse_params(text: str) -> dict:
 def _load_density(path: str) -> OfeDensity:
     try:
         return OfeDensity.load(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot load density from {path}: {exc}") from None
 
 
@@ -81,8 +82,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
+    _integer(args.n, "--n", least=1)
+    _integer(args.seed, "--seed", least=0)
     q = _load_density(args.density)
     rng = np.random.default_rng(args.seed)
     samples, info = q.sample_with_info(rng, args.n)
@@ -111,8 +112,8 @@ def _cmd_evaluate(args) -> int:
     target = make_target(args.target, **_parse_params(args.target_params))
     if target.dim != q.dim:
         raise ConfigError(f"density has dimension {q.dim}, target has {target.dim}")
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
+    _integer(args.n, "--n", least=1)
+    _integer(args.seed, "--seed", least=0)
     # A sweep's own evaluation, so this repeats its cell for this seed and n.
     fields, notes = _divergences(q, _reference_set(target, args.seed, args.n))
     if notes:

@@ -285,18 +285,14 @@ class OfeDensity:
         return self.basis.size
 
     def _standardize(self, z):
-        z, single = as_batch(z, self.dim)
-        if self.transform is not None:
-            z = self.transform.to_standard(z)
-        return z, single
+        return as_batch(z, self.dim) if self.transform is None else self.transform.to_standard(z)
 
     # -- evaluation ---------------------------------------------------------
 
     def expansion(self, z):
-        """f at the (standardized) point; the density is f^2 / |det chol|."""
-        z_std, single = self._standardize(z)
-        out, _ = self._expansion_terms(z_std, gradient=False)
-        return float(out[0]) if single else out
+        """f (n,) at the standardized points of z (n, D); the density is f^2 / |det chol|."""
+        f, _ = self._expansion_terms(self._standardize(z), gradient=False)
+        return f
 
     def density(self, z):
         f = self.expansion(z)
@@ -308,21 +304,20 @@ class OfeDensity:
     def log_density(self, z):
         f = self.expansion(z)
         with np.errstate(divide="ignore"):
-            out = 2.0 * np.log(np.abs(np.asarray(f)))
+            out = 2.0 * np.log(np.abs(f))
         if self.transform is not None:
             out = out - self.transform.log_det
-        return float(out) if np.isscalar(f) or isinstance(f, float) else out
+        return out
 
     def score(self, z):
         """Gradient of log q; raises at zeros of the expansion."""
-        z_std, single = self._standardize(z)
-        f, g = self._expansion_terms(z_std, gradient=True)
+        f, g = self._expansion_terms(self._standardize(z), gradient=True)
         if np.any(f == 0.0):
             raise PoleError("score undefined at a zero of the expansion")
         out = 2.0 * g / f[:, None]
         if self.transform is not None:
             out = solve_triangular(self.transform.chol, out.T, lower=True, trans="T").T
-        return out[0] if single else out
+        return out
 
     def _expansion_terms(self, z: np.ndarray, gradient: bool):
         """f (n,) and, if requested, grad f (n, D) at standardized points.

@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -126,8 +127,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the gaussian proposal draws outside the {self.family} support; use 'uniform'"
             )
-        if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
-            raise ConfigError("proposal_scale must be positive and finite")
+        scale = self.proposal_scale
+        if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+                or not (math.isfinite(scale) and scale > 0)):
+            raise ConfigError("proposal_scale must be a positive and finite number")
+        if not isinstance(self.standardize, bool):
+            raise ConfigError("standardize must be true or false")
+        if self.out_prefix is not None and not isinstance(self.out_prefix, str):
+            raise ConfigError("out_prefix must be a string or null")
 
     @property
     def dim(self) -> int:
@@ -227,7 +234,7 @@ def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, 
     Points where q vanishes contribute +inf to the true KL; they are
     excluded from the average, counted, and reported with a warning.
     """
-    diff = log_p - np.asarray(q.log_density(z))
+    diff = log_p - q.log_density(z)
     keep = np.isfinite(diff)
     excluded = int(diff.size - np.count_nonzero(keep))
     if excluded:
@@ -246,7 +253,7 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("reference samples must be a nonempty (n, dim) array")
-    f = np.asarray(q.expansion(z))
+    f = q.expansion(z)
     keep = f != 0.0
     excluded = int(z.shape[0] - np.count_nonzero(keep))
     if excluded:
@@ -362,7 +369,7 @@ def run(config: ExperimentConfig):
 def _reference_set(target, seed: int, n: int):
     """n exact target draws from the sweep's evaluation stream, with log p and the score there."""
     z = target.sample(np.random.default_rng((seed, 3)), n)
-    return z, np.asarray(target.log_density(z)), np.asarray(target.score(z))
+    return z, target.log_density(z), target.score(z)
 
 
 def _divergences(q, reference) -> tuple[dict, list[str]]:

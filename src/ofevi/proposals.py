@@ -42,10 +42,9 @@ class UniformBox:
         return self.lo.shape[0]
 
     def density(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         inside = np.all((z >= self.lo) & (z <= self.hi), axis=1)
-        out = inside / np.prod(self.hi - self.lo)
-        return float(out[0]) if single else out
+        return inside / np.prod(self.hi - self.lo)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 1:
@@ -72,10 +71,9 @@ class IsotropicGaussian:
         object.__setattr__(self, "dim", mean.shape[0])
 
     def density(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         d2 = np.sum((z - self.mean) ** 2, axis=1)
-        out = np.exp(-0.5 * d2 / self.variance) / (2.0 * np.pi * self.variance) ** (self.dim / 2.0)
-        return float(out[0]) if single else out
+        return np.exp(-0.5 * d2 / self.variance) / (2.0 * np.pi * self.variance) ** (self.dim / 2.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 1:

@@ -57,14 +57,11 @@ class StandardizingTransform:
         return float(np.sum(np.log(np.diag(self.chol))))
 
     def to_standard(self, z):
-        z, single = as_batch(z, self.dim)
-        out = solve_triangular(self.chol, (z - self.mean).T, lower=True).T
-        return out[0] if single else out
+        z = as_batch(z, self.dim)
+        return solve_triangular(self.chol, (z - self.mean).T, lower=True).T
 
     def from_standard(self, z_std):
-        z_std, single = as_batch(z_std, self.dim)
-        out = self.mean + z_std @ self.chol.T
-        return out[0] if single else out
+        return self.mean + as_batch(z_std, self.dim) @ self.chol.T
 
     def scale_moments(self, mean_std, cov_std):
         """Map moments of the standardized density back to original coordinates."""
@@ -93,10 +90,8 @@ class StandardizedTarget:
         return self.target.log_density(z) + self.transform.log_det
 
     def score(self, z_std):
-        z_std, single = as_batch(z_std, self.dim)
         z = self.transform.from_standard(z_std)
-        out = self.target.score(z) @ self.transform.chol
-        return out[0] if single else out
+        return self.target.score(z) @ self.transform.chol
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.transform.to_standard(self.target.sample(rng, n))

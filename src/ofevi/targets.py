@@ -1,8 +1,8 @@
 """Synthetic benchmark targets.
 
-Every target exposes a normalized log density, its analytic gradient (the
-score), and an exact sampler, so forward KL against a fitted density is well
-defined.  The 2-D mixture, funnel, and cross fixtures and the sinh-arcsinh
+Every target exposes a normalized log density and its analytic gradient (the
+score), both of an (n, D) batch of points, and an exact sampler, so forward KL
+against a fitted density is well defined.  The 2-D mixture, funnel, and cross fixtures and the sinh-arcsinh
 triples reproduce standard benchmark parameter sets; `make_target` builds
 targets by name for the experiment harness.
 
@@ -29,14 +29,6 @@ from .utils import as_batch
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _maybe_scalar(values, single):
-    return float(values[0]) if single else values
-
-
-def _maybe_point(values, single):
-    return values[0].copy() if single else values
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """Multivariate normal with arbitrary symmetric positive definite covariance."""
@@ -59,17 +51,15 @@ class Gaussian:
         return self.mean.shape[0]
 
     def log_density(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         y = solve_triangular(self._chol, (z - self.mean).T, lower=True)
         ld = -0.5 * self.dim * LOG_2PI - np.sum(np.log(np.diag(self._chol)))
-        out = ld - 0.5 * np.sum(y * y, axis=0)
-        return _maybe_scalar(out, single)
+        return ld - 0.5 * np.sum(y * y, axis=0)
 
     def score(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         y = solve_triangular(self._chol, (z - self.mean).T, lower=True)
-        out = -solve_triangular(self._chol, y, lower=True, trans="T").T
-        return _maybe_point(out, single)
+        return -solve_triangular(self._chol, y, lower=True, trans="T").T
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         xi = rng.standard_normal((n, self.dim))
@@ -96,18 +86,18 @@ class GaussianMixture:
         return np.stack([c.log_density(z) for c in self.components], axis=1)
 
     def log_density(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         lp = self._component_logs(z) + np.log(self.weights)
-        return _maybe_scalar(logsumexp(lp, axis=1), single)
+        return logsumexp(lp, axis=1)
 
     def score(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         lp = self._component_logs(z) + np.log(self.weights)
         resp = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))
         out = np.zeros_like(z)
         for k, c in enumerate(self.components):
             out += resp[:, k : k + 1] * c.score(z)
-        return _maybe_point(out, single)
+        return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         counts = rng.multinomial(n, self.weights)
@@ -128,26 +118,24 @@ class Funnel:
             raise ValueError("sigma2 must be positive")
 
     def log_density(self, z):
-        z, single = as_batch(z, 2)
+        z = as_batch(z, 2)
         z1, z2 = z[:, 0], z[:, 1]
-        out = (
+        return (
             -0.5 * np.log(2.0 * np.pi * self.sigma2)
             - 0.5 * z1**2 / self.sigma2
             - 0.5 * LOG_2PI
             - 0.25 * z1
             - 0.5 * z2**2 * np.exp(-0.5 * z1)
         )
-        return _maybe_scalar(out, single)
 
     def score(self, z):
-        z, single = as_batch(z, 2)
+        z = as_batch(z, 2)
         z1, z2 = z[:, 0], z[:, 1]
         inv_var = np.exp(-0.5 * z1)
-        out = np.stack(
+        return np.stack(
             [-z1 / self.sigma2 - 0.25 + 0.25 * z2**2 * inv_var, -z2 * inv_var],
             axis=1,
         )
-        return _maybe_point(out, single)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z1 = np.sqrt(self.sigma2) * rng.standard_normal(n)
@@ -174,23 +162,21 @@ class SinhArcsinh:
         return y, np.sinh(y)
 
     def log_density(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         y, big_s = self._warp(z)
         # log cosh, immune to overflow for large |y|
         log_c = np.abs(y) + np.log1p(np.exp(-2.0 * np.abs(y))) - np.log(2.0)
-        out = (
+        return (
             self.base.log_density(big_s)
             + np.sum(log_c + np.log(self.tau) - 0.5 * np.log1p(z**2), axis=1)
         )
-        return _maybe_scalar(out, single)
 
     def score(self, z):
-        z, single = as_batch(z, self.dim)
+        z = as_batch(z, self.dim)
         y, big_s = self._warp(z)
         root = np.sqrt(1.0 + z**2)
         ds = self.tau * np.cosh(y) / root
-        out = -z / (1.0 + z**2) + self.tau * np.tanh(y) / root + ds * self.base.score(big_s)
-        return _maybe_point(out, single)
+        return -z / (1.0 + z**2) + self.tau * np.tanh(y) / root + ds * self.base.score(big_s)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         w = self.base.sample(rng, n)

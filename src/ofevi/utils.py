@@ -1,21 +1,17 @@
-"""Small shared helpers."""
+"""Small shared helpers.
+
+Every evaluator in ofevi takes a batch of points, shape (n, D), and returns
+arrays, shape (n,) or (n, D); a single point z is the batch z[None].
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def as_batch(z, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce a point (D,) or batch (n, D) to shape (n, D).
-
-    Returns the 2-D array and a flag telling the caller the input was a
-    single point (so scalar outputs can be unwrapped).
-    """
+def as_batch(z, dim: int) -> np.ndarray:
+    """z as a float array of shape (n, dim); any other shape, a (dim,) point too, is a ValueError."""
     z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        if z.shape[0] != dim:
-            raise ValueError(f"expected a point of length {dim}, got {z.shape[0]}")
-        return z.reshape(1, dim), True
-    if z.ndim == 2 and z.shape[1] == dim:
-        return z, False
-    raise ValueError(f"expected shape (n, {dim}) or ({dim},), got {z.shape}")
+    if z.ndim != 2 or z.shape[1] != dim:
+        raise ValueError(f"expected a batch of shape (n, {dim}), got {z.shape}")
+    return z

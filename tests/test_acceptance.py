@@ -57,7 +57,7 @@ def test_criterion_01_gaussian_exactness():
         np.random.default_rng(1), n_samples=100,
     )
     elapsed = time.perf_counter() - t0
-    at_zero = result.density.density([0.0])
+    at_zero = result.density.density([[0.0]])[0]
     gap = abs(at_zero - (2.0 * math.pi) ** -0.5)
     ok = result.eigenvalue <= 1e-12 and gap <= 1e-12 and elapsed < 1.0
     report(
@@ -276,8 +276,8 @@ def test_criterion_09_target_zoo_is_sound():
         target = make_target(name)
         for _ in range(10):
             z = rng.uniform(-2.5, 2.5, size=target.dim)
-            fd = fd_gradient(lambda x: target.log_density(x), z)
-            score_gap = max(score_gap, float(np.max(np.abs(np.asarray(target.score(z)) - fd))))
+            fd = fd_gradient(lambda x: target.log_density(x[None])[0], z)
+            score_gap = max(score_gap, float(np.max(np.abs(target.score(z[None])[0] - fd))))
 
     ok = gauss_gap < 1e-10 and mass_gap < 1e-4 and score_gap < 1e-6
     report(9, "targets: Gaussian limit, unit mass, exact scores", ok,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ofevi import OfeDensity, _blas
+from ofevi import HERMITE, BasisFamily, OfeDensity, ProductBasis, _blas
 from ofevi.cli import main
 
 
@@ -102,17 +102,44 @@ def test_evaluate_reports_divergences(tmp_path, capsys):
     assert payload["n"] == 5000
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ("sample",),
-        ("evaluate", "--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[1.0]]}'),
-    ],
-)
+DRAW_COMMANDS = [
+    ("sample",),
+    ("evaluate", "--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[1.0]]}'),
+]
+
+
+@pytest.mark.parametrize("command", DRAW_COMMANDS)
 def test_a_draw_count_below_one_exits_one(tmp_path, capsys, command):
     density, _ = fit_gaussian(tmp_path, capsys)
     code, _, stderr = run_cli(capsys, *command, "--density", str(density), "--n", "0")
     assert code == 1 and "config error" in stderr
+
+
+@pytest.mark.parametrize("command", DRAW_COMMANDS)
+def test_a_negative_seed_exits_one(tmp_path, capsys, command):
+    density, _ = fit_gaussian(tmp_path, capsys)
+    code, _, stderr = run_cli(capsys, *command, "--density", str(density), "--seed", "-1")
+    assert code == 1 and "--seed must be at least 0" in stderr
+
+
+GOOD_DENSITY = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * 2, (2, 2)), np.full(4, 0.5)).to_dict()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(GOOD_DENSITY, families=["hermit", "hermite"]),
+        dict(GOOD_DENSITY, coeffs=[0.5] * 3),
+        dict(GOOD_DENSITY, transform={"mean": [0.0, 0.0], "chol": [[1.0, 0.5], [0.0, 1.0]]}),
+        [GOOD_DENSITY],
+    ],
+    ids=["unknown-family", "coefficient-short", "upper-triangular-chol", "top-level-list"],
+)
+def test_a_malformed_density_file_exits_one(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, stderr = run_cli(capsys, "moments", "--density", str(path))
+    assert code == 1 and "cannot load density" in stderr
 
 
 def test_evaluate_draws_one_reference_set_for_both_divergences(tmp_path, capsys, monkeypatch):
@@ -315,6 +342,9 @@ def test_fit_flag_errors_exit_one(capsys, extra):
         {"standardize_samples": 500.5},
         {"eval_samples": 2000.5},
         {"sample_probe": False},
+        {"standardize": "false"},
+        {"proposal_scale": True},
+        {"out_prefix": 5},
     ],
 )
 def test_sweep_config_value_errors_exit_one(tmp_path, capsys, field):

@@ -64,7 +64,7 @@ def test_features_match_finite_differences():
     for i in range(basis.size):
         for n in range(z.shape[0]):
             grad = fd_gradient(lambda x: eval_product(basis, i, x), z[n])
-            direct = 2.0 * grad - eval_product(basis, i, z[n]) * np.asarray(target.score(z[n]))
+            direct = 2.0 * grad - eval_product(basis, i, z[n]) * target.score(z[n][None])[0]
             assert np.allclose(u[i, n], direct, rtol=1e-6, atol=1e-8)
 
 

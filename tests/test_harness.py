@@ -174,6 +174,9 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=((3,),), seed=0, target_params=[1]),
         # A Gaussian proposal draws outside every support but Hermite's.
         dict(target="bimodal1d", orders=((3,),), seed=0, family="laguerre", proposal="gaussian"),
+        dict(target="bimodal1d", orders=((3,),), seed=0, proposal_scale=True),
+        dict(target="bimodal1d", orders=((3,),), seed=0, standardize="false"),
+        dict(target="bimodal1d", orders=((3,),), seed=0, out_prefix=5),
     ],
 )
 def test_config_validation(kwargs):

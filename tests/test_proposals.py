@@ -7,8 +7,8 @@ from ofevi import IsotropicGaussian, UniformBox
 
 def test_box_density_values():
     box = UniformBox.centered(9.0, 2)
-    assert box.density([0.0, 0.0]) == pytest.approx(1.0 / 324.0, rel=1e-15)
-    assert box.density([9.5, 0.0]) == 0.0
+    assert box.density([[0.0, 0.0]])[0] == pytest.approx(1.0 / 324.0, rel=1e-15)
+    assert box.density([[9.5, 0.0]])[0] == 0.0
     batch = box.density(np.array([[0.0, 0.0], [10.0, 0.0]]))
     assert batch[0] > 0.0 and batch[1] == 0.0
 
@@ -23,10 +23,10 @@ def test_gaussian_density_matches_scipy():
 
 def test_densities_integrate_to_one():
     box = UniformBox(np.array([-2.0]), np.array([5.0]))
-    val, _ = integrate.quad(lambda x: box.density([x]), -3.0, 6.0)
+    val, _ = integrate.quad(lambda x: box.density([[x]])[0], -3.0, 6.0)
     assert val == pytest.approx(1.0, abs=1e-10)
     gauss = IsotropicGaussian(np.array([1.0]), 4.0)
-    val, _ = integrate.quad(lambda x: gauss.density([x]), -30.0, 30.0)
+    val, _ = integrate.quad(lambda x: gauss.density([[x]])[0], -30.0, 30.0)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 

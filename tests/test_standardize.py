@@ -44,7 +44,7 @@ def test_transform_round_trip():
 def test_log_det_and_identity():
     t = StandardizingTransform(np.zeros(3), np.eye(3))
     assert t.log_det == 0.0
-    assert np.array_equal(t.to_standard([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert np.array_equal(t.to_standard([[1.0, 2.0, 3.0]])[0], [1.0, 2.0, 3.0])
     t2 = StandardizingTransform(np.zeros(2), np.diag([2.0, 0.5]))
     assert t2.log_det == pytest.approx(math.log(2.0) + math.log(0.5), rel=1e-15)
 
@@ -90,8 +90,8 @@ def test_pushforward_score_matches_finite_differences():
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = rng.normal(size=2)
-        fd = fd_gradient(lambda x: std.log_density(x), z)
-        assert np.allclose(std.score(z), fd, rtol=1e-6, atol=1e-7)
+        fd = fd_gradient(lambda x: std.log_density(x[None])[0], z)
+        assert np.allclose(std.score(z[None])[0], fd, rtol=1e-6, atol=1e-7)
 
 
 def test_pull_density_is_an_exact_change_of_variables():
@@ -102,9 +102,9 @@ def test_pull_density_is_an_exact_change_of_variables():
     q = pull_density(q_std, t)
     ref = Gaussian(np.array([3.0]), np.array([[0.125]]))
     for x in (2.5, 3.0, 3.5):
-        assert q.log_density([x]) == pytest.approx(ref.log_density([x]), rel=1e-12)
-    assert q.density([3.0]) == pytest.approx((2.0 * math.pi * 0.125) ** -0.5, rel=1e-12)
-    val, _ = integrate.quad(lambda x: q.density([x]), 0.0, 6.0)
+        assert q.log_density([[x]])[0] == pytest.approx(ref.log_density([[x]])[0], rel=1e-12)
+    assert q.density([[3.0]])[0] == pytest.approx((2.0 * math.pi * 0.125) ** -0.5, rel=1e-12)
+    val, _ = integrate.quad(lambda x: q.density([[x]])[0], 0.0, 6.0)
     assert val == pytest.approx(1.0, abs=1e-8)
     mean, cov = q.mean_and_cov()
     assert mean[0] == pytest.approx(3.0, rel=1e-12)

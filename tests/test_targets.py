@@ -34,7 +34,7 @@ ALL_2D = {
 
 def test_standard_gaussian_basics():
     p = Gaussian(np.zeros(2), np.eye(2))
-    assert p.log_density([0.0, 0.0]) == pytest.approx(-math.log(2.0 * math.pi), rel=1e-15)
+    assert p.log_density([[0.0, 0.0]])[0] == pytest.approx(-math.log(2.0 * math.pi), rel=1e-15)
     z = np.random.default_rng(0).normal(size=(50, 2))
     assert np.array_equal(p.score(z), -z)
 
@@ -48,8 +48,8 @@ def test_general_gaussian_matches_scipy():
     expected = stats.multivariate_normal(mean, cov).logpdf(z)
     assert np.allclose(p.log_density(z), expected, rtol=1e-12)
     for zi in z[:5]:
-        fd = fd_gradient(lambda x: p.log_density(x), zi)
-        assert np.allclose(p.score(zi), fd, rtol=1e-6, atol=1e-7)
+        fd = fd_gradient(lambda x: p.log_density(x[None])[0], zi)
+        assert np.allclose(p.score(zi[None])[0], fd, rtol=1e-6, atol=1e-7)
 
 
 def test_gaussian_sample_moments():
@@ -82,15 +82,15 @@ def test_mixture_moments_and_score():
     assert np.allclose(z.mean(axis=0), mean, atol=0.02)
     assert np.allclose(np.cov(z.T), cov, atol=0.03)
     for zi in z[:10]:
-        fd = fd_gradient(lambda x: mix.log_density(x), zi)
-        assert np.allclose(mix.score(zi), fd, rtol=1e-5, atol=1e-6)
+        fd = fd_gradient(lambda x: mix.log_density(x[None])[0], zi)
+        assert np.allclose(mix.score(zi[None])[0], fd, rtol=1e-5, atol=1e-6)
 
 
 def test_funnel_closed_form_values():
     p = funnel_2d()
     assert p.sigma2 == 1.2
-    assert p.log_density([0.0, 0.0]) == pytest.approx(-1.9290378448063228, abs=1e-12)
-    assert np.allclose(p.score([0.0, 0.0]), [-0.25, 0.0], atol=1e-15)
+    assert p.log_density([[0.0, 0.0]])[0] == pytest.approx(-1.9290378448063228, abs=1e-12)
+    assert np.allclose(p.score([[0.0, 0.0]])[0], [-0.25, 0.0], atol=1e-15)
 
 
 def test_funnel_score_matches_finite_differences():
@@ -98,8 +98,8 @@ def test_funnel_score_matches_finite_differences():
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = rng.uniform(-2.5, 2.5, size=2)
-        fd = fd_gradient(lambda x: p.log_density(x), z)
-        assert np.allclose(p.score(z), fd, rtol=1e-6, atol=1e-6)
+        fd = fd_gradient(lambda x: p.log_density(x[None])[0], z)
+        assert np.allclose(p.score(z[None])[0], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_funnel_sampler_moments():
@@ -137,8 +137,8 @@ def test_sinh_arcsinh_score_matches_finite_differences(variant):
     rng = np.random.default_rng(8)
     for _ in range(25):
         z = rng.uniform(-3.0, 3.0, size=2)
-        fd = fd_gradient(lambda x: p.log_density(x), z)
-        assert np.allclose(p.score(z), fd, rtol=1e-6, atol=1e-6)
+        fd = fd_gradient(lambda x: p.log_density(x[None])[0], z)
+        assert np.allclose(p.score(z[None])[0], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_sinh_arcsinh_sampler_matches_density():
@@ -162,14 +162,14 @@ def test_five_dimensional_sinh_arcsinh():
         z = rng.uniform(-2.0, 2.0, size=(5, 5))
         assert np.all(np.isfinite(p.log_density(z)))
         for zi in z[:2]:
-            fd = fd_gradient(lambda x: p.log_density(x), zi)
-            assert np.allclose(p.score(zi), fd, rtol=1e-5, atol=1e-6)
+            fd = fd_gradient(lambda x: p.log_density(x[None])[0], zi)
+            assert np.allclose(p.score(zi[None])[0], fd, rtol=1e-5, atol=1e-6)
         assert p.sample(rng, 16).shape == (16, 5)
 
 
 def test_bimodal_fixture_is_a_unit_mass_mixture():
     p = bimodal_1d()
-    val, _ = integrate.quad(lambda x: math.exp(p.log_density([x])), -12.0, 12.0)
+    val, _ = integrate.quad(lambda x: math.exp(p.log_density([[x]])[0]), -12.0, 12.0)
     assert val == pytest.approx(1.0, abs=1e-9)
     assert p.dim == 1
 
@@ -181,7 +181,7 @@ def test_registry_constructs_every_target():
         target = make_target(name)
         assert target.dim in (1, 2, 5)
     g = make_target("gaussian", mean=[1.0], cov=[[2.0]])
-    assert g.log_density([1.0]) == pytest.approx(-0.5 * math.log(4.0 * math.pi))
+    assert g.log_density([[1.0]])[0] == pytest.approx(-0.5 * math.log(4.0 * math.pi))
     with pytest.raises(ValueError):
         make_target("nope")
     with pytest.raises(ConfigError):
