@@ -11,8 +11,10 @@ evaluated through the normalized three-term recurrence so that no factorial
 or raw polynomial value is ever formed.  The other families are normalized
 Legendre polynomials on [-1, 1], the Fourier functions {1, cos, sin,
 cos 2., sin 2., ...} on [0, 2*pi], and weighted Laguerre functions
-exp(-z/2) * L_k(z) on [0, inf).  A family is `BasisFamily(kind, max_order)`
-and `basis_tables` evaluates it.
+exp(-z/2) * L_k(z) on [0, inf).  A family is `BasisFamily(kind)` and
+`basis_tables` evaluates it.  One cap, `MAX_ORDER = 64`, holds for every
+family: the tables, quadrature, moments and sampling are checked at every
+order up to it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ LEGENDRE = "legendre"
 FOURIER = "fourier"
 LAGUERRE = "laguerre"
 
-DEFAULT_MAX_ORDER = 64
+MAX_ORDER = 64
 
 _SUPPORTS = {
     HERMITE: (-math.inf, math.inf),
@@ -41,16 +43,13 @@ _SUPPORTS = {
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """A 1-D orthonormal family identified by kind, with a configurable order cap."""
+    """A 1-D orthonormal family, identified by its kind."""
 
     kind: str
-    max_order: int = DEFAULT_MAX_ORDER
 
     def __post_init__(self):
         if self.kind not in _SUPPORTS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.max_order < 1:
-            raise ValueError("max_order must be at least 1")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -59,10 +58,8 @@ class BasisFamily:
     def check_order(self, k: int) -> None:
         if k < 1:
             raise ValueError(f"basis index must be >= 1, got {k}")
-        if k > self.max_order:
-            raise OrderLimitError(
-                f"basis index {k} exceeds max_order={self.max_order} for {self.kind}"
-            )
+        if k > MAX_ORDER:
+            raise OrderLimitError(f"basis index {k} exceeds MAX_ORDER={MAX_ORDER}")
 
     def check_support(self, z: np.ndarray) -> None:
         lo, hi = self.support

@@ -24,7 +24,9 @@ its S, and a conditional's is contracted per draw.  One GEMM per chunk of
 draws gives every draw's CDF at every 128th grid point, so each search
 starts inside one such stretch.  Every coordinate of a chunk goes through
 the same loop, so the sampler's working memory beyond its uniforms and
-samples is O(chunk).
+samples is O(chunk).  A sampling call builds one CDF table per distinct
+(family, order) axis and drops them when it returns: a density holds only
+its basis, coefficients and transform.
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
@@ -33,7 +35,7 @@ x^2 phi_a phi_b: banded recurrences for Hermite, quadrature otherwise.
 Every other 1-D integral, for the CDF tables and the non-Hermite moments,
 comes from one composite 7-point Gauss-Lobatto rule on a grid sized from
 the family and the order, so sampling and moments hold at every order up
-to the family's max_order.
+to basis1d.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -274,7 +276,6 @@ class OfeDensity:
         self.basis = basis
         self.coeffs = coeffs / norm if abs(norm - 1.0) > 1e-14 else coeffs
         self.transform = transform
-        self._tables: dict[tuple[str, int], CdfTable] = {}
 
     @property
     def dim(self) -> int:
@@ -387,13 +388,6 @@ class OfeDensity:
 
     # -- sampling -----------------------------------------------------------
 
-    def _table_for(self, d: int) -> CdfTable:
-        fam = self.basis.families[d]
-        key = (fam.kind, self.basis.orders[d])
-        if key not in self._tables:
-            self._tables[key] = build_cdf_table(fam, self.basis.orders[d])
-        return self._tables[key]
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         samples, _ = self.sample_with_info(rng, n)
         return samples
@@ -409,6 +403,8 @@ class OfeDensity:
         and trace(S) is its normalizer.  A clamp happens when a uniform draw
         targets the sliver of mass the grid does not capture (at most the
         build tolerance); the sample is pinned to the grid edge and counted.
+        Each distinct (family, order) axis gets one CDF table, built for this
+        call and dropped when it returns.
         """
         n = int(n)
         if n <= 0:
@@ -418,7 +414,9 @@ class OfeDensity:
         out = np.empty((n, ndim))
         clamps = np.zeros(ndim, dtype=int)
         uniforms = rng.random((n, ndim))
-        tables = [self._table_for(d) for d in range(ndim)]
+        axes = list(zip(families, orders))
+        built = {axis: build_cdf_table(*axis) for axis in dict.fromkeys(axes)}
+        tables = [built[axis] for axis in axes]
         coarse = [np.append(np.arange(0, t.points - 1, _COARSE_STRIDE), t.points - 1) for t in tables]
         coarse_rows = [t.pair_prefix[i] for t, i in zip(tables, coarse)]
         pairs = [_packed_positions(k) for k in orders]
@@ -464,7 +462,6 @@ class OfeDensity:
     def to_dict(self) -> dict:
         payload = {
             "families": [f.kind for f in self.basis.families],
-            "max_orders": [f.max_order for f in self.basis.families],
             "orders": list(self.basis.orders),
             "coeffs": self.coeffs.tolist(),
             "transform": None,
@@ -481,10 +478,8 @@ class OfeDensity:
         # imported here: standardize depends on this module for pull_density
         from .standardize import StandardizingTransform
 
-        families = [
-            BasisFamily(kind, max_order=mo)
-            for kind, mo in zip(payload["families"], payload["max_orders"])
-        ]
+        # Older files also carry a "max_orders" key, which MAX_ORDER replaced.
+        families = [BasisFamily(kind) for kind in payload["families"]]
         basis = ProductBasis(families=families, orders=payload["orders"])
         transform = None
         if payload.get("transform") is not None:

@@ -55,8 +55,8 @@ MAX_REJECT_FRAC = 0.01
 CHUNK = 1024
 
 # The largest array a fit may hold, in bytes: M (8 K^2) or one chunk's
-# features (8 K * CHUNK * D).  1 GiB admits every 2-D basis up to the
-# default max_order (K = 64^2 needs a 134 MB M); 64^3 would need 550 GB.
+# features (8 K * CHUNK * D).  1 GiB admits every 2-D basis up to
+# basis1d.MAX_ORDER (K = 64^2 needs a 134 MB M); 64^3 would need 550 GB.
 MAX_ARRAY_BYTES = 1 << 30
 
 
@@ -155,7 +155,7 @@ def feature_vectors(basis: ProductBasis, z: np.ndarray, scores: np.ndarray) -> n
     return u.transpose(0, 2, 1)
 
 
-def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """M_jk = sum_b w_b u_j(z_b) . u_k(z_b) over the samples of u, one matrix product.
 
     The (component, sample) pairs of u are flattened component-major, which
@@ -164,11 +164,8 @@ def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray | None = None) -> 
     into the lower one, so M is exactly symmetric.  `fit_from_batch` calls
     this once per chunk of its batch.
     """
-    k = u.shape[0]
-    ut = u.transpose(0, 2, 1)
-    if weights is not None:
-        ut = ut * np.sqrt(np.asarray(weights, dtype=float))
-    block = ut.reshape(k, -1)
+    ut = u.transpose(0, 2, 1) * np.sqrt(np.asarray(weights, dtype=float))
+    block = ut.reshape(u.shape[0], -1)
     return block @ block.T
 
 

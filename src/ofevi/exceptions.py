@@ -6,7 +6,7 @@ class SupportError(ValueError):
 
 
 class OrderLimitError(ValueError):
-    """A basis index exceeds the configured maximum order."""
+    """A basis index exceeds the order cap, basis1d.MAX_ORDER."""
 
 
 class ProposalSupportError(RuntimeError):

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _blas
-from .basis1d import HERMITE, BasisFamily
+from .basis1d import HERMITE, MAX_ORDER, BasisFamily
 from .density import OfeDensity
 from .estimator import (
     MAX_ARRAY_BYTES,
@@ -100,6 +100,8 @@ class ExperimentConfig:
         if len({len(o) for o in self.orders}) != 1:
             raise ConfigError("every orders entry must have the same dimension")
         for o in self.orders:
+            if max(o) > MAX_ORDER:
+                raise ConfigError(f"orders {list(o)} exceed the order cap of {MAX_ORDER}")
             need = largest_array_bytes(math.prod(o), len(o))
             if need > MAX_ARRAY_BYTES:
                 raise ConfigError(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis1d import BasisFamily, basis_tables
+from .utils import as_batch
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,7 @@ class ProductBasis:
 
     def tables(self, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-dimension value and derivative tables at points z of shape (n, D)."""
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 2 or z.shape[1] != self.dim:
-            raise ValueError(f"expected points of shape (n, {self.dim})")
+        z = as_batch(z, self.dim)
         vals, grads = [], []
         for d, (fam, kd) in enumerate(zip(self.families, self.orders)):
             v, g = basis_tables(fam, kd, z[:, d])

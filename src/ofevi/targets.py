@@ -276,5 +276,5 @@ def make_target(name: str, **params):
         raise ConfigError(f"unknown target {name!r}; known: {sorted(TARGET_REGISTRY)}") from None
     try:
         return ctor(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # LinAlgError is a ValueError
         raise ConfigError(f"bad parameters for target {name!r}: {exc}") from None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from ofevi import (
     SupportError,
     basis_tables,
 )
+from ofevi.basis1d import MAX_ORDER
 
 from oracles import fd_derivative, gauss_panels
 
@@ -65,7 +67,7 @@ def test_gradients_match_finite_differences(name):
 
 
 def test_hermite_three_term_recurrence():
-    fam = BasisFamily(HERMITE, 20)
+    fam = BasisFamily(HERMITE)
     z = np.linspace(-6.0, 6.0, 41)
     vals, _ = basis_tables(fam, 17, z)
     for k in range(1, 16):
@@ -99,16 +101,24 @@ def test_high_order_hermite_stays_finite():
     assert np.all(np.isfinite(grads))
 
 
-def test_order_validation():
-    fam = BasisFamily(HERMITE, 16)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_order_validation(name):
+    fam = FAMILIES[name][0]
     with pytest.raises(ValueError):
-        basis_tables(fam, 0, [0.0])
-    with pytest.raises(OrderLimitError):
-        basis_tables(fam, 17, [0.0])
-    with pytest.raises(ValueError):
-        BasisFamily("hermite", max_order=0)
+        basis_tables(fam, 0, [0.5])
+    basis_tables(fam, MAX_ORDER, [0.5])
+    with pytest.raises(OrderLimitError, match="exceeds MAX_ORDER=64"):
+        basis_tables(fam, 65, [0.5])
     with pytest.raises(ValueError):
         BasisFamily("chebyshev")
+
+
+def test_a_family_is_only_its_kind():
+    # One cap holds for every family; a family carries no order setting.
+    assert MAX_ORDER == 64
+    assert [f.name for f in dataclasses.fields(BasisFamily)] == ["kind"]
+    with pytest.raises(TypeError):
+        BasisFamily(HERMITE, 128)
 
 
 @pytest.mark.parametrize(

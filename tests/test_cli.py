@@ -132,14 +132,47 @@ GOOD_DENSITY = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * 2, (2, 2)), np.f
         dict(GOOD_DENSITY, coeffs=[0.5] * 3),
         dict(GOOD_DENSITY, transform={"mean": [0.0, 0.0], "chol": [[1.0, 0.5], [0.0, 1.0]]}),
         [GOOD_DENSITY],
+        # An older file's own "max_orders" cannot lift the cap of 64.
+        dict(GOOD_DENSITY, max_orders=[128, 64], orders=[65, 2], coeffs=[0.1] * 130),
     ],
-    ids=["unknown-family", "coefficient-short", "upper-triangular-chol", "top-level-list"],
+    ids=["unknown-family", "coefficient-short", "upper-triangular-chol", "top-level-list",
+         "order-past-the-cap"],
 )
 def test_a_malformed_density_file_exits_one(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, _, stderr = run_cli(capsys, "moments", "--density", str(path))
     assert code == 1 and "cannot load density" in stderr
+
+
+def test_a_density_file_with_the_old_max_orders_key_samples_the_same_bytes(tmp_path, capsys):
+    density, _ = fit_gaussian(tmp_path, capsys, orders="4")
+    payload = json.loads(density.read_text())
+    assert "max_orders" not in payload
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"families": payload["families"], "max_orders": [64], **payload}))
+    outputs = []
+    for path in (density, old):
+        for command in (("sample", "--n", "300", "--seed", "3"), ("moments",)):
+            code, stdout, _ = run_cli(capsys, command[0], "--density", str(path), *command[1:])
+            assert code == 0
+            outputs.append(stdout)
+    assert outputs[:2] == outputs[2:]
+
+
+# Parameters the target's own constructor refuses (a ValueError or LinAlgError).
+BAD_TARGET_PARAMS = [
+    ("--target", "funnel", "--target-params", '{"sigma2": -1}', "--orders", "2,2"),
+    ("--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[-1.0]]}'),
+]
+
+
+@pytest.mark.parametrize("flags", BAD_TARGET_PARAMS)
+def test_evaluate_with_target_params_the_constructor_refuses_exits_one(tmp_path, capsys, flags):
+    density, _ = fit_gaussian(tmp_path, capsys)
+    target_flags = flags[:4]  # evaluate takes no --orders
+    code, _, stderr = run_cli(capsys, "evaluate", "--density", str(density), *target_flags, "--n", "10")
+    assert code == 1 and "bad parameters for target" in stderr
 
 
 def test_evaluate_draws_one_reference_set_for_both_divergences(tmp_path, capsys, monkeypatch):
@@ -273,9 +306,15 @@ def test_sweep_seed_override_changes_the_hash(tmp_path, capsys):
     assert outs[0] != outs[1]
 
 
-def test_sweep_returns_two_when_every_cell_fails(tmp_path, capsys):
+def test_sweep_returns_two_when_every_cell_fails(tmp_path, capsys, monkeypatch):
+    from ofevi import harness
+
+    def failing_fit(*args):
+        raise np.linalg.LinAlgError("eigensolve did not converge")
+
+    monkeypatch.setattr(harness, "fit_from_batch", failing_fit)
     config = {
-        "target": "bimodal1d", "orders": [[65]], "samples": [100],
+        "target": "bimodal1d", "orders": [[3]], "samples": [100],
         "seed": 0, "eval_samples": 100,
     }
     cfg_path = tmp_path / "bad.json"
@@ -313,8 +352,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ("--standardize", "--standardize-samples", "0"),
         ("--target-params", '{"bogus": 1}'),
         ("--orders", "64,64,64"),
+        ("--orders", "65"),
         ("--scale", "nan"),
         ("--scale", "inf"),
+        *BAD_TARGET_PARAMS,
     ],
 )
 def test_fit_flag_errors_exit_one(capsys, extra):
@@ -332,6 +373,7 @@ def test_fit_flag_errors_exit_one(capsys, extra):
         {"samples": ["x"]},
         {"chunk_size": 1024},
         {"orders": [[64, 64, 64]]},
+        {"orders": [[65]]},
         {"proposal_scale": math.nan},
         {"target_params": [1]},
         {"orders": [[3], [3]]},

@@ -378,7 +378,7 @@ _ORACLE_RANGES = {
 @pytest.mark.parametrize("order", [1, 11, 22, 26, 40, 64])
 @pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
 def test_every_order_samples_and_reports_moments(kind, order):
-    # Every order up to max_order builds its table, samples without a clamp,
+    # Every order up to MAX_ORDER builds its table, samples without a clamp,
     # and has moments that agree with the draws and with a Gauss-Legendre
     # quadrature of the density on a range far wider than the table's grid.
     family = BasisFamily(kind)
@@ -490,18 +490,38 @@ def test_non_separable_inversion_hits_the_conditional_cdf_draw_by_draw(families,
 
 def test_sampler_memory_does_not_grow_with_draws():
     # Beyond the (n, 2) uniforms and samples, 32 bytes a draw, the sampler
-    # works a chunk of draws at a time.
+    # works a chunk of draws at a time.  Every call builds its own CDF table,
+    # so the table's bytes are in both peaks and cancel in their difference.
     basis = ProductBasis([BasisFamily(HERMITE)] * 2, (20, 20))
     q = OfeDensity(basis, np.random.default_rng(32).normal(size=basis.size))
-    q.sample(np.random.default_rng(33), 10)  # builds the CDF table
-    n = 400_000
-    tracemalloc.start()
-    try:
-        q.sample(np.random.default_rng(34), n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - 32 * n <= 12 * 2**20
+    peaks = []
+    for n in (10_000, 400_000):
+        tracemalloc.start()
+        try:
+            q.sample(np.random.default_rng(34), n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 32 * (400_000 - 10_000) + 2**20
+
+
+def test_a_sampling_call_builds_one_table_per_axis_and_keeps_none(monkeypatch):
+    built = []
+
+    def counting_build(family, order):
+        built.append((family.kind, order))
+        return build_cdf_table(family, order)
+
+    monkeypatch.setattr(density, "build_cdf_table", counting_build)
+    families = [BasisFamily(HERMITE), BasisFamily(LEGENDRE), BasisFamily(HERMITE)]
+    basis = ProductBasis(families, (4, 3, 4))
+    q = OfeDensity(basis, np.random.default_rng(35).normal(size=basis.size))
+    first = q.sample(np.random.default_rng(36), 50)
+    assert built == [(HERMITE, 4), (LEGENDRE, 3)]
+    assert set(vars(q)) == {"basis", "coeffs", "transform"}
+    # A second call builds the tables again and draws the same points.
+    assert np.array_equal(q.sample(np.random.default_rng(36), 50), first)
+    assert built == [(HERMITE, 4), (LEGENDRE, 3)] * 2
 
 
 def test_low_order_sampler_moments():

@@ -19,14 +19,17 @@ from ofevi import (
 
 # Thin wrappers that were removed: each restated a primitive that stays
 # (`BasisFamily`, `basis_tables`, numpy's C-order flat index, the transform
-# constructor, the target itself, the harness's own evaluation).
+# constructor, the target itself, the harness's own evaluation).  The
+# per-family order setting went too: `basis1d.MAX_ORDER` caps every family.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
             "fisher_divergence_empirical"),
     ofevi.harness: ("fisher_divergence_empirical",),
     ofevi.basis1d: ("hermite", "legendre", "fourier", "laguerre",
-                    "eval_basis", "eval_basis_grad", "recurrence_z_phi"),
+                    "eval_basis", "eval_basis_grad", "recurrence_z_phi",
+                    "DEFAULT_MAX_ORDER"),
+    ofevi.BasisFamily: ("max_order",),
     ofevi.ProductBasis: ("flatten_index", "unflatten_index"),
     ofevi.StandardizingTransform: ("identity",),
     ofevi.ScoreCache: ("log_density",),

@@ -94,8 +94,8 @@ def test_two_dimensional_orthonormality():
 
 
 def test_tables_shape_validation():
+    # The one shape check, `as_batch`: a (D,) point is refused with its message.
     b = ProductBasis([BasisFamily(HERMITE)] * 2, (2, 2))
-    with pytest.raises(ValueError):
-        b.tables(np.zeros(4))
-    with pytest.raises(ValueError):
-        b.tables(np.zeros((5, 3)))
+    for bad in (np.zeros(2), np.zeros(4), np.zeros((5, 3))):
+        with pytest.raises(ValueError, match=r"expected a batch of shape \(n, 2\)"):
+            b.tables(bad)
