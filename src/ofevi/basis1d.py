@@ -68,15 +68,18 @@ class BasisFamily:
             raise SupportError(f"point outside {self.kind} support [{lo}, {hi}]")
 
 
-def _hermite_tables(order, z):
+def _hermite_tables(order, z, derivatives):
     # Normalized values carried through z*phi_k = sqrt(k)*phi_{k+1} + sqrt(k-1)*phi_{k-1};
     # one extra order is produced because phi'_k needs phi_{k+1}.
     n = z.shape[0]
-    vals = np.empty((order + 1, n))
+    top = order + 1 if derivatives else order
+    vals = np.empty((max(top, 2), n))
     vals[0] = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * z * z)
     vals[1] = z * vals[0]
-    for k in range(2, order + 1):
+    for k in range(2, top):
         vals[k] = (z * vals[k - 1] - math.sqrt(k - 1) * vals[k - 2]) / math.sqrt(k)
+    if not derivatives:
+        return vals[:order], None
     grads = np.empty((order, n))
     # phi'_k = (sqrt(k-1)*phi_{k-1} - sqrt(k)*phi_{k+1}) / 2
     grads[0] = -0.5 * vals[1]
@@ -85,55 +88,66 @@ def _hermite_tables(order, z):
     return vals[:order], grads
 
 
-def _legendre_tables(order, z):
+def _legendre_tables(order, z, derivatives):
     n = z.shape[0]
     p = np.empty((order, n))
-    dp = np.empty((order, n))
     p[0] = 1.0
-    dp[0] = 0.0
     if order >= 2:
         p[1] = z
-        dp[1] = 1.0
     for k in range(2, order):
         p[k] = ((2 * k - 1) * z * p[k - 1] - (k - 1) * p[k - 2]) / k
+    scale = np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
+    if not derivatives:
+        return p * scale, None
+    dp = np.empty((order, n))
+    dp[0] = 0.0
+    if order >= 2:
+        dp[1] = 1.0
+    for k in range(2, order):
         dp[k] = dp[k - 2] + (2 * k - 1) * p[k - 1]
-    scale = np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)
-    return p * scale[:, None], dp * scale[:, None]
+    return p * scale, dp * scale
 
 
-def _fourier_tables(order, z):
+def _fourier_tables(order, z, derivatives):
     n = z.shape[0]
     vals = np.empty((order, n))
-    grads = np.empty((order, n))
+    grads = np.empty((order, n)) if derivatives else None
     vals[0] = (2.0 * math.pi) ** (-0.5)
-    grads[0] = 0.0
+    if derivatives:
+        grads[0] = 0.0
     inv_sqrt_pi = math.pi ** (-0.5)
     for k in range(2, order + 1):
         m = k // 2
         if k % 2 == 0:
             vals[k - 1] = np.cos(m * z) * inv_sqrt_pi
-            grads[k - 1] = -m * np.sin(m * z) * inv_sqrt_pi
+            if derivatives:
+                grads[k - 1] = -m * np.sin(m * z) * inv_sqrt_pi
         else:
             vals[k - 1] = np.sin(m * z) * inv_sqrt_pi
-            grads[k - 1] = m * np.cos(m * z) * inv_sqrt_pi
+            if derivatives:
+                grads[k - 1] = m * np.cos(m * z) * inv_sqrt_pi
     return vals, grads
 
 
-def _laguerre_tables(order, z):
+def _laguerre_tables(order, z, derivatives):
     # Standard Laguerre polynomials are orthonormal against exp(-z), so the
     # weighted functions exp(-z/2)*L_k(z) need no extra scale.
     n = z.shape[0]
     lag = np.empty((order, n))
-    dlag = np.empty((order, n))
     lag[0] = 1.0
-    dlag[0] = 0.0
     if order >= 2:
         lag[1] = 1.0 - z
-        dlag[1] = -1.0
     for k in range(2, order):
         lag[k] = ((2 * k - 1 - z) * lag[k - 1] - (k - 1) * lag[k - 2]) / k
-        dlag[k] = dlag[k - 1] - lag[k - 1]
     w = np.exp(-0.5 * z)
+    if not derivatives:
+        return lag * w, None
+    dlag = np.empty((order, n))
+    dlag[0] = 0.0
+    if order >= 2:
+        dlag[1] = -1.0
+    for k in range(2, order):
+        dlag[k] = dlag[k - 1] - lag[k - 1]
     return lag * w, (dlag - 0.5 * lag) * w
 
 
@@ -145,7 +159,9 @@ _TABLE_BUILDERS = {
 }
 
 
-def basis_tables(family: BasisFamily, order: int, z) -> tuple[np.ndarray, np.ndarray]:
+def basis_tables(
+    family: BasisFamily, order: int, z, derivatives: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Values and derivatives of phi_1..phi_order at points z.
 
     Parameters
@@ -154,6 +170,9 @@ def basis_tables(family: BasisFamily, order: int, z) -> tuple[np.ndarray, np.nda
     order : int
         Highest basis index to evaluate (inclusive, 1-based).
     z : array_like, shape (n,)
+    derivatives : bool
+        False skips the derivatives, and grads is None; vals are the same
+        bits either way.
 
     Returns
     -------
@@ -163,4 +182,4 @@ def basis_tables(family: BasisFamily, order: int, z) -> tuple[np.ndarray, np.nda
     family.check_order(order)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     family.check_support(z)
-    return _TABLE_BUILDERS[family.kind](order, z)
+    return _TABLE_BUILDERS[family.kind](order, z, derivatives)

@@ -22,13 +22,13 @@ from .exceptions import ConfigError
 from .harness import (
     ExperimentConfig,
     _divergences,
-    _integer,
     _reference_set,
     fit_cells,
     run,
     write_outputs,
 )
 from .targets import make_target
+from .utils import as_integer
 
 
 def _parse_params(text: str) -> dict:
@@ -82,8 +82,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _integer(args.n, "--n", least=1)
-    _integer(args.seed, "--seed", least=0)
+    as_integer(args.n, "--n", least=1)
+    as_integer(args.seed, "--seed", least=0)
     q = _load_density(args.density)
     rng = np.random.default_rng(args.seed)
     samples, info = q.sample_with_info(rng, args.n)
@@ -112,8 +112,8 @@ def _cmd_evaluate(args) -> int:
     target = make_target(args.target, **_parse_params(args.target_params))
     if target.dim != q.dim:
         raise ConfigError(f"density has dimension {q.dim}, target has {target.dim}")
-    _integer(args.n, "--n", least=1)
-    _integer(args.seed, "--seed", least=0)
+    as_integer(args.n, "--n", least=1)
+    as_integer(args.seed, "--seed", least=0)
     # A sweep's own evaluation, so this repeats its cell for this seed and n.
     fields, notes = _divergences(q, _reference_set(target, args.seed, args.n))
     if notes:

@@ -16,26 +16,29 @@ Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
 expansions, with coefficient matrices S = W W^T.  W is a running block per
 chunk of draws that `_contract_axis` takes each coordinate into once it is
-drawn.  Each 1-D CDF is the inner product of the upper triangle of S with a
-row of a precomputed grid of pairwise basis integrals, packed to
-order * (order + 1) / 2 columns, and one bisection (`_invert`) inverts them
-all: the first coordinate's CDF is tabulated once, since every draw shares
-its S, and a conditional's is contracted per draw.  One GEMM per chunk of
-draws gives every draw's CDF at every 128th grid point, so each search
-starts inside one such stretch.  Every coordinate of a chunk goes through
-the same loop, so the sampler's working memory beyond its uniforms and
-samples is O(chunk).  A sampling call builds one CDF table per distinct
-(family, order) axis and drops them when it returns: a density holds only
-its basis, coefficients and transform.
+drawn.  Every product phi_k phi_l of one axis lies in the span of M
+orthonormal functions of the same family, M = 2 * order - 1 (Fourier:
+4 * (order // 2) + 1), so a conditional is sum_m gamma_m g_m.  gamma comes
+straight from W through the span's M-node Gauss rule, and each 1-D CDF is
+the inner product of gamma with a row of a precomputed grid of the span
+functions' prefix integrals.  One bisection (`_invert`) inverts them all:
+the first coordinate's CDF is tabulated once, since every draw shares its
+S, and a conditional's is contracted per draw.  One GEMM per chunk of draws
+gives every draw's CDF at every 128th grid point, so each search starts
+inside one such stretch.  Every coordinate of a chunk goes through the same
+loop, so the sampler's working memory beyond its uniforms and samples is
+O(chunk).  A sampling call builds one CDF table per distinct (family,
+order) axis and drops them when it returns: a density holds only its basis,
+coefficients and transform.
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
 x^2 phi_a phi_b: banded recurrences for Hermite, quadrature otherwise.
 
-Every other 1-D integral, for the CDF tables and the non-Hermite moments,
-comes from one composite 7-point Gauss-Lobatto rule on a grid sized from
-the family and the order, so sampling and moments hold at every order up
-to basis1d.MAX_ORDER.
+Every other 1-D integral, the CDF tables' prefix integrals and the
+non-Hermite moments, comes from one composite 7-point Gauss-Lobatto rule on
+a grid sized from the family and the order, so sampling and moments hold at
+every order up to basis1d.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -46,12 +49,24 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_triangular
 
-from .basis1d import HERMITE, LAGUERRE, BasisFamily, basis_tables
+from . import _blas
+from .basis1d import (
+    _TABLE_BUILDERS,
+    FOURIER,
+    HERMITE,
+    LAGUERRE,
+    LEGENDRE,
+    BasisFamily,
+    basis_tables,
+)
 from .exceptions import PoleError, TableBuildError
 from .product_basis import ProductBasis
-from .utils import as_batch
+from .utils import as_batch, as_integer
 
 _CHUNK_DRAWS = 1024
 _CHUNK_POINTS = 8192
@@ -142,7 +157,6 @@ _LOBATTO_WEIGHTS = np.array(
     [50.0, 372.0 - _R15, 372.0 + _R15, 512.0, 372.0 + _R15, 372.0 - _R15, 50.0]
 ) / 1050.0
 _MASS_TOL = 1e-6
-_CHUNK_CELLS = 512
 
 
 def _composite_rule(family: BasisFamily, order: int):
@@ -162,14 +176,18 @@ def _composite_rule(family: BasisFamily, order: int):
 class CdfTable:
     """Precomputed quantities for inverting 1-D squared-expansion CDFs.
 
-    vals holds the basis on the grid and mid_vals at the 5 interior
-    Gauss-Lobatto nodes of each cell, shape (order, points - 1, 5).
-    pair_prefix is packed, shape (points, order * (order + 1) / 2): column j
-    of row g is the integral of phi_{k+1} phi_{l+1} from the grid's lower
-    end up to grid[g], for (k, l) the j-th pair of np.triu_indices(order),
-    doubled when k != l.  The CDF of any conditional with symmetric
-    coefficient matrix S is then pair_prefix[g] @ S[np.triu_indices(order)],
-    and each grid point's block is one contiguous row.
+    Every product phi_k phi_l of the family at `order` lies in the span of
+    M orthonormal functions g_1..g_M (see `_span_values`), so a conditional
+    density sum_kl S_kl phi_k phi_l is sum_m gamma_m g_m and its CDF is
+    pair_prefix[g] @ gamma.  vals holds the g_m on the grid, shape
+    (M, points), and mid_vals at the 5 interior Gauss-Lobatto nodes of each
+    cell, shape (M, points - 1, 5).  pair_prefix, shape (points, M), holds
+    in column m of row g the integral of g_m from the grid's lower end up
+    to grid[g]: each grid point's block is one contiguous row.
+
+    node_vals (order, M) holds phi_k at the M nodes of the span's Gauss
+    rule and node_span (M, M) the weighted g_m there, so gamma is
+    (sum_p (W^T phi(t_j))_p^2) @ node_span for S = W W^T.
     """
 
     family: BasisFamily
@@ -178,59 +196,100 @@ class CdfTable:
     vals: np.ndarray
     mid_vals: np.ndarray
     pair_prefix: np.ndarray
+    node_vals: np.ndarray
+    node_span: np.ndarray
 
     @property
     def points(self) -> int:
         return self.grid.shape[0]
 
+    def span_coefficients(self, block: np.ndarray) -> np.ndarray:
+        """gamma (c, M) of the c densities sum_p (sum_k block[i, k, p] phi_k)^2.
+
+        block is (c, order, rest); gamma is the density's Gauss rule
+        projection onto each g_m, exact because the rule integrates every
+        product of two span functions exactly.
+        """
+        c, order, _ = block.shape
+        at_nodes = np.swapaxes(block, 1, 2).reshape(-1, order) @ self.node_vals
+        return (at_nodes * at_nodes).reshape(c, -1, at_nodes.shape[1]).sum(axis=1) @ self.node_span
+
+
+def _span_values(family: BasisFamily, size: int, t: np.ndarray) -> np.ndarray:
+    """The span functions g_1..g_size at points t, shape (size, n).
+
+    The g_m are orthonormal, and the first M of them span every product
+    phi_k phi_l at order k.  Hermite products are polynomials of degree
+    2k - 2 times exp(-t^2 / 2): g_m(t) = 2^(1/4) phi_m(sqrt(2) t).  Laguerre
+    products are such polynomials times exp(-t): g_m(t) = sqrt(2) phi_m(2 t).
+    Legendre and Fourier products lie in the family itself at a higher
+    order.  M runs past MAX_ORDER (127 at order 64), so the family's builder
+    is called directly.
+    """
+    build = _TABLE_BUILDERS[family.kind]
+    if family.kind == HERMITE:
+        return 2.0**0.25 * build(size, math.sqrt(2.0) * t, False)[0]
+    if family.kind == LAGUERRE:
+        return math.sqrt(2.0) * build(size, 2.0 * t, False)[0]
+    return build(size, t, False)[0]
+
+
+# Nodes of the span's M-point Gauss rule: the zeros of g_{M+1}, or any M
+# equispaced points for Fourier.
+_SPAN_NODES = {
+    HERMITE: lambda size: hermgauss(size)[0],
+    LAGUERRE: lambda size: 0.5 * laggauss(size)[0],
+    LEGENDRE: lambda size: leggauss(size)[0],
+    FOURIER: lambda size: np.arange(size) * (2.0 * math.pi / size),
+}
+
+
+def _span_rule(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The span's M Gauss nodes t_j and its weighted values there, shape (M, M).
+
+    M is 2 * order - 1, and 4 * (order // 2) + 1 for Fourier.  The rule is
+    exact for every product of two span functions; its Christoffel weights
+    1 / sum_m g_m(t_j)^2 carry the family's weight function inside them.
+    """
+    size = 4 * (order // 2) + 1 if family.kind == FOURIER else 2 * order - 1
+    nodes = _SPAN_NODES[family.kind](size)
+    span = _span_values(family, size, nodes)
+    return nodes, (span / np.sum(span * span, axis=0)).T
+
 
 def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
-    """Pairwise prefix integrals on `default_grid_spec(family, order)`.
+    """Prefix integrals of the span functions on `default_grid_spec(family, order)`.
 
-    Each cell's (order, order) block of integrals is one weighted product of
-    its 7 rows of basis values, packed to its upper triangle at once; blocks
-    are accumulated in grid order, a chunk of cells at a time to bound
-    memory.  Raises TableBuildError when the prefix at the grid's upper end
-    is farther than 1e-6 from the identity, i.e. the grid misses mass of
-    some basis product.
+    Each cell's integrals are the 7-point rule on its rows of span values,
+    accumulated in grid order.  Raises TableBuildError when the pairwise
+    integrals at the grid's upper end, read through the span, are farther
+    than 1e-6 from the identity, i.e. the grid misses mass of some basis
+    product.
     """
     grid, nodes, weights = _composite_rule(family, order)
     points = grid.shape[0]
-    vals, _ = basis_tables(family, order, grid)
-    mid_vals, _ = basis_tables(family, order, nodes[:, 1:-1].reshape(-1))
-    mid_vals = mid_vals.reshape(order, points - 1, 5)
-    upper, lower = np.triu_indices(order)
-    doubled = np.where(upper == lower, 1.0, 2.0)
-
-    prefix = np.empty((points, upper.shape[0]))
+    span_nodes, node_span = _span_rule(family, order)
+    size = node_span.shape[0]
+    node_vals, _ = basis_tables(family, order, span_nodes, derivatives=False)
+    vals = _span_values(family, size, grid)
+    mid_vals = _span_values(family, size, nodes[:, 1:-1].reshape(-1)).reshape(size, points - 1, 5)
+    cells = (
+        vals[:, :-1] * weights[:, 0]
+        + np.einsum("mci,ci->mc", mid_vals, weights[:, 1:-1])
+        + vals[:, 1:] * weights[:, -1]
+    )
+    prefix = np.empty((points, size))
     prefix[0] = 0.0
-    for start in range(0, points - 1, _CHUNK_CELLS):
-        stop = min(start + _CHUNK_CELLS, points - 1)
-        v = np.concatenate(
-            [vals[:, start:stop, None], mid_vals[:, start:stop],
-             vals[:, start + 1 : stop + 1, None]],
-            axis=2,
-        ).transpose(1, 2, 0)  # (cells, 7, order)
-        cells = np.matmul((v * weights[start:stop, :, None]).transpose(0, 2, 1), v)
-        block = prefix[start + 1 : stop + 1]
-        np.cumsum(cells[:, upper, lower] * doubled, axis=0, out=block)
-        block += prefix[start]
+    np.cumsum(cells.T, axis=0, out=prefix[1:])
 
-    total = np.empty((order, order))
-    total[upper, lower] = total[lower, upper] = prefix[-1] / doubled
+    total = (node_vals * (node_span @ prefix[-1])) @ node_vals.T
     err = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(order)))))
     if err > _MASS_TOL:
         raise TableBuildError(
             f"grid [{grid[0]}, {grid[-1]}] captures the order-{order} {family.kind} mass "
             f"only to {err:.2e} (tolerance {_MASS_TOL:.0e}); widen the grid"
         )
-    return CdfTable(family, order, grid, vals, mid_vals, prefix)
-
-
-def _packed_positions(order: int) -> np.ndarray:
-    """Flat positions in an (order, order) matrix of the packed table columns."""
-    upper, lower = np.triu_indices(order)
-    return upper * order + lower
+    return CdfTable(family, order, grid, vals, mid_vals, prefix, node_vals, node_span)
 
 
 def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +310,7 @@ def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.nd
         return first, second
     _, nodes, weights = _composite_rule(family, order)
     x, w = nodes.reshape(-1), weights.reshape(-1)
-    vals, _ = basis_tables(family, order, x)
+    vals, _ = basis_tables(family, order, x, derivatives=False)
     weighted = vals * (w * x)
     return weighted @ vals.T, (weighted * x) @ vals.T
 
@@ -334,7 +393,7 @@ class OfeDensity:
         g = np.empty((n, ndim)) if gradient else None
         for start in range(0, n, _CHUNK_POINTS):
             stop = min(start + _CHUNK_POINTS, n)
-            vals, grads = self.basis.tables(z[start:stop])
+            vals, grads = self.basis.tables(z[start:stop], derivatives=gradient)
             w = self.coeffs
             partials = []
             for d in range(ndim):
@@ -392,23 +451,26 @@ class OfeDensity:
         samples, _ = self.sample_with_info(rng, n)
         return samples
 
+    @_blas.pinned()
     def sample_with_info(self, rng: np.random.Generator, n: int):
         """Draw n exact samples; info reports boundary clamps per dimension.
 
-        Draws go through in chunks of `_CHUNK_DRAWS`, every coordinate of a
-        chunk before the next, so working memory beyond the (n, dim)
-        uniforms and samples is O(chunk).  A chunk's running block W starts
-        as the coefficient tensor and takes in each coordinate once it is
-        drawn; coordinate d's S = W W^T sums over the axes not yet drawn,
-        and trace(S) is its normalizer.  A clamp happens when a uniform draw
-        targets the sliver of mass the grid does not capture (at most the
-        build tolerance); the sample is pinned to the grid edge and counted.
-        Each distinct (family, order) axis gets one CDF table, built for this
-        call and dropped when it returns.
+        n must be a whole number of at least 1; a bool or a fraction is a
+        ConfigError.  Draws go through in chunks of `_CHUNK_DRAWS`, every
+        coordinate of a chunk before the next, so working memory beyond the
+        (n, dim) uniforms and samples is O(chunk).  A chunk's running block
+        W starts as the coefficient tensor and takes in each coordinate once
+        it is drawn; coordinate d's density is sum_p (W^T phi)_p^2, summed
+        over the axes not yet drawn, its span coefficients come from
+        `CdfTable.span_coefficients`, and ||W||^2 = trace(W W^T) is its
+        normalizer.  A clamp happens when a uniform draw targets the sliver
+        of mass the grid does not capture (at most the build tolerance); the
+        sample is pinned to the grid edge and counted.  Each distinct
+        (family, order) axis gets one CDF table, built for this call and
+        dropped when it returns.  BLAS runs at one thread (`_blas.pinned`),
+        so the draws do not depend on the thread count.
         """
-        n = int(n)
-        if n <= 0:
-            raise ValueError("n must be positive")
+        n = as_integer(n, "n", least=1)
         ndim = self.dim
         orders, families = self.basis.orders, self.basis.families
         out = np.empty((n, ndim))
@@ -419,13 +481,11 @@ class OfeDensity:
         tables = [built[axis] for axis in axes]
         coarse = [np.append(np.arange(0, t.points - 1, _COARSE_STRIDE), t.points - 1) for t in tables]
         coarse_rows = [t.pair_prefix[i] for t, i in zip(tables, coarse)]
-        pairs = [_packed_positions(k) for k in orders]
 
-        # Every draw shares the first coordinate's S: its CDF is tabulated once.
-        lead = self.coeffs.reshape(orders[0], -1)
-        s0 = lead @ lead.T
-        cdf0 = tables[0].pair_prefix @ s0.reshape(-1)[pairs[0]]
-        trace0 = np.trace(s0)
+        # Every draw shares the first coordinate's density: its CDF is tabulated once.
+        gamma0 = tables[0].span_coefficients(self.coeffs.reshape(1, orders[0], -1))[0]
+        cdf0 = tables[0].pair_prefix @ gamma0
+        trace0 = self.coeffs @ self.coeffs
 
         for start in range(0, n, _CHUNK_DRAWS):
             stop = min(start + _CHUNK_DRAWS, n)
@@ -434,20 +494,18 @@ class OfeDensity:
                 if d == 0:
                     traces, cdf_at, node_cdf = trace0, cdf0.__getitem__, cdf0[coarse[0]]
                 else:
-                    vals, _ = basis_tables(families[d - 1], orders[d - 1], out[start:stop, d - 1])
+                    vals, _ = basis_tables(
+                        families[d - 1], orders[d - 1], out[start:stop, d - 1], derivatives=False
+                    )
                     w = _contract_axis(w, vals)
-                    block = w.reshape(stop - start, orders[d], -1)
-                    s_mats = np.einsum("cap,cbp->cab", block, block)
-                    traces = np.einsum("caa->c", s_mats)
+                    traces = np.einsum("cj,cj->c", w, w)
                     if np.any(traces <= 0.0):
                         raise PoleError("conditional density requested at a zero of the marginal")
-                    # np.take returns C-contiguous rows; S[:, u, l] would not, and
-                    # each bisection step's dot product would run strided.
-                    packed = np.take(s_mats.reshape(stop - start, -1), pairs[d], axis=1)
-                    rows, node_cdf = tables[d].pair_prefix, packed @ coarse_rows[d].T
+                    gamma = tables[d].span_coefficients(w.reshape(stop - start, orders[d], -1))
+                    rows, node_cdf = tables[d].pair_prefix, gamma @ coarse_rows[d].T
 
                     def cdf_at(idx):
-                        return np.einsum("cj,cj->c", packed, rows[idx])
+                        return np.einsum("cj,cj->c", gamma, rows[idx])
 
                 out[start:stop, d], c = _invert(
                     tables[d].grid, cdf_at, uniforms[start:stop, d] * traces, coarse[d], node_cdf

@@ -47,25 +47,12 @@ from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
 from .standardize import StandardizedTarget, estimate_transform, pull_density
 from .targets import TARGET_REGISTRY, make_target
+from .utils import as_integer
 
 SCHEMA_VERSION = 1
 
 CSV_METRICS = ("lambda_min", "residual", "kl", "kl_se", "fisher_div", "fisher_se")
 CSV_HEADER = ("config", "target", "family", "orders", "K", "B", "seed", "metric", "value")
-
-
-def _integer(value, name: str, least: int) -> int:
-    """value as an int of at least `least`; a bool or a value that is not whole is refused."""
-    try:
-        whole = int(value)  # strings too: `ofevi fit --orders 6,6` passes "6"
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    exact = whole is not None and (isinstance(value, str) or whole == value)
-    if not exact or isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name}: {value!r} is not an integer")
-    if whole < least:
-        raise ConfigError(f"{name} must be at least {least}")
-    return whole
 
 
 @dataclass(frozen=True)
@@ -86,15 +73,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            orders = tuple(tuple(_integer(k, "orders", 1) for k in o) for o in self.orders)
-            samples = tuple(None if b is None else _integer(b, "samples", 1) for b in self.samples)
+            orders = tuple(tuple(as_integer(k, "orders", 1) for k in o) for o in self.orders)
+            samples = tuple(None if b is None else as_integer(b, "samples", 1) for b in self.samples)
         except TypeError:
             raise ConfigError("orders must be a list of lists and samples a list") from None
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "samples", samples)
         for name, least in (("seed", 0), ("standardize_samples", 1),
                             ("eval_samples", 1), ("sample_probe", 0)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
         if not self.orders or not all(self.orders):
             raise ConfigError("orders must be a nonempty list of nonempty lists")
         if len({len(o) for o in self.orders}) != 1:

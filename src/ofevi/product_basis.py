@@ -48,19 +48,24 @@ class ProductBasis:
     def size(self) -> int:
         return math.prod(self.orders)
 
-    def tables(self, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-dimension value and derivative tables at points z of shape (n, D)."""
+    def tables(
+        self, z: np.ndarray, derivatives: bool = True
+    ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+        """Per-dimension value and derivative tables at points z of shape (n, D).
+
+        derivatives=False skips the derivative tables; each is then None.
+        """
         z = as_batch(z, self.dim)
         vals, grads = [], []
         for d, (fam, kd) in enumerate(zip(self.families, self.orders)):
-            v, g = basis_tables(fam, kd, z[:, d])
+            v, g = basis_tables(fam, kd, z[:, d], derivatives)
             vals.append(v)
             grads.append(g)
         return vals, grads
 
     def feature_matrix(self, z: np.ndarray) -> np.ndarray:
         """All K product-basis values at each point: shape (K, n)."""
-        vals, _ = self.tables(z)
+        vals, _ = self.tables(z, derivatives=False)
         return _combine(vals)
 
     def feature_gradients(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,16 @@
 """Small shared helpers.
 
 Every evaluator in ofevi takes a batch of points, shape (n, D), and returns
-arrays, shape (n,) or (n, D); a single point z is the batch z[None].
+arrays, shape (n,) or (n, D); a single point z is the batch z[None].  Every
+count, in a config, on the command line or in a sampling call, goes through
+one integer rule, `as_integer`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .exceptions import ConfigError
 
 
 def as_batch(z, dim: int) -> np.ndarray:
@@ -15,3 +19,17 @@ def as_batch(z, dim: int) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] != dim:
         raise ValueError(f"expected a batch of shape (n, {dim}), got {z.shape}")
     return z
+
+
+def as_integer(value, name: str, least: int) -> int:
+    """value as an int of at least `least`; a bool or a value that is not whole is a ConfigError."""
+    try:
+        whole = int(value)  # strings too: `ofevi fit --orders 6,6` passes "6"
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    exact = whole is not None and (isinstance(value, str) or whole == value)
+    if not exact or isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name}: {value!r} is not an integer")
+    if whole < least:
+        raise ConfigError(f"{name} must be at least {least}")
+    return whole

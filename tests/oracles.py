@@ -3,8 +3,9 @@
 The closed-form CDF oracle below never touches the package's recurrences:
 it expands the squared Hermite-function series into a polynomial times the
 standard normal density and integrates monomial moments exactly.  The
-single-function product-basis evaluators are point-at-a-time references for
-the vectorized feature code.
+pairwise prefix oracle integrates every product phi_k phi_l on the CDF
+table's grid directly, with no span.  The single-function product-basis
+evaluators are point-at-a-time references for the vectorized feature code.
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 import numpy as np
 from scipy import special
 
-from ofevi import ProductBasis
+from ofevi import BasisFamily, ProductBasis, basis_tables
+from ofevi.density import _composite_rule
 
 
 def fd_gradient(fn, z, h=1e-6):
@@ -100,3 +102,26 @@ def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(1, basis.dim)
     _, g = basis.feature_gradients(z)
     return g[i, 0, :].copy()
+
+
+def pairwise_prefix(family: BasisFamily, order: int):
+    """The CDF table's grid and the integrals of every phi_k phi_l up to each grid point.
+
+    Returns grid (points,) and prefix (points, order * (order + 1) / 2):
+    column j holds the pair (k, l) = np.triu_indices(order)[.][j], doubled
+    when k != l, so the CDF of sum_kl S_kl phi_k phi_l is
+    prefix @ S[np.triu_indices(order)].  Each cell's (order, order) block is
+    the table's own 7-point rule on the products, accumulated in grid order.
+    """
+    grid, nodes, weights = _composite_rule(family, order)
+    vals, _ = basis_tables(family, order, nodes.reshape(-1), derivatives=False)
+    v = vals.reshape(order, *nodes.shape).transpose(1, 2, 0)  # (cells, 7, order)
+    upper, lower = np.triu_indices(order)
+    doubled = np.where(upper == lower, 1.0, 2.0)
+    prefix = np.zeros((grid.shape[0], upper.shape[0]))
+    for start in range(0, v.shape[0], 512):
+        chunk = v[start : start + 512]
+        cells = np.matmul((chunk * weights[start : start + 512, :, None]).transpose(0, 2, 1), chunk)
+        block = np.cumsum(cells[:, upper, lower] * doubled, axis=0)
+        prefix[start + 1 : start + 1 + block.shape[0]] = block + prefix[start]
+    return grid, prefix

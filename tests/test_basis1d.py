@@ -142,3 +142,13 @@ def test_values_and_gradients_are_finite(name, k, t):
     vals, grads = basis_tables(fam, k, [z])
     assert vals.shape == grads.shape == (k, 1)
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_values_only_tables_equal_the_values_with_derivatives(name):
+    family, (lo, hi) = FAMILIES[name]
+    z = np.linspace(lo, hi, 301)
+    for order in range(1, MAX_ORDER + 1):
+        vals, grads = basis_tables(family, order, z, derivatives=False)
+        assert grads is None
+        assert np.array_equal(vals, basis_tables(family, order, z)[0])

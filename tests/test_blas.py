@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ofevi import _blas, estimator, harness
+from ofevi import _blas, density, estimator, harness
 from ofevi.basis1d import BasisFamily
+from ofevi.density import OfeDensity
 from ofevi.product_basis import ProductBasis
 from ofevi.proposals import UniformBox
 from ofevi.targets import make_target
@@ -125,3 +126,36 @@ def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
         outputs.append(json.loads(proc.stdout))
     assert outputs[0]["csv"] == outputs[1]["csv"]
     assert outputs[0]["threads"] == outputs[1]["threads"] == [1, 1]
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_sampling_runs_at_one_thread_whatever_the_thread_count(monkeypatch):
+    basis = ProductBasis([BasisFamily("hermite")] * 2, (20, 20))
+    q = OfeDensity(basis, np.random.default_rng(40).normal(size=basis.size))
+    with _blas.pinned():
+        pinned = q.sample(np.random.default_rng(41), 3000)
+
+    libs = _blas._libraries()
+
+    def counts():
+        return [get() for _, get in libs]
+
+    seen, build = [], density.build_cdf_table
+
+    def recording_build(family, order):
+        seen.append(counts())
+        return build(family, order)
+
+    monkeypatch.setattr(density, "build_cdf_table", recording_build)
+    before = counts()
+    try:
+        for set_threads, _ in libs:
+            set_threads(2)
+        draws = q.sample(np.random.default_rng(41), 3000)
+        after = counts()
+    finally:
+        for (set_threads, _), count in zip(libs, before):
+            set_threads(count)
+    assert seen == [[1, 1]]
+    assert after == [2, 2]
+    assert np.array_equal(draws, pinned)

@@ -13,14 +13,16 @@ from ofevi import (
     LAGUERRE,
     LEGENDRE,
     BasisFamily,
+    ConfigError,
     OfeDensity,
     PoleError,
     ProductBasis,
     StandardizingTransform,
     TableBuildError,
+    basis_tables,
     build_cdf_table,
 )
-from ofevi import density
+from ofevi import density, product_basis
 from ofevi.density import _CHUNK_POINTS, default_grid_spec
 
 from oracles import (
@@ -28,6 +30,7 @@ from oracles import (
     gauss_panels,
     hermite_expansion_cdf,
     hermite_expansion_pdf,
+    pairwise_prefix,
     random_unit,
 )
 
@@ -329,27 +332,47 @@ def test_cdf_table_matches_standard_normal():
     table = build_cdf_table(BasisFamily(HERMITE), 1)
     mid = table.points // 2
     assert table.pair_prefix.shape == (table.points, 1)
+    cdf = table.pair_prefix @ table.span_coefficients(np.ones((1, 1, 1)))[0]
     assert table.grid[mid] == 0.0
-    assert table.pair_prefix[mid, 0] == pytest.approx(0.5, abs=1e-9)
-    interp = np.interp(1.959964, table.grid, table.pair_prefix[:, 0])
+    assert cdf[mid] == pytest.approx(0.5, abs=1e-9)
+    interp = np.interp(1.959964, table.grid, cdf)
     assert interp == pytest.approx(0.975, abs=1e-6)
 
 
 def test_cdf_table_cross_terms_and_bounds():
-    # The packed rows hold the upper triangle, off-diagonal entries doubled.
+    # The integral of each product phi_k phi_l, read through the span: its
+    # span coefficients are the Gauss rule's projection of phi_k phi_l.
     table = build_cdf_table(BasisFamily(HERMITE), 8)
-    upper, lower = np.triu_indices(8)
-    assert table.pair_prefix.shape == (table.points, upper.size)
-    plain = table.pair_prefix / np.where(upper == lower, 1.0, 2.0)
-    last = np.empty((8, 8))
-    last[upper, lower] = last[lower, upper] = plain[-1]
+    assert table.pair_prefix.shape == (table.points, 15)
+    products = np.einsum("kj,lj,jm->klm", table.node_vals, table.node_vals, table.node_span)
+    plain = table.pair_prefix @ products.reshape(64, -1).T
+    last = plain[-1].reshape(8, 8)
     assert abs(last[0, 1]) < 1e-8
     assert np.max(np.abs(plain)) <= 1.0 + 1e-9
     assert np.allclose(last, np.eye(8), atol=1e-6)
 
     alpha = random_unit(np.random.default_rng(3), 8)
-    cdf = table.pair_prefix @ np.outer(alpha, alpha)[upper, lower]
+    cdf = table.pair_prefix @ table.span_coefficients(alpha[None, :, None])[0]
     assert np.max(np.abs(cdf - hermite_expansion_cdf(alpha, table.grid))) < 1e-9
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 11, 20, 26, 40, 64])
+@pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
+def test_span_cdf_matches_the_pairwise_prefix_integrals(kind, order):
+    # Every product phi_k phi_l lies in the span of M functions, 2k - 1 of
+    # them (4 (k // 2) + 1 for Fourier), so a CDF read through the span must
+    # equal the one summed from the integrals of every product.
+    family = BasisFamily(kind)
+    table = build_cdf_table(family, order)
+    size = 4 * (order // 2) + 1 if kind == FOURIER else 2 * order - 1
+    assert table.pair_prefix.shape == (table.points, size)
+    grid, prefix = pairwise_prefix(family, order)
+    assert np.array_equal(grid, table.grid)
+    w = np.random.default_rng(order).normal(size=(order, 3))
+    s = w @ w.T
+    expected = prefix @ s[np.triu_indices(order)]
+    cdf = table.pair_prefix @ table.span_coefficients(w[None])[0]
+    assert np.max(np.abs(cdf - expected)) <= 1e-11 * np.trace(s)
 
 
 def test_cdf_table_rejects_a_grid_that_misses_mass(monkeypatch):
@@ -616,9 +639,33 @@ def test_transformed_sampler_lands_in_original_coordinates():
     assert z.var() == pytest.approx(0.125, abs=0.005)
 
 
+def test_expansion_builds_no_derivative_table(monkeypatch):
+    # f alone needs only the values; the score needs the derivatives too.
+    asked = []
+
+    def recording(family, order, z, derivatives=True):
+        asked.append(derivatives)
+        return basis_tables(family, order, z, derivatives)
+
+    monkeypatch.setattr(product_basis, "basis_tables", recording)
+    q = hermite_density_2d(np.random.default_rng(5).normal(size=(3, 4)))
+    z = np.random.default_rng(6).normal(size=(10, 2))
+    q.expansion(z)
+    q.log_density(z)
+    assert asked == [False] * 4
+    q.score(z)
+    assert asked[4:] == [True] * 2
+
+
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         hermite_density([1.0]).sample(np.random.default_rng(0), 0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.9), np.bool_(True), None])
+def test_sampling_refuses_a_count_that_is_not_a_whole_number(n):
+    with pytest.raises(ConfigError, match="is not an integer"):
+        hermite_density([1.0]).sample_with_info(np.random.default_rng(0), n)
 
 
 # -- serialization ---------------------------------------------------------------

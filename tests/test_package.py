@@ -21,11 +21,14 @@ from ofevi import (
 # (`BasisFamily`, `basis_tables`, numpy's C-order flat index, the transform
 # constructor, the target itself, the harness's own evaluation).  The
 # per-family order setting went too: `basis1d.MAX_ORDER` caps every family.
+# The CDF table's packed pair positions went with the pairwise table, and
+# the harness's integer rule moved to `utils.as_integer`.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
             "fisher_divergence_empirical"),
-    ofevi.harness: ("fisher_divergence_empirical",),
+    ofevi.harness: ("fisher_divergence_empirical", "_integer"),
+    ofevi.density: ("_packed_positions",),
     ofevi.basis1d: ("hermite", "legendre", "fourier", "laguerre",
                     "eval_basis", "eval_basis_grad", "recurrence_z_phi",
                     "DEFAULT_MAX_ORDER"),
