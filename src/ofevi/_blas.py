@@ -1,13 +1,14 @@
-"""Pins the OpenBLAS copies that numpy and scipy bundle to one thread.
+"""Pins the OpenBLAS that numpy bundles to one thread.
 
-The numpy and scipy wheels each ship their own OpenBLAS, each with its own
-thread pool.  A matrix product or eigensolve may sum in a different order
-at a different thread count, so a fit's last bits, and with them the CSV
-and density bytes, would depend on `OPENBLAS_NUM_THREADS`.  `pinned` sets
-both copies to one thread for the length of a call and restores their
-previous counts afterwards.  The libraries are looked up on the first pin,
-not at import, through the thread setters each copy exports.  A build
-without them (MKL, Accelerate, a system OpenBLAS) is left as it is.
+ofevi runs all its linear algebra through numpy, whose wheel ships its own
+OpenBLAS with its own thread pool.  A matrix product or eigensolve may sum
+in a different order at a different thread count, so a fit's last bits, and
+with them the CSV and density bytes, would depend on
+`OPENBLAS_NUM_THREADS`.  `pinned` sets every copy it finds to one thread
+for the length of a call and restores their previous counts afterwards.
+The library is looked up on the first pin, not at import, through the
+thread setters it exports.  A build without them (MKL, Accelerate, a
+system OpenBLAS) is left as it is.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ import os
 from contextlib import contextmanager
 
 import numpy
-import scipy
 
-# (package, library glob in the package's sibling `<name>.libs` directory,
-# suffix of the exported `scipy_openblas_{set,get}_num_threads` symbols).
-_BUNDLED = (
-    (numpy, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
-)
+# The library glob in numpy's sibling `numpy.libs` directory, and the names
+# of the thread setter and getter it exports.
+_PATTERN = "numpy.libs/libscipy_openblas64_*.so"
+_SETTER, _GETTER = "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"
 
 _found = None
 
@@ -35,18 +33,16 @@ def _libraries() -> list[tuple]:
     global _found
     if _found is None:
         found = []
-        for package, pattern, suffix in _BUNDLED:
-            site = os.path.dirname(os.path.dirname(package.__file__))
-            for path in sorted(glob.glob(os.path.join(site, pattern))):
-                try:
-                    lib = ctypes.CDLL(path)
-                    setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-                    getter = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                except (OSError, AttributeError):
-                    continue
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                found.append((setter, getter))
+        site = os.path.dirname(os.path.dirname(numpy.__file__))
+        for path in sorted(glob.glob(os.path.join(site, _PATTERN))):
+            try:
+                lib = ctypes.CDLL(path)
+                setter, getter = getattr(lib, _SETTER), getattr(lib, _GETTER)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            found.append((setter, getter))
         _found = found
     return _found
 

@@ -52,7 +52,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_triangular
 
 from . import _blas
 from .basis1d import (
@@ -376,7 +375,7 @@ class OfeDensity:
             raise PoleError("score undefined at a zero of the expansion")
         out = 2.0 * g / f[:, None]
         if self.transform is not None:
-            out = solve_triangular(self.transform.chol, out.T, lower=True, trans="T").T
+            out = out @ self.transform.inv_chol
         return out
 
     def _expansion_terms(self, z: np.ndarray, gradient: bool):
@@ -422,12 +421,15 @@ class OfeDensity:
 
     # -- moments ------------------------------------------------------------
 
+    @_blas.pinned()
     def mean_and_cov(self) -> tuple[np.ndarray, np.ndarray]:
         """First and second moments, in original coordinates if transformed.
 
         Each moment is the coefficient tensor contracted with itself through
         one per-axis matrix of x or x^2 integrals (two for a cross moment),
-        the identity standing for every other axis by orthonormality.
+        the identity standing for every other axis by orthonormality.  BLAS
+        runs at one thread (`_blas.pinned`), so the result does not depend
+        on the thread count.
         """
         beta = self.coeffs.reshape(self.basis.orders)
         ndim = self.dim

@@ -10,8 +10,8 @@ alpha^T M alpha with
 
 where z_b are draws from the proposal pi.  Minimizing over unit alpha is a
 minimum-eigenvalue problem, so the fit is a single dense symmetric
-eigensolve (LAPACK, lowest eigenpair only) with no iterative optimization
-over the variational parameters.
+eigensolve (LAPACK, through numpy) with no iterative optimization over the
+variational parameters.
 
 The batch is streamed in fixed-order chunks of `CHUNK` samples.  Each
 chunk builds its (K, chunk, D) features from the 1-D basis tables, with the
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import _blas
 from .density import OfeDensity
@@ -172,11 +171,12 @@ def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of a symmetric matrix, with a fixed sign convention.
 
-    One dense LAPACK solve for the lowest eigenpair only, at every size the
-    memory bound admits.  The eigenvector is flipped so its largest-magnitude
+    One full dense LAPACK solve (`np.linalg.eigh`, eigenvalues ascending),
+    at every size the memory bound admits; it costs 2-3x a solve for the
+    lowest pair only.  The eigenvector is flipped so its largest-magnitude
     entry (first such, on ties) is nonnegative.
     """
-    vals, vecs = eigh(m, subset_by_index=(0, 0))
+    vals, vecs = np.linalg.eigh(m)
     alpha = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     lead = int(np.argmax(np.abs(alpha)))
     if alpha[lead] < 0.0:

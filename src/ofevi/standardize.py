@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .density import OfeDensity
 from .exceptions import ProposalSupportError, TransformError
@@ -22,10 +21,15 @@ from .utils import as_batch
 
 @dataclass(frozen=True)
 class StandardizingTransform:
-    """z_std = chol^{-1} (z - mean), with chol lower triangular."""
+    """z_std = chol^{-1} (z - mean), with chol lower triangular.
+
+    `inv_chol` is chol^{-1}, computed once, so mapping a batch to standard
+    coordinates is one small matrix product.
+    """
 
     mean: np.ndarray
     chol: np.ndarray
+    inv_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -38,12 +42,13 @@ class StandardizingTransform:
             raise TransformError("chol must have a positive diagonal")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "inv_chol", np.linalg.inv(chol))
 
     @classmethod
     def from_moments(cls, mean, cov) -> "StandardizingTransform":
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         try:
-            chol = cholesky(cov, lower=True)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise TransformError("estimated covariance is not positive definite") from exc
         return cls(mean, chol)
@@ -57,8 +62,7 @@ class StandardizingTransform:
         return float(np.sum(np.log(np.diag(self.chol))))
 
     def to_standard(self, z):
-        z = as_batch(z, self.dim)
-        return solve_triangular(self.chol, (z - self.mean).T, lower=True).T
+        return (as_batch(z, self.dim) - self.mean) @ self.inv_chol.T
 
     def from_standard(self, z_std):
         return self.mean + as_batch(z_std, self.dim) @ self.chol.T

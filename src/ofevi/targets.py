@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
 
 from .exceptions import ConfigError
 from .utils import as_batch
@@ -29,37 +27,54 @@ from .utils import as_batch
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of an (n, m) array, shifted by each row's largest finite entry."""
+    top = np.max(a, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.sum(np.exp(a - top), axis=1)) + top[:, 0]
+
+
 @dataclass(frozen=True)
 class Gaussian:
-    """Multivariate normal with arbitrary symmetric positive definite covariance."""
+    """Multivariate normal with arbitrary symmetric positive definite covariance.
+
+    The Cholesky factor L of the covariance, its inverse and the precision
+    L^-T L^-1 are computed once, so evaluation is one small matrix product
+    per batch.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
+    _inv_chol: np.ndarray = field(init=False, repr=False)
+    _precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance must be finite")
+        chol = np.linalg.cholesky(cov)
+        inv_chol = np.linalg.inv(chol)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_chol", cholesky(cov, lower=True))
+        object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_inv_chol", inv_chol)
+        object.__setattr__(self, "_precision", inv_chol.T @ inv_chol)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     def log_density(self, z):
-        z = as_batch(z, self.dim)
-        y = solve_triangular(self._chol, (z - self.mean).T, lower=True)
+        y = (as_batch(z, self.dim) - self.mean) @ self._inv_chol.T
         ld = -0.5 * self.dim * LOG_2PI - np.sum(np.log(np.diag(self._chol)))
-        return ld - 0.5 * np.sum(y * y, axis=0)
+        return ld - 0.5 * np.sum(y * y, axis=1)
 
     def score(self, z):
-        z = as_batch(z, self.dim)
-        y = solve_triangular(self._chol, (z - self.mean).T, lower=True)
-        return -solve_triangular(self._chol, y, lower=True, trans="T").T
+        return -(as_batch(z, self.dim) - self.mean) @ self._precision
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         xi = rng.standard_normal((n, self.dim))
@@ -88,12 +103,12 @@ class GaussianMixture:
     def log_density(self, z):
         z = as_batch(z, self.dim)
         lp = self._component_logs(z) + np.log(self.weights)
-        return logsumexp(lp, axis=1)
+        return logsumexp(lp)
 
     def score(self, z):
         z = as_batch(z, self.dim)
         lp = self._component_logs(z) + np.log(self.weights)
-        resp = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))
+        resp = np.exp(lp - logsumexp(lp)[:, None])
         out = np.zeros_like(z)
         for k, c in enumerate(self.components):
             out += resp[:, k : k + 1] * c.score(z)

@@ -84,13 +84,36 @@ def test_no_library_found_yields_none_and_runs_the_call(monkeypatch):
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
-def test_pin_reaches_both_bundled_openblas_copies():
-    assert len(_blas._libraries()) == 2
-    before = [get() for _, get in _blas._libraries()]
+def test_pin_reaches_every_bundled_openblas_copy():
+    libs = _blas._libraries()
+    before = [get() for _, get in libs]
     with _blas.pinned() as threads:
         assert threads == 1
-        assert [get() for _, get in _blas._libraries()] == [1, 1]
-    assert [get() for _, get in _blas._libraries()] == before
+        assert [get() for _, get in libs] == [1] * len(libs)
+    assert [get() for _, get in libs] == before
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_the_pin_finds_every_openblas_a_fit_loads():
+    # A fresh interpreter, so that no test's scipy import adds its own copy.
+    script = (
+        "import json\n"
+        "import numpy as np\n"
+        "from ofevi import _blas, estimator, make_target, BasisFamily, ProductBasis, UniformBox\n"
+        "estimator.fit(make_target('mixture2d'), ProductBasis([BasisFamily('hermite')] * 2, (5, 5)),\n"
+        "              UniformBox.centered(9.0, 2), np.random.default_rng(0))\n"
+        "maps = open('/proc/self/maps').read().split('\\n')\n"
+        "loaded = {line.split()[-1] for line in maps if 'openblas' in line}\n"
+        "print(json.dumps([len(loaded), len(_blas._libraries())]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded, found = json.loads(proc.stdout)
+    assert loaded == found >= 1
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
@@ -156,6 +179,41 @@ def test_sampling_runs_at_one_thread_whatever_the_thread_count(monkeypatch):
     finally:
         for (set_threads, _), count in zip(libs, before):
             set_threads(count)
-    assert seen == [[1, 1]]
-    assert after == [2, 2]
+    assert seen == [[1] * len(libs)]
+    assert after == [2] * len(libs)
     assert np.array_equal(draws, pinned)
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_moments_run_at_one_thread_whatever_the_thread_count(monkeypatch):
+    # Unpinned at two threads, this density's mean differs in its last bits.
+    basis = ProductBasis([BasisFamily("legendre"), BasisFamily("laguerre")], (40, 40))
+    q = OfeDensity(basis, np.random.default_rng(0).normal(size=basis.size))
+    with _blas.pinned():
+        pinned_mean, pinned_cov = q.mean_and_cov()
+
+    libs = _blas._libraries()
+
+    def counts():
+        return [get() for _, get in libs]
+
+    seen, build = [], density._moment_matrices
+
+    def recording_build(family, order):
+        seen.append(counts())
+        return build(family, order)
+
+    monkeypatch.setattr(density, "_moment_matrices", recording_build)
+    before = counts()
+    try:
+        for set_threads, _ in libs:
+            set_threads(2)
+        mean, cov = q.mean_and_cov()
+        after = counts()
+    finally:
+        for (set_threads, _), count in zip(libs, before):
+            set_threads(count)
+    assert seen == [[1] * len(libs)] * 2
+    assert after == [2] * len(libs)
+    assert np.array_equal(mean, pinned_mean)
+    assert np.array_equal(cov, pinned_cov)

@@ -164,6 +164,7 @@ def test_a_density_file_with_the_old_max_orders_key_samples_the_same_bytes(tmp_p
 BAD_TARGET_PARAMS = [
     ("--target", "funnel", "--target-params", '{"sigma2": -1}', "--orders", "2,2"),
     ("--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[-1.0]]}'),
+    ("--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[NaN]]}'),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import linalg as scipy_linalg
 
 from ofevi import (
     HERMITE,
@@ -146,6 +147,20 @@ def test_min_eigenpair_above_two_thousand_functions():
     for ref_lam, ref in ((0.5, known), (vals[0], vecs[:, 0])):
         assert lam == pytest.approx(ref_lam, abs=1e-10)
         assert min(np.linalg.norm(alpha - ref), np.linalg.norm(alpha + ref)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [25, 243, 576])
+def test_min_eigenpair_matches_the_lowest_pair_only_solve(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(k, 2 * k))
+    m = a @ a.T
+    lam, alpha = min_eigenpair(m)
+    vals, vecs = scipy_linalg.eigh(m, subset_by_index=(0, 0))
+    ref = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    ref *= np.sign(ref[np.argmax(np.abs(ref))])
+    assert lam == pytest.approx(vals[0], abs=1e-12 * np.linalg.norm(m, 2))
+    assert np.max(np.abs(alpha - ref)) < 1e-9
+    assert alpha[np.argmax(np.abs(alpha))] > 0.0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,8 @@ from ofevi import (
     mixture_2d,
     sinh_arcsinh_2d,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Thin wrappers that were removed: each restated a primitive that stays
 # (`BasisFamily`, `basis_tables`, numpy's C-order flat index, the transform
@@ -48,6 +55,19 @@ def test_public_names_resolve_once_and_removed_helpers_stay_removed():
     assert set(names) <= set(star)
     for owner, gone in REMOVED.items():
         assert [n for n in gone if hasattr(owner, n)] == [], owner
+
+
+def test_importing_ofevi_and_its_cli_loads_no_scipy():
+    script = (
+        "import sys, ofevi, ofevi.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 _TRANSFORM = StandardizingTransform(np.array([0.1, -0.1]), np.array([[1.2, 0.0], [0.3, 0.8]]))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from ofevi import (
     ConfigError,
@@ -20,6 +20,7 @@ from ofevi import (
     sinh_arcsinh_5d,
 )
 
+from ofevi.targets import logsumexp
 from oracles import fd_gradient, gauss_panels
 
 ALL_2D = {
@@ -50,6 +51,15 @@ def test_general_gaussian_matches_scipy():
     for zi in z[:5]:
         fd = fd_gradient(lambda x: p.log_density(x[None])[0], zi)
         assert np.allclose(p.score(zi[None])[0], fd, rtol=1e-6, atol=1e-7)
+
+
+def test_logsumexp_matches_scipy_on_rows_far_below_zero():
+    a = -1e4 + np.random.default_rng(3).normal(scale=5.0, size=(200, 4))
+    a[0] = -1e4
+    a[1, 2] = -np.inf
+    assert np.all(np.exp(a[:, 0]) == 0.0)
+    expected = special.logsumexp(a, axis=1)
+    assert np.allclose(logsumexp(a), expected, rtol=1e-15, atol=0.0)
 
 
 def test_gaussian_sample_moments():
