@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _blas
 from .density import OfeDensity
+from .estimator import largest_array_bytes
 from .exceptions import ConfigError
 from .harness import (
     ExperimentConfig,
@@ -74,6 +75,8 @@ def _cmd_fit(args) -> int:
         "B": record.B,
         "rejected": result.rejected,
         "blas_threads": result.blas_threads,
+        "timings_ms": result.timings_ms,
+        "largest_array_bytes": largest_array_bytes(record.K, q.dim),
         "standardized": args.standardize,
         "density_path": args.out,
     }

@@ -17,6 +17,9 @@ The batch is streamed in fixed-order chunks of `CHUNK` samples.  Each
 chunk builds its (K, chunk, D) features from the 1-D basis tables, with the
 score folded into one table per component, and adds one matrix product
 (sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * chunk * D).
+The features are made without a copy: each component's last outer
+product is written straight into u, u is scaled by sqrt(w) in place, and
+the matrix product reads a view of it, so a chunk holds one feature array.
 `largest_array_bytes` gives the larger of the two terms, and a config whose
 bases would pass `MAX_ARRAY_BYTES` (1 GiB) is refused before any draw.
 Matrix products of different shapes need not round alike, so fits of
@@ -42,6 +45,7 @@ from .density import OfeDensity
 from .exceptions import ProposalSupportError, ScoreRejectionError
 from .product_basis import ProductBasis, _combine
 from .proposals import Proposal
+from .utils import as_integer
 
 # Samples with non-finite target scores are dropped from M.  Dropping more
 # than this share of a batch would bias the fit silently, so it raises
@@ -142,29 +146,36 @@ def feature_vectors(basis: ProductBasis, z: np.ndarray, scores: np.ndarray) -> n
     Component d is the row-major product of the 1-D value tables with table
     d replaced by 2 phi_d' - s_d phi_d, so neither the product values nor
     their gradients are formed.  The result is a view of a (K, D, B) array,
-    so each component is written contiguously.
+    and each component's last outer product is written straight into its
+    contiguous rows, so no product is formed and then copied.
     """
     vals, grads = basis.tables(z)
     scores = np.asarray(scores, dtype=float)
-    u = np.empty((basis.size, basis.dim, vals[0].shape[1]))
+    n, last = vals[0].shape[1], basis.orders[-1]
+    u = np.empty((basis.size, basis.dim, n))
+    # Component d as (K / K_D, K_D, B): a view taken from the contiguous u.
+    # A reshaped strided slice could be a copy, and the write would be lost.
+    split = u.reshape(basis.size // last, last, basis.dim, n)
     for d in range(basis.dim):
         parts = list(vals)
         parts[d] = 2.0 * grads[d] - scores[:, d] * vals[d]
-        u[:, d, :] = _combine(parts)
+        _combine(parts, out=split[:, :, d, :])
     return u.transpose(0, 2, 1)
 
 
 def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """M_jk = sum_b w_b u_j(z_b) . u_k(z_b) over the samples of u, one matrix product.
 
-    The (component, sample) pairs of u are flattened component-major, which
-    for `feature_vectors` output needs no copy.  numpy computes `a @ a.T`
-    with one symmetric rank-k update (SYRK) and copies its upper triangle
-    into the lower one, so M is exactly symmetric.  `fit_from_batch` calls
-    this once per chunk of its batch.
+    Overwrites u with sqrt(w_b) u(z_b), in place.  The (component, sample)
+    pairs of u are then flattened component-major, which for
+    `feature_vectors` output is a view of its (K, D, B) base, so no copy of
+    the features is made.  numpy computes `a @ a.T` with one symmetric
+    rank-k update (SYRK) and copies its upper triangle into the lower one,
+    so M is exactly symmetric.  `fit_from_batch` calls this once per chunk
+    of its batch.
     """
-    ut = u.transpose(0, 2, 1) * np.sqrt(np.asarray(weights, dtype=float))
-    block = ut.reshape(u.shape[0], -1)
+    u *= np.sqrt(np.asarray(weights, dtype=float))[:, None]
+    block = u.transpose(0, 2, 1).reshape(u.shape[0], -1)
     return block @ block.T
 
 
@@ -217,7 +228,10 @@ def fit(
     """Draw from the proposal, assemble M, and solve for the best unit alpha."""
     if target.dim != basis.dim:
         raise ValueError("target and basis dimensions differ")
-    n = default_sample_count(basis.size) if n_samples is None else int(n_samples)
+    if n_samples is None:
+        n = default_sample_count(basis.size)
+    else:
+        n = as_integer(n_samples, "n_samples", least=1)
     z = proposal.sample(rng, n)
     return fit_from_batch(target, basis, z, 1.0 / proposal.density(z))
 

@@ -79,10 +79,23 @@ class ProductBasis:
         return feats, out
 
 
-def _combine(tables: list[np.ndarray]) -> np.ndarray:
-    """Row-major outer product of per-dimension tables, each (K_d, n) -> (K, n)."""
-    acc = tables[0]
-    for t in tables[1:]:
-        acc = (acc[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
-    return acc
+def _combine(tables: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Row-major outer product of per-dimension tables, each (K_d, n) -> (K, n).
 
+    With `out`, an array of shape (K / K_D, K_D, n) such as a strided view
+    of a larger array, the last product is written into it (the single
+    table is copied when D = 1) and `out` is returned.  The multiplication
+    order is the same either way, so the values are the same bits.
+    """
+    acc = tables[0]
+    for t in tables[1:-1]:
+        acc = (acc[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
+    if len(tables) == 1:
+        if out is not None:
+            np.copyto(out, acc)
+            return out
+        return acc
+    last = tables[-1]
+    if out is None:
+        return (acc[:, None, :] * last[None, :, :]).reshape(-1, last.shape[1])
+    return np.multiply(acc[:, None, :], last[None, :, :], out=out)

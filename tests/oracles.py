@@ -5,7 +5,9 @@ it expands the squared Hermite-function series into a polynomial times the
 standard normal density and integrates monomial moments exactly.  The
 pairwise prefix oracle integrates every product phi_k phi_l on the CDF
 table's grid directly, with no span.  The single-function product-basis
-evaluators are point-at-a-time references for the vectorized feature code.
+evaluators are point-at-a-time references for the vectorized feature code,
+and `copying_moment_matrix` is the streamed assembly before it stopped
+copying the features, the bitwise reference for the copy-free one.
 """
 
 import math
@@ -15,6 +17,7 @@ from scipy import special
 
 from ofevi import BasisFamily, ProductBasis, basis_tables
 from ofevi.density import _composite_rule
+from ofevi.product_basis import _combine
 
 
 def fd_gradient(fn, z, h=1e-6):
@@ -102,6 +105,23 @@ def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(1, basis.dim)
     _, g = basis.feature_gradients(z)
     return g[i, 0, :].copy()
+
+
+def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -> np.ndarray:
+    """M assembled as the copying code did: each component's product formed and
+    then copied into u, and u scaled into a new array before one product per chunk."""
+    m = np.zeros((basis.size, basis.size))
+    for start in range(0, z.shape[0], chunk):
+        c = slice(start, start + chunk)
+        vals, grads = basis.tables(z[c])
+        u = np.empty((basis.size, basis.dim, vals[0].shape[1]))
+        for d in range(basis.dim):
+            parts = list(vals)
+            parts[d] = 2.0 * grads[d] - scores[c][:, d] * vals[d]
+            u[:, d, :] = _combine(parts)
+        block = (u * np.sqrt(weights[c])).reshape(basis.size, -1)
+        m += block @ block.T
+    return m
 
 
 def pairwise_prefix(family: BasisFamily, order: int):

@@ -6,6 +6,7 @@ import pytest
 
 from ofevi import HERMITE, BasisFamily, OfeDensity, ProductBasis, _blas
 from ofevi.cli import main
+from ofevi.estimator import largest_array_bytes
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,13 @@ def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
     assert summary["blas_threads"] == (1 if _blas._libraries() else None)
     q = OfeDensity.load(out)
     assert np.array_equal(q.coeffs, [1.0])
+
+
+def test_fit_summary_reports_the_cost_of_the_fit(tmp_path, capsys):
+    _, summary = fit_gaussian(tmp_path, capsys, orders="3")
+    assert set(summary["timings_ms"]) == {"score_eval", "assemble", "eigensolve"}
+    assert all(t >= 0.0 for t in summary["timings_ms"].values())
+    assert summary["largest_array_bytes"] == largest_array_bytes(3, 1)
 
 
 def test_fit_standardize_flag(tmp_path, capsys):

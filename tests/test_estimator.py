@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from scipy import linalg as scipy_linalg
 
 from ofevi import (
+    FOURIER,
     HERMITE,
+    LEGENDRE,
     BasisFamily,
+    ConfigError,
     Gaussian,
     OfeDensity,
     ProductBasis,
@@ -25,7 +28,7 @@ from ofevi import (
 )
 from ofevi.estimator import CHUNK
 
-from oracles import eval_product, fd_gradient
+from oracles import copying_moment_matrix, eval_product, fd_gradient
 
 
 def standard_gaussian(dim=1):
@@ -211,6 +214,23 @@ def test_fit_minimizes_the_quadratic_form():
         v = rng.normal(size=9)
         v /= np.linalg.norm(v)
         assert value <= v @ m @ v + 1e-12
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+def test_fit_refuses_a_sample_count_that_is_not_an_integer(count):
+    with pytest.raises(ConfigError, match="n_samples"):
+        fit(
+            standard_gaussian(), basis_1d(3), UniformBox.centered(6.0, 1),
+            np.random.default_rng(12), n_samples=count,
+        )
+
+
+def test_fit_takes_a_whole_float_sample_count():
+    result = fit(
+        standard_gaussian(), basis_1d(3), UniformBox.centered(6.0, 1),
+        np.random.default_rng(12), n_samples=2000.0,
+    )
+    assert result.samples.shape == (2000, 1)
 
 
 def test_small_batch_warns_about_rank_deficiency():
@@ -399,3 +419,67 @@ def test_fit_memory_stays_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2**20
+
+
+def sinh5d_batch(seed, n):
+    """The benchmark's 5-D fit at K = 576 on n draws from the box it uses."""
+    from ofevi import make_target
+
+    target = make_target("sinh5d_1")
+    proposal = UniformBox.centered(6.0, 5)
+    z = proposal.sample(np.random.default_rng(seed), n)
+    basis = ProductBasis([BasisFamily(HERMITE)] * 5, (4, 4, 4, 3, 3))
+    return target, basis, z, 1.0 / proposal.density(z)
+
+
+def test_copy_free_assembly_gives_the_copying_matrix_bit_for_bit():
+    # Non-constant weights, and batches that end in a partial chunk.
+    rng = np.random.default_rng(20)
+    gaussian_1d = Gaussian(np.array([0.4]), np.array([[1.3]]))
+    gaussian_2d = Gaussian(np.array([0.1, 3.0]), np.array([[0.4, 0.1], [0.1, 2.0]]))
+    legendre_fourier = ProductBasis([BasisFamily(LEGENDRE), BasisFamily(FOURIER)], (5, 4))
+    sinh5d, sinh5d_basis, z_5d, _ = sinh5d_batch(21, 5760)
+    cases = [
+        (gaussian_1d, basis_1d(7), rng.normal(size=(2500, 1))),  # D = 1: a copied table
+        (gaussian_2d, legendre_fourier,
+         np.column_stack([rng.uniform(-1.0, 1.0, 1500), rng.uniform(0.0, 2.0 * np.pi, 1500)])),
+        (sinh5d, sinh5d_basis, z_5d),
+    ]
+    for target, basis, z in cases:
+        assert z.shape[0] % CHUNK
+        w = rng.uniform(0.5, 2.0, size=z.shape[0])
+        scores = np.asarray(target.score(z))
+        m = fit_from_batch(target, basis, z, w).moment_matrix
+        assert np.array_equal(m, copying_moment_matrix(basis, z, scores, w, CHUNK))
+
+
+def test_assembly_allocates_only_the_matrix():
+    import tracemalloc
+
+    target, basis, z, w = sinh5d_batch(22, CHUNK)
+    u = feature_vectors(basis, z, np.asarray(target.score(z)))
+    tracemalloc.start()
+    try:
+        m = assemble_moment_matrix(u, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Copying the scaled features would take another 8 * 576 * 1024 * 5 bytes (23.6 MB).
+    assert peak <= m.nbytes + 2**20
+
+
+def test_a_streamed_fit_holds_one_feature_array_per_chunk():
+    import tracemalloc
+
+    # One chunk's features are 23.6 MB at K = 576; a copy of them per chunk
+    # would add as much again.
+    target, basis, z, w = sinh5d_batch(19, 5760)
+    cache = ScoreCache(target)
+    cache.score(z)
+    tracemalloc.start()
+    try:
+        fit_from_batch(cache, basis, z, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
