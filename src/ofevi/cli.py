@@ -165,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--target", required=True)
     p_fit.add_argument("--target-params", default="{}", help="JSON object of constructor args")
     p_fit.add_argument("--orders", required=True, help="comma-separated per-dimension orders")
-    p_fit.add_argument("--family", default="hermite")
-    p_fit.add_argument("--proposal", default="uniform", choices=("uniform", "gaussian"))
-    p_fit.add_argument("--scale", type=float, default=6.0, help="box half-width (unbounded sides) or Gaussian sd")
+    p_fit.add_argument("--family", default=ExperimentConfig.family)
+    p_fit.add_argument("--proposal", default=ExperimentConfig.proposal, choices=("uniform", "gaussian"))
+    p_fit.add_argument("--scale", type=float, default=ExperimentConfig.proposal_scale,
+                       help="box half-width (unbounded sides) or Gaussian sd")
     p_fit.add_argument("--samples", type=int, default=None,
                        help="batch size (default: ten draws per basis function)")
     p_fit.add_argument("--standardize", action="store_true")
-    p_fit.add_argument("--standardize-samples", type=int, default=10_000)
+    p_fit.add_argument("--standardize-samples", type=int, default=ExperimentConfig.standardize_samples)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", default=None, help="path for the fitted density JSON")
     p_fit.set_defaults(func=_cmd_fit)

@@ -21,13 +21,12 @@ orthonormal functions of the same family, M = 2 * order - 1 (Fourier:
 4 * (order // 2) + 1), so a conditional is sum_m gamma_m g_m.  gamma comes
 straight from W through the span's M-node Gauss rule, and each 1-D CDF is
 the inner product of gamma with a row of a precomputed grid of the span
-functions' prefix integrals.  One bisection (`_invert`) inverts them all:
-the first coordinate's CDF is tabulated once, since every draw shares its
-S, and a conditional's is contracted per draw.  One GEMM per chunk of draws
-gives every draw's CDF at every 128th grid point, so each search starts
-inside one such stretch.  Every coordinate of a chunk goes through the same
-loop, so the sampler's working memory beyond its uniforms and samples is
-O(chunk).  A sampling call builds one CDF table per distinct (family,
+functions' prefix integrals.  Every draw shares the first coordinate's S,
+so its CDF is tabulated once and searched with `np.searchsorted`; a
+conditional's differs per draw, and `_invert` bisects it from one GEMM per
+chunk of draws at every 128th grid point.  Both end in one linear step
+inside a grid cell (`_place`).  The sampler's working memory beyond its
+uniforms and samples is O(chunk).  A sampling call builds one CDF table per distinct (family,
 order) axis and drops them when it returns: a density holds only its basis,
 coefficients and transform.
 
@@ -88,22 +87,17 @@ def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("cnr,nc->cr", w, table)
 
 
-def _invert(
-    grid: np.ndarray, cdf_at, targets: np.ndarray, nodes: np.ndarray, node_cdf: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Points where a CDF tabulated on `grid` reaches `targets`; also the clamp count.
+def _invert(grid, rows, gamma, targets) -> tuple[np.ndarray, int]:
+    """Points where each draw's conditional CDF reaches its target; also the clamp count.
 
-    nodes are increasing grid indices from 0 to the last, and node_cdf the
-    CDF at them, shape (len(nodes),) when every target shares one CDF or
-    (targets, len(nodes)).  Each target's search starts in the node cell
-    that holds it; cdf_at(idx) gives, for each target, its CDF at grid index
-    idx (an array shaped like targets), and one bisection narrows the cell
-    to one grid step, keeping the CDF values at both ends.  The point is
-    interpolated linearly inside that step.  A target at or above the CDF's
-    last grid value is pinned to the grid edge and counted as a clamp.
+    Draw i's CDF at grid index g is gamma[i] @ rows[g], with rows a CDF
+    table's pair_prefix (points, M) and gamma (draws, M).  Each search starts
+    in the `_COARSE_STRIDE` node cell holding its target, and one bisection
+    narrows the cell to the grid step that `_place` interpolates in.
     """
-    node_cdf = np.broadcast_to(node_cdf, targets.shape + nodes.shape)
-    clamped = targets >= node_cdf[:, -1]
+    last = grid.shape[0] - 1
+    nodes = np.append(np.arange(0, last, _COARSE_STRIDE), last)
+    node_cdf = gamma @ rows[nodes].T
     # Start from the last node at or below the target (node 0 at the least),
     # so the bracket keeps cdf(lo) <= target < cdf(hi) even where rounding
     # makes the CDF dip.
@@ -115,14 +109,24 @@ def _invert(
     c_lo, c_hi = node_cdf[each, cell], node_cdf[each, cell + 1]
     while np.max(hi - lo) > 1:
         mid = (lo + hi) // 2
-        c_mid = cdf_at(mid)
+        c_mid = np.einsum("cj,cj->c", gamma, rows[mid])
         below = c_mid <= targets
         lo, c_lo = np.where(below, mid, lo), np.where(below, c_mid, c_lo)
         hi, c_hi = np.where(below, hi, mid), np.where(below, c_hi, c_mid)
+    return _place(grid, targets, node_cdf[:, -1], lo, hi, c_lo, c_hi)
+
+
+def _place(grid, targets, top, lo, hi, c_lo, c_hi) -> tuple[np.ndarray, int]:
+    """Each target's point inside [grid[lo], grid[hi]], where the CDF is c_lo and c_hi.
+
+    The point is linear in the target.  A target at or above top, the CDF's
+    last grid value, is pinned to the grid edge and counted as a clamp.
+    """
+    clamped = targets >= top
     gap = c_hi - c_lo
     frac = np.where(gap > 0.0, (targets - c_lo) / np.where(gap > 0.0, gap, 1.0), 0.0)
-    # Rounding can make cdf_at disagree with node_cdf at a node by an ulp,
-    # which may collapse a finished bracket to hi == lo: its point is grid[lo].
+    # A bisection step can differ from the GEMM's node value by an ulp, which
+    # may collapse a finished bracket to hi == lo: its point is grid[lo].
     x = grid[lo] + np.clip(frac, 0.0, 1.0) * (grid[hi] - grid[lo])
     return np.where(clamped, grid[-1], x), int(np.count_nonzero(clamped))
 
@@ -189,8 +193,6 @@ class CdfTable:
     (sum_p (W^T phi(t_j))_p^2) @ node_span for S = W W^T.
     """
 
-    family: BasisFamily
-    order: int
     grid: np.ndarray
     vals: np.ndarray
     mid_vals: np.ndarray
@@ -288,7 +290,7 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
             f"grid [{grid[0]}, {grid[-1]}] captures the order-{order} {family.kind} mass "
             f"only to {err:.2e} (tolerance {_MASS_TOL:.0e}); widen the grid"
         )
-    return CdfTable(family, order, grid, vals, mid_vals, prefix, node_vals, node_span)
+    return CdfTable(grid, vals, mid_vals, prefix, node_vals, node_span)
 
 
 def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,17 +462,18 @@ class OfeDensity:
         n must be a whole number of at least 1; a bool or a fraction is a
         ConfigError.  Draws go through in chunks of `_CHUNK_DRAWS`, every
         coordinate of a chunk before the next, so working memory beyond the
-        (n, dim) uniforms and samples is O(chunk).  A chunk's running block
-        W starts as the coefficient tensor and takes in each coordinate once
-        it is drawn; coordinate d's density is sum_p (W^T phi)_p^2, summed
-        over the axes not yet drawn, its span coefficients come from
-        `CdfTable.span_coefficients`, and ||W||^2 = trace(W W^T) is its
-        normalizer.  A clamp happens when a uniform draw targets the sliver
-        of mass the grid does not capture (at most the build tolerance); the
-        sample is pinned to the grid edge and counted.  Each distinct
-        (family, order) axis gets one CDF table, built for this call and
-        dropped when it returns.  BLAS runs at one thread (`_blas.pinned`),
-        so the draws do not depend on the thread count.
+        (n, dim) uniforms and samples is O(chunk).  Every draw shares the
+        first coordinate's CDF, and one `np.searchsorted` places a chunk's
+        draws in it.  A chunk's running block W starts as the coefficient
+        tensor and takes in each coordinate once it is drawn; coordinate d's
+        density is sum_p (W^T phi)_p^2 with span coefficients from
+        `CdfTable.span_coefficients` and normalizer ||W||^2, and `_invert`
+        searches its CDF.  A clamp happens when a uniform draw targets the
+        sliver of mass the grid does not capture (at most the build
+        tolerance); the sample is pinned to the grid edge and counted.  Each
+        distinct (family, order) axis gets one CDF table, built for this
+        call and dropped when it returns.  BLAS runs at one thread
+        (`_blas.pinned`), so the draws do not depend on the thread count.
         """
         n = as_integer(n, "n", least=1)
         ndim = self.dim
@@ -481,8 +484,6 @@ class OfeDensity:
         axes = list(zip(families, orders))
         built = {axis: build_cdf_table(*axis) for axis in dict.fromkeys(axes)}
         tables = [built[axis] for axis in axes]
-        coarse = [np.append(np.arange(0, t.points - 1, _COARSE_STRIDE), t.points - 1) for t in tables]
-        coarse_rows = [t.pair_prefix[i] for t, i in zip(tables, coarse)]
 
         # Every draw shares the first coordinate's density: its CDF is tabulated once.
         gamma0 = tables[0].span_coefficients(self.coeffs.reshape(1, orders[0], -1))[0]
@@ -491,26 +492,24 @@ class OfeDensity:
 
         for start in range(0, n, _CHUNK_DRAWS):
             stop = min(start + _CHUNK_DRAWS, n)
+            targets = uniforms[start:stop, 0] * trace0
+            hi = np.minimum(np.searchsorted(cdf0, targets, side="right"), cdf0.shape[0] - 1)
+            out[start:stop, 0], c = _place(
+                tables[0].grid, targets, cdf0[-1], hi - 1, hi, cdf0[hi - 1], cdf0[hi]
+            )
+            clamps[0] += c
             w = self.coeffs
-            for d in range(ndim):
-                if d == 0:
-                    traces, cdf_at, node_cdf = trace0, cdf0.__getitem__, cdf0[coarse[0]]
-                else:
-                    vals, _ = basis_tables(
-                        families[d - 1], orders[d - 1], out[start:stop, d - 1], derivatives=False
-                    )
-                    w = _contract_axis(w, vals)
-                    traces = np.einsum("cj,cj->c", w, w)
-                    if np.any(traces <= 0.0):
-                        raise PoleError("conditional density requested at a zero of the marginal")
-                    gamma = tables[d].span_coefficients(w.reshape(stop - start, orders[d], -1))
-                    rows, node_cdf = tables[d].pair_prefix, gamma @ coarse_rows[d].T
-
-                    def cdf_at(idx):
-                        return np.einsum("cj,cj->c", gamma, rows[idx])
-
+            for d in range(1, ndim):
+                vals, _ = basis_tables(
+                    families[d - 1], orders[d - 1], out[start:stop, d - 1], derivatives=False
+                )
+                w = _contract_axis(w, vals)
+                traces = np.einsum("cj,cj->c", w, w)
+                if np.any(traces <= 0.0):
+                    raise PoleError("conditional density requested at a zero of the marginal")
+                gamma = tables[d].span_coefficients(w.reshape(stop - start, orders[d], -1))
                 out[start:stop, d], c = _invert(
-                    tables[d].grid, cdf_at, uniforms[start:stop, d] * traces, coarse[d], node_cdf
+                    tables[d].grid, tables[d].pair_prefix, gamma, uniforms[start:stop, d] * traces
                 )
                 clamps[d] += c
         if self.transform is not None:

@@ -56,6 +56,10 @@ class Gaussian:
             raise ValueError("covariance shape does not match mean")
         if not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be finite")
+        # cholesky reads only the lower triangle, so it would silently
+        # replace an asymmetric matrix with its symmetric lower part.
+        if np.any(np.abs(cov - cov.T) > 1e-12 * np.max(np.abs(cov))):
+            raise ValueError("covariance must be symmetric")
         chol = np.linalg.cholesky(cov)
         inv_chol = np.linalg.inv(chol)
         object.__setattr__(self, "mean", mean)
@@ -82,13 +86,20 @@ class Gaussian:
 
 
 class GaussianMixture:
-    """Finite mixture of Gaussians with analytic responsibility-weighted score."""
+    """Finite mixture of Gaussians with analytic responsibility-weighted score.
+
+    A zero weight is allowed: its log weight is -inf and its component drops
+    out of the density and the score.
+    """
 
     def __init__(self, weights, means, covs):
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to one")
+        # A NaN weight fails `>= 0`, and an infinite one fails the sum.
+        if not np.all(weights >= 0) or abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be finite, nonnegative and sum to one")
         self.weights = weights
+        with np.errstate(divide="ignore"):
+            self._log_weights = np.log(weights)
         self.components = [Gaussian(m, c) for m, c in zip(means, covs)]
         if len(self.components) != weights.size:
             raise ValueError("one mean/cov pair per weight required")
@@ -102,12 +113,12 @@ class GaussianMixture:
 
     def log_density(self, z):
         z = as_batch(z, self.dim)
-        lp = self._component_logs(z) + np.log(self.weights)
+        lp = self._component_logs(z) + self._log_weights
         return logsumexp(lp)
 
     def score(self, z):
         z = as_batch(z, self.dim)
-        lp = self._component_logs(z) + np.log(self.weights)
+        lp = self._component_logs(z) + self._log_weights
         resp = np.exp(lp - logsumexp(lp)[:, None])
         out = np.zeros_like(z)
         for k, c in enumerate(self.components):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from ofevi import HERMITE, BasisFamily, OfeDensity, ProductBasis, _blas
-from ofevi.cli import main
+from ofevi.cli import build_parser, main
 from ofevi.estimator import largest_array_bytes
+from ofevi.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +175,10 @@ BAD_TARGET_PARAMS = [
     ("--target", "funnel", "--target-params", '{"sigma2": -1}', "--orders", "2,2"),
     ("--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[-1.0]]}'),
     ("--target", "gaussian", "--target-params", '{"mean": [0.0], "cov": [[NaN]]}'),
+    ("--target", "gaussian", "--target-params", '{"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.0, 1.0]]}',
+     "--orders", "2,2"),
+    ("--target", "mixture", "--target-params",
+     '{"weights": [NaN, 1.0], "means": [[0.0], [1.0]], "covs": [[[1.0]], [[1.0]]]}'),
 ]
 
 
@@ -428,6 +434,14 @@ def test_fit_writes_the_density_a_one_cell_sweep_writes(tmp_path, capsys, flags,
     assert code == 0
     [swept] = prefix.parent.glob("run_density_*.json")
     assert fitted.read_bytes() == swept.read_bytes()
+
+
+def test_fit_flags_default_to_the_config_defaults():
+    args = build_parser().parse_args(["fit", "--target", "t", "--orders", "2"])
+    default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert (args.family, args.proposal, args.scale, args.standardize_samples) == (
+        default["family"], default["proposal"], default["proposal_scale"], default["standardize_samples"]
+    )
 
 
 def test_dimension_mismatch_is_a_config_error(capsys):

@@ -603,32 +603,71 @@ def test_four_dimensional_mixed_family_sampler_matches_means():
     assert np.all(np.abs(z.mean(axis=0) - mean) < 5.0 * se)
 
 
-def test_truncated_table_counts_boundary_clamps():
+# A CDF tabulated on 31 grid points whose last value is 0.9, and one that is
+# flat between grid indices 10 and 20 (node 16 of a stride-8 search sits in
+# it); the node indices of a stride-8 search are NODES.
+GRID = np.linspace(-1.5, 1.5, 31)
+LINEAR = 0.9 * np.linspace(0.0, 1.0, 31)
+FLAT = np.concatenate([np.linspace(0.0, 0.4, 11), np.full(10, 0.4), np.linspace(0.4, 0.9, 11)[1:]])
+NODES = np.array([0, 8, 16, 24, 30])
+
+
+def _invert_shared(cdf, targets):
+    """`_invert` with every target on one CDF: a one-column table, gamma all ones."""
+    return density._invert(GRID, cdf[:, None], np.ones((targets.size, 1)), targets)
+
+
+def test_truncated_table_counts_boundary_clamps(monkeypatch):
     # A CDF whose last grid value is 0.9 cannot reach the top tenth of the
     # targets: those draws are pinned to the grid's upper end and counted.
-    grid = np.linspace(-1.5, 1.5, 31)
-    ends = np.array([0, 30])
-    cdf = 0.9 * np.linspace(0.0, 1.0, 31)
     targets = np.random.default_rng(22).random(5_000)
-    z, clamps = density._invert(grid, lambda idx: cdf[idx], targets, ends, cdf[ends])
+    z, clamps = _invert_shared(LINEAR, targets)
     clamped = targets >= 0.9
     assert clamps == np.count_nonzero(clamped) > 0
-    assert np.all(z[clamped] == grid[-1])
+    assert np.all(z[clamped] == GRID[-1])
     assert np.all(z >= -1.5) and np.all(z < 1.5 + 1e-12)
     assert np.allclose(z[~clamped], -1.5 + 3.0 * targets[~clamped] / 0.9)
 
     # Starting each search in its node cell gives bitwise the points and
     # clamps of a search from the two ends, also on a flat stretch of the
-    # CDF (node 16 sits in one) and at targets equal to node values.
-    nodes = np.array([0, 8, 16, 24, 30])
-    flat = np.concatenate([np.linspace(0.0, 0.4, 11), np.full(10, 0.4), np.linspace(0.4, 0.9, 11)[1:]])
-    for c in (cdf, flat):
-        t = np.concatenate([targets, c[nodes], cdf[nodes]])
-        per_target = np.tile(c[nodes], (t.size, 1))
-        coarse = density._invert(grid, lambda idx: c[idx], t, nodes, per_target)
-        two_point = density._invert(grid, lambda idx: c[idx], t, ends, c[ends])
+    # CDF and at targets equal to node values.
+    for c in (LINEAR, FLAT):
+        t = np.concatenate([targets, c[NODES], LINEAR[NODES]])
+        monkeypatch.setattr(density, "_COARSE_STRIDE", 8)
+        coarse = _invert_shared(c, t)
+        monkeypatch.setattr(density, "_COARSE_STRIDE", 30)
+        two_point = _invert_shared(c, t)
         assert np.array_equal(coarse[0], two_point[0])
         assert coarse[1] == two_point[1] > 0
+
+
+class _FixedUniforms:
+    """A generator stand-in whose uniforms are the given targets."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def random(self, shape):
+        return self.targets.reshape(shape)
+
+
+def test_first_coordinate_search_matches_the_bisection(monkeypatch):
+    # Every draw shares the first coordinate's CDF, and the sampler places
+    # them with np.searchsorted.  That gives bitwise the points and clamps of
+    # `_invert`'s bisection on the same CDF, also on a flat stretch and at
+    # targets equal to tabulated values.  An order-1 density has gamma and
+    # trace 1, so a one-column table makes its CDF exactly the tabulated one.
+    monkeypatch.setattr(density, "_COARSE_STRIDE", 8)
+    targets = np.random.default_rng(22).random(5_000)
+    one = np.ones((1, 1))
+    for c in (LINEAR, FLAT):
+        t = np.concatenate([targets, c, c[NODES]])
+        table = density.CdfTable(GRID, None, None, c[:, None], one, one)
+        monkeypatch.setattr(density, "build_cdf_table", lambda family, order: table)
+        z, info = hermite_density([1.0]).sample_with_info(_FixedUniforms(t), t.size)
+        bisected, clamps = _invert_shared(c, t)
+        assert np.array_equal(z[:, 0], bisected)
+        assert info["boundary_clamps"][0] == clamps > 0
 
 
 def test_transformed_sampler_lands_in_original_coordinates():

@@ -29,7 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # constructor, the target itself, the harness's own evaluation).  The
 # per-family order setting went too: `basis1d.MAX_ORDER` caps every family.
 # The CDF table's packed pair positions went with the pairwise table, and
-# the harness's integer rule moved to `utils.as_integer`.
+# the harness's integer rule moved to `utils.as_integer`.  A CDF table
+# carried its family and order, which nothing read.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
@@ -43,6 +44,7 @@ REMOVED = {
     ofevi.ProductBasis: ("flatten_index", "unflatten_index"),
     ofevi.StandardizingTransform: ("identity",),
     ofevi.ScoreCache: ("log_density",),
+    ofevi.CdfTable: ("family", "order"),
 }
 
 
@@ -54,7 +56,9 @@ def test_public_names_resolve_once_and_removed_helpers_stay_removed():
     exec("from ofevi import *", star)
     assert set(names) <= set(star)
     for owner, gone in REMOVED.items():
-        assert [n for n in gone if hasattr(owner, n)] == [], owner
+        # A dataclass field without a default is no class attribute.
+        fields = getattr(owner, "__dataclass_fields__", {})
+        assert [n for n in gone if hasattr(owner, n) or n in fields] == [], owner
 
 
 def test_importing_ofevi_and_its_cli_loads_no_scipy():

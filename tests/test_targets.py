@@ -204,8 +204,36 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         GaussianMixture([-0.5, 1.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(ValueError):
+        GaussianMixture([math.nan, 1.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError):
         SinhArcsinh([0.0], [0.0], np.eye(1))
     with pytest.raises(ValueError):
         Funnel(sigma2=-1.0)
     with pytest.raises(ValueError):
         Gaussian(np.zeros(2), np.eye(3))
+
+
+def test_an_asymmetric_covariance_is_refused():
+    # cholesky reads only the lower triangle: this one would become N(0, I).
+    lower = [[1.0, 0.0], [0.9, 1.0]]
+    asymmetric = [[1.0, 0.9], [0.0, 1.0]]
+    for cov in (lower, asymmetric):
+        with pytest.raises(ValueError, match="symmetric"):
+            Gaussian(np.zeros(2), cov)
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianMixture([1.0], [[0.0, 0.0]], [asymmetric])
+    with pytest.raises(ValueError, match="symmetric"):
+        SinhArcsinh([0.0, 0.0], [1.0, 1.0], asymmetric)
+    with pytest.raises(ConfigError, match="symmetric"):
+        make_target("gaussian", mean=[0.0, 0.0], cov=asymmetric)
+    # Asymmetry at rounding level is accepted.
+    Gaussian(np.zeros(2), [[2.0, 0.3], [0.3 * (1.0 + 2.0**-52), 2.0]])
+
+
+def test_a_zero_weight_component_drops_out_without_warnings():
+    # RuntimeWarning is an error in this suite, so log(0) must not warn.
+    mix = GaussianMixture([0.0, 1.0], [[5.0], [0.0]], [[[1.0]], [[1.0]]])
+    only = Gaussian(np.zeros(1), [[1.0]])
+    z = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.array_equal(mix.log_density(z), only.log_density(z))
+    assert np.array_equal(mix.score(z), only.score(z))
