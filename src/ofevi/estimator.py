@@ -15,11 +15,14 @@ variational parameters.
 
 The batch is streamed in fixed-order chunks of `CHUNK` samples.  Each
 chunk builds its (K, chunk, D) features from the 1-D basis tables, with the
-score folded into one table per component, and adds one matrix product
+score folded into one table per component, and adds the Gram matrix
 (sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * chunk * D).
 The features are made without a copy: each component's last outer
 product is written straight into u, u is scaled by sqrt(w) in place, and
-the matrix product reads a view of it, so a chunk holds one feature array.
+the matrix products read views of it, so a chunk holds one feature array.
+The Gram matrix is three fixed blocks split at row K(1 - 1/sqrt(2)), one
+BLAS call each, on two Python threads (`_gram`), so a chunk uses two cores
+while BLAS stays pinned to one thread.
 `largest_array_bytes` gives the larger of the two terms, and a config whose
 bases would pass `MAX_ARRAY_BYTES` (1 GiB) is refused before any draw.
 Matrix products of different shapes need not round alike, so fits of
@@ -33,6 +36,8 @@ the BLAS kernels do.  A fit runs with BLAS pinned to one thread
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -163,20 +168,61 @@ def feature_vectors(basis: ProductBasis, z: np.ndarray, scores: np.ndarray) -> n
     return u.transpose(0, 2, 1)
 
 
+@_blas.pinned()
 def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """M_jk = sum_b w_b u_j(z_b) . u_k(z_b) over the samples of u, one matrix product.
+    """M_jk = sum_b w_b u_j(z_b) . u_k(z_b) over the samples of u, exactly symmetric.
 
     Overwrites u with sqrt(w_b) u(z_b), in place.  The (component, sample)
     pairs of u are then flattened component-major, which for
     `feature_vectors` output is a view of its (K, D, B) base, so no copy of
-    the features is made.  numpy computes `a @ a.T` with one symmetric
-    rank-k update (SYRK) and copies its upper triangle into the lower one,
-    so M is exactly symmetric.  `fit_from_batch` calls this once per chunk
-    of its batch.
+    the features is made, and `_gram` multiplies that view by its
+    transpose.  Runs with BLAS pinned to one thread, also when called
+    outside a fit.  `fit_from_batch` calls this once per chunk of its batch.
     """
     u *= np.sqrt(np.asarray(weights, dtype=float))[:, None]
-    block = u.transpose(0, 2, 1).reshape(u.shape[0], -1)
-    return block @ block.T
+    return _gram(u.transpose(0, 2, 1).reshape(u.shape[0], -1))
+
+
+# Where `_gram` splits the rows of a (K, n) block: at K * _SPLIT the bottom
+# SYRK and the top SYRK plus the GEMM beside it take equal flops.
+_SPLIT = 1.0 - 1.0 / math.sqrt(2.0)
+
+
+def _gram(block: np.ndarray) -> np.ndarray:
+    """block @ block.T as three fixed blocks on two threads, exactly symmetric.
+
+    With r = int(K * _SPLIT), a helper thread writes the bottom SYRK
+    m[r:, r:] while this one writes the top SYRK m[:r, :r] and the GEMM
+    m[:r, r:], whose transpose then fills m[r:, :r]; numpy mirrors each
+    SYRK's upper triangle.  The split depends on K alone and each block is
+    one BLAS call writing into m (`out=`), so under the one-thread pin m
+    has the same bits whatever the CPU count or the scheduling.  The helper
+    runs only `np.matmul`, which releases the GIL.  It is joined even when
+    this thread's part raises, and its own exception is raised here.
+    """
+    k = block.shape[0]
+    r = int(k * _SPLIT)
+    m = np.empty((k, k))
+    top, bottom = block[:r], block[r:]
+    failed = []
+
+    def bottom_syrk():
+        try:
+            np.matmul(bottom, bottom.T, out=m[r:, r:])
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=bottom_syrk)
+    helper.start()
+    try:
+        np.matmul(top, top.T, out=m[:r, :r])
+        np.matmul(top, bottom.T, out=m[:r, r:])
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    m[r:, :r] = m[:r, r:].T
+    return m
 
 
 def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -245,9 +291,14 @@ def fit_from_batch(
 ) -> FitResult:
     """Fit on an existing batch; lets several basis sizes share draws and scores."""
     weights = np.asarray(weights, dtype=float)
+    n = z.shape[0]
+    if n < 1 or weights.shape != (n,):
+        raise ValueError(
+            f"weights of shape {weights.shape} do not fit draws z of shape {z.shape}: "
+            "need at least one draw and one weight per draw"
+        )
     if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ProposalSupportError("a sample has zero or invalid proposal density")
-    n = z.shape[0]
     if n < basis.size:
         warnings.warn(
             f"batch size {n} is below the basis size {basis.size}; M is rank-deficient",

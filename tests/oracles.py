@@ -7,7 +7,9 @@ pairwise prefix oracle integrates every product phi_k phi_l on the CDF
 table's grid directly, with no span.  The single-function product-basis
 evaluators are point-at-a-time references for the vectorized feature code,
 and `copying_moment_matrix` is the streamed assembly before it stopped
-copying the features, the bitwise reference for the copy-free one.
+copying the features, the bitwise reference for the copy-free one; both
+multiply through the estimator's own `_gram`, so the comparison is of the
+features alone.
 """
 
 import math
@@ -17,6 +19,7 @@ from scipy import special
 
 from ofevi import BasisFamily, ProductBasis, basis_tables
 from ofevi.density import _composite_rule
+from ofevi.estimator import _gram
 from ofevi.product_basis import _combine
 
 
@@ -120,7 +123,7 @@ def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -
             parts[d] = 2.0 * grads[d] - scores[c][:, d] * vals[d]
             u[:, d, :] = _combine(parts)
         block = (u * np.sqrt(weights[c])).reshape(basis.size, -1)
-        m += block @ block.T
+        m += _gram(block)
     return m
 
 

@@ -117,6 +117,30 @@ def test_the_pin_finds_every_openblas_a_fit_loads():
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
+    # K = 300 splits at row 87; unpinned, two threads change M's last bits.
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from ofevi import assemble_moment_matrix\n"
+        "rng = np.random.default_rng(5)\n"
+        "m = assemble_moment_matrix(rng.normal(size=(300, 512, 2)), rng.uniform(0.5, 2.0, 512))\n"
+        "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
     # At one thread and at two, unpinned BLAS gives different K = 100 bytes.
     config = harness.ExperimentConfig(

@@ -1,4 +1,7 @@
 import math
+import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from ofevi import (
     fit_from_batch,
     min_eigenpair,
 )
+from ofevi import estimator
 from ofevi.estimator import CHUNK
 
 from oracles import copying_moment_matrix, eval_product, fd_gradient
@@ -82,13 +86,52 @@ def test_moment_matrix_is_exactly_symmetric():
     assert np.array_equal(m, m.T)
 
 
-def test_moment_matrix_matches_direct_sum():
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 576])
+def test_moment_matrix_matches_direct_sum(k):
+    # K = 1, 2, 3 split at row 0, so the helper thread does all the work.
     rng = np.random.default_rng(2)
-    u = rng.normal(size=(4, 30, 3))
+    u = rng.normal(size=(k, 30, 3))
     w = rng.uniform(0.5, 2.0, size=30)
     direct = np.einsum("b,jbd,kbd->jk", w, u, u)
     m = assemble_moment_matrix(u, w)
-    assert np.allclose(m, direct, rtol=1e-13)
+    assert np.array_equal(m, m.T)
+    assert np.allclose(m, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
+
+
+def test_an_error_in_the_helper_thread_reaches_the_caller(monkeypatch):
+    caller, matmul = threading.current_thread(), np.matmul
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise FloatingPointError("helper")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="helper"):
+        estimator._gram(np.ones((8, 5)))
+    assert threading.active_count() == before
+
+
+def test_the_helper_thread_is_joined_when_the_callers_part_raises(monkeypatch):
+    caller, matmul = threading.current_thread(), np.matmul
+    finished = []
+
+    def failing_on_the_caller(*args, **kwargs):
+        if threading.current_thread() is caller:
+            raise FloatingPointError("caller")
+        time.sleep(0.05)
+        out = matmul(*args, **kwargs)
+        finished.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "matmul", failing_on_the_caller)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="caller"):
+        estimator._gram(np.ones((8, 5)))
+    # r = int(8 (1 - 1/sqrt(2))) = 2: the helper's 6 x 6 block was finished.
+    assert finished == [(6, 6)]
+    assert threading.active_count() == before
 
 
 def test_doubling_the_batch_doubles_the_matrix_exactly():
@@ -283,6 +326,35 @@ def test_too_many_bad_scores_raise():
     z = rng.uniform(-6.0, 6.0, size=(200, 1))
     with pytest.raises(ScoreRejectionError):
         fit_from_batch(PatchyScore(1.0), basis_1d(3), z, np.ones(200))
+
+
+@pytest.mark.parametrize(
+    "z_rows, weights",
+    [
+        (20, np.ones(21)),
+        (20, np.ones(19)),
+        (20, np.float64(1.0)),
+        (20, np.ones((20, 1))),
+        (0, np.ones(0)),
+    ],
+    ids=["longer", "shorter", "scalar", "two-d", "empty"],
+)
+def test_a_batch_whose_weights_do_not_fit_raises_before_scoring(z_rows, weights):
+    cache = ScoreCache(standard_gaussian())
+    z = np.random.default_rng(15).normal(size=(z_rows, 1))
+    shapes = f"shape {re.escape(str(np.shape(weights)))} .* shape {re.escape(str(z.shape))}"
+    with pytest.raises(ValueError, match=shapes):
+        fit_from_batch(cache, basis_1d(3), z, weights)
+    assert cache.n_score_evals == 0
+
+
+def test_a_fit_leaves_no_thread_behind():
+    before = threading.active_count()
+    fit(
+        standard_gaussian(2), ProductBasis([BasisFamily(HERMITE)] * 2, (6, 5)),
+        UniformBox.centered(6.0, 2), np.random.default_rng(16), n_samples=2500,
+    )
+    assert threading.active_count() == before
 
 
 def test_dimension_mismatch_raises():
