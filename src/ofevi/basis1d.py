@@ -14,7 +14,9 @@ cos 2., sin 2., ...} on [0, 2*pi], and weighted Laguerre functions
 exp(-z/2) * L_k(z) on [0, inf).  A family is `BasisFamily(kind)` and
 `basis_tables` evaluates it.  One cap, `MAX_ORDER = 64`, holds for every
 family: the tables, quadrature, moments and sampling are checked at every
-order up to it.
+order up to it.  Table builders compute values only: phi'_1..phi'_K lie in
+the span of phi_1..phi_{K+1}, so a derivative table is one exact (K, K+1)
+matrix per family (`derivative_matrix`) times the values one order up.
 """
 
 from __future__ import annotations
@@ -63,92 +65,52 @@ class BasisFamily:
 
     def check_support(self, z: np.ndarray) -> None:
         lo, hi = self.support
-        z = np.asarray(z)
-        if not np.all(np.isfinite(z)) or np.any(z < lo) or np.any(z > hi):
+        z, big = np.asarray(z), np.finfo(float).max
+        # Infinite edges stand in as the largest float: one closed test refuses +-inf and nan.
+        if not np.all((z >= max(lo, -big)) & (z <= min(hi, big))):
             raise SupportError(f"point outside {self.kind} support [{lo}, {hi}]")
 
 
-def _hermite_tables(order, z, derivatives):
-    # Normalized values carried through z*phi_k = sqrt(k)*phi_{k+1} + sqrt(k-1)*phi_{k-1};
-    # one extra order is produced because phi'_k needs phi_{k+1}.
-    n = z.shape[0]
-    top = order + 1 if derivatives else order
-    vals = np.empty((max(top, 2), n))
+def _hermite_tables(order, z):
+    # Normalized values carried through z*phi_k = sqrt(k)*phi_{k+1} + sqrt(k-1)*phi_{k-1}.
+    vals = np.empty((max(order, 2), z.shape[0]))
     vals[0] = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * z * z)
     vals[1] = z * vals[0]
-    for k in range(2, top):
+    for k in range(2, order):
         vals[k] = (z * vals[k - 1] - math.sqrt(k - 1) * vals[k - 2]) / math.sqrt(k)
-    if not derivatives:
-        return vals[:order], None
-    grads = np.empty((order, n))
-    # phi'_k = (sqrt(k-1)*phi_{k-1} - sqrt(k)*phi_{k+1}) / 2
-    grads[0] = -0.5 * vals[1]
-    for k in range(2, order + 1):
-        grads[k - 1] = 0.5 * (math.sqrt(k - 1) * vals[k - 2] - math.sqrt(k) * vals[k])
-    return vals[:order], grads
+    return vals[:order]
 
 
-def _legendre_tables(order, z, derivatives):
-    n = z.shape[0]
-    p = np.empty((order, n))
+def _legendre_tables(order, z):
+    p = np.empty((order, z.shape[0]))
     p[0] = 1.0
     if order >= 2:
         p[1] = z
     for k in range(2, order):
         p[k] = ((2 * k - 1) * z * p[k - 1] - (k - 1) * p[k - 2]) / k
-    scale = np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
-    if not derivatives:
-        return p * scale, None
-    dp = np.empty((order, n))
-    dp[0] = 0.0
-    if order >= 2:
-        dp[1] = 1.0
-    for k in range(2, order):
-        dp[k] = dp[k - 2] + (2 * k - 1) * p[k - 1]
-    return p * scale, dp * scale
+    return p * np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
 
 
-def _fourier_tables(order, z, derivatives):
-    n = z.shape[0]
-    vals = np.empty((order, n))
-    grads = np.empty((order, n)) if derivatives else None
+def _fourier_tables(order, z):
+    vals = np.empty((order, z.shape[0]))
     vals[0] = (2.0 * math.pi) ** (-0.5)
-    if derivatives:
-        grads[0] = 0.0
     inv_sqrt_pi = math.pi ** (-0.5)
     for k in range(2, order + 1):
         m = k // 2
-        if k % 2 == 0:
-            vals[k - 1] = np.cos(m * z) * inv_sqrt_pi
-            if derivatives:
-                grads[k - 1] = -m * np.sin(m * z) * inv_sqrt_pi
-        else:
-            vals[k - 1] = np.sin(m * z) * inv_sqrt_pi
-            if derivatives:
-                grads[k - 1] = m * np.cos(m * z) * inv_sqrt_pi
-    return vals, grads
+        vals[k - 1] = (np.cos(m * z) if k % 2 == 0 else np.sin(m * z)) * inv_sqrt_pi
+    return vals
 
 
-def _laguerre_tables(order, z, derivatives):
+def _laguerre_tables(order, z):
     # Standard Laguerre polynomials are orthonormal against exp(-z), so the
     # weighted functions exp(-z/2)*L_k(z) need no extra scale.
-    n = z.shape[0]
-    lag = np.empty((order, n))
+    lag = np.empty((order, z.shape[0]))
     lag[0] = 1.0
     if order >= 2:
         lag[1] = 1.0 - z
     for k in range(2, order):
         lag[k] = ((2 * k - 1 - z) * lag[k - 1] - (k - 1) * lag[k - 2]) / k
-    w = np.exp(-0.5 * z)
-    if not derivatives:
-        return lag * w, None
-    dlag = np.empty((order, n))
-    dlag[0] = 0.0
-    if order >= 2:
-        dlag[1] = -1.0
-    for k in range(2, order):
-        dlag[k] = dlag[k - 1] - lag[k - 1]
-    return lag * w, (dlag - 0.5 * lag) * w
+    return lag * np.exp(-0.5 * z)
 
 
 _TABLE_BUILDERS = {
@@ -157,6 +119,31 @@ _TABLE_BUILDERS = {
     FOURIER: _fourier_tables,
     LAGUERRE: _laguerre_tables,
 }
+
+
+def derivative_matrix(family: BasisFamily, order: int) -> np.ndarray:
+    """D (order, order + 1) with phi'_k = sum_j D[k-1, j-1] phi_j.
+
+    With psi_n = phi_{n+1}: Hermite psi'_n = (sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}) / 2;
+    Legendre psi'_n = sum of sqrt((2n+1)(2m+1)) psi_m over m < n with n - m odd; Fourier
+    cos(m.)' = -m sin(m.) and sin(m.)' = m cos(m.), so an even order needs phi_{order+1};
+    Laguerre psi'_n = -psi_n / 2 - sum_{m<n} psi_m.
+    """
+    n = np.arange(order)
+    d = np.zeros((order, order + 1))
+    if family.kind == HERMITE:
+        d[n[1:], n[:-1]] = 0.5 * np.sqrt(n[1:])
+        d[n, n + 1] = -0.5 * np.sqrt(n + 1.0)
+    elif family.kind == LEGENDRE:
+        s = np.sqrt(2.0 * n + 1.0)
+        d[:, :order] = np.where((n[:, None] > n) & ((n[:, None] - n) % 2 == 1), np.outer(s, s), 0.0)
+    elif family.kind == FOURIER:
+        cos, sin = n[1::2], n[2::2]
+        d[cos, cos + 1] = -((cos + 1) // 2)
+        d[sin, sin - 1] = sin // 2
+    else:
+        d[:, :order] = -np.tri(order, k=-1) - 0.5 * np.eye(order)
+    return d
 
 
 def basis_tables(
@@ -168,7 +155,8 @@ def basis_tables(
     ----------
     family : BasisFamily
     order : int
-        Highest basis index to evaluate (inclusive, 1-based).
+        Highest basis index to evaluate (inclusive, 1-based): at most MAX_ORDER,
+        or MAX_ORDER + 1, which the derivatives at the cap take in, for values only.
     z : array_like, shape (n,)
     derivatives : bool
         False skips the derivatives, and grads is None; vals are the same
@@ -177,9 +165,12 @@ def basis_tables(
     Returns
     -------
     vals, grads : ndarray, shape (order, n)
-        vals[k-1, i] = phi_k(z_i) and grads[k-1, i] = phi'_k(z_i).
+        vals[k-1, i] = phi_k(z_i); grads = `derivative_matrix` @ (values one order up).
     """
-    family.check_order(order)
+    family.check_order(order - 1 if order == MAX_ORDER + 1 and not derivatives else order)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     family.check_support(z)
-    return _TABLE_BUILDERS[family.kind](order, z, derivatives)
+    if not derivatives:
+        return _TABLE_BUILDERS[family.kind](order, z), None
+    up = _TABLE_BUILDERS[family.kind](order + 1, z)
+    return up[:order], derivative_matrix(family, order) @ up

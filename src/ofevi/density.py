@@ -9,8 +9,10 @@ track.  An optional affine transform re-expresses the density in original
 
 Evaluation never forms the K product features.  One primitive,
 `_contract_axis`, contracts the (K_1, ..., K_D) coefficient tensor against
-per-point 1-D tables one axis at a time; f and grad f take every axis in
-turn, in chunks of points, so memory is O(chunk * (K / K_1 * D + sum K_d)).
+per-point 1-D value tables one axis at a time, points last and in chunks,
+so memory is O(chunk * (K / K_1 + sum K_d)).  Partial d of f is the
+coefficient tensor mapped through axis d's `derivative_matrix`, contracted
+against the values one order up: no derivative table is built.
 
 Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
@@ -61,6 +63,7 @@ from .basis1d import (
     LEGENDRE,
     BasisFamily,
     basis_tables,
+    derivative_matrix,
 )
 from .exceptions import PoleError, TableBuildError
 from .product_basis import ProductBasis
@@ -79,12 +82,13 @@ def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     table is (K_d, c).  w is either one block shared by every point, shape
     (K_d * rest,), contracted by one GEMM, or one block per point, shape
-    (c, K_d * rest); the axis of table leads the block.  Returns (c, rest).
+    (K_d * rest, c); the axis of table leads the block.  Returns (rest, c):
+    points last, so every product runs along contiguous rows of the table.
     """
     if w.ndim == 1:
-        return table.T @ w.reshape(table.shape[0], -1)
-    w = w.reshape(w.shape[0], table.shape[0], -1)
-    return np.einsum("cnr,nc->cr", w, table)
+        return w.reshape(table.shape[0], -1).T @ table
+    w = w.reshape(table.shape[0], -1, w.shape[-1])
+    return np.einsum("nrc,nc->rc", w, table)
 
 
 def _invert(grid, rows, gamma, targets) -> tuple[np.ndarray, int]:
@@ -229,10 +233,10 @@ def _span_values(family: BasisFamily, size: int, t: np.ndarray) -> np.ndarray:
     """
     build = _TABLE_BUILDERS[family.kind]
     if family.kind == HERMITE:
-        return 2.0**0.25 * build(size, math.sqrt(2.0) * t, False)[0]
+        return 2.0**0.25 * build(size, math.sqrt(2.0) * t)
     if family.kind == LAGUERRE:
-        return math.sqrt(2.0) * build(size, 2.0 * t, False)[0]
-    return build(size, t, False)[0]
+        return math.sqrt(2.0) * build(size, 2.0 * t)
+    return build(size, t)
 
 
 # Nodes of the span's M-point Gauss rule: the zeros of g_{M+1}, or any M
@@ -383,29 +387,29 @@ class OfeDensity:
     def _expansion_terms(self, z: np.ndarray, gradient: bool):
         """f (n,) and, if requested, grad f (n, D) at standardized points.
 
-        Works through the points in chunks of `_CHUNK_POINTS`.  Per chunk the
-        coefficient tensor is contracted one axis at a time against the 1-D
-        tables by `_contract_axis`.  Each partial derivative carries its own
-        running partial, which takes the derivative table on its own axis and
-        value tables elsewhere.
+        Each term's coefficient tensor meets the value tables of chunks of `_CHUNK_POINTS`
+        points through `_contract_axis`, one term at a time.  Partial d's tensor is f's, mapped
+        once per call through axis d's `derivative_matrix`; it reads axis d's table one order up.
         """
-        n, ndim = z.shape
-        f = np.empty(n)
-        g = np.empty((n, ndim)) if gradient else None
+        n, axes = z.shape[0], list(enumerate(zip(self.basis.families, self.basis.orders)))
+        terms = [(self.coeffs, self.basis.orders)]
+        if gradient:
+            beta = self.coeffs.reshape(self.basis.orders)
+            for d, (family, k) in axes:
+                mapped = _apply_axis(beta, derivative_matrix(family, k).T, d)
+                terms.append((mapped.reshape(-1), mapped.shape))
+        out = np.empty((len(terms), n))
         for start in range(0, n, _CHUNK_POINTS):
             stop = min(start + _CHUNK_POINTS, n)
-            vals, grads = self.basis.tables(z[start:stop], derivatives=gradient)
-            w = self.coeffs
-            partials = []
-            for d in range(ndim):
-                partials = [_contract_axis(p, vals[d]) for p in partials]
-                if gradient:
-                    partials.append(_contract_axis(w, grads[d]))
-                w = _contract_axis(w, vals[d])
-            f[start:stop] = w[:, 0]
-            for d, p in enumerate(partials):
-                g[start:stop, d] = p[:, 0]
-        return f, g
+            tables = [
+                basis_tables(family, k + gradient, z[start:stop, d], derivatives=False)[0]
+                for d, (family, k) in axes
+            ]
+            for i, (w, shape) in enumerate(terms):
+                for table, rows in zip(tables, shape):
+                    w = _contract_axis(w, table[:rows])
+                out[i, start:stop] = w[0]
+        return out[0], (out[1:].T if gradient else None)
 
     # -- marginals ----------------------------------------------------------
 
@@ -504,10 +508,12 @@ class OfeDensity:
                     families[d - 1], orders[d - 1], out[start:stop, d - 1], derivatives=False
                 )
                 w = _contract_axis(w, vals)
-                traces = np.einsum("cj,cj->c", w, w)
+                # One contiguous row per draw: einsum rounds the sums below by layout.
+                block = np.ascontiguousarray(w.T)
+                traces = np.einsum("cj,cj->c", block, block)
                 if np.any(traces <= 0.0):
                     raise PoleError("conditional density requested at a zero of the marginal")
-                gamma = tables[d].span_coefficients(w.reshape(stop - start, orders[d], -1))
+                gamma = tables[d].span_coefficients(block.reshape(stop - start, orders[d], -1))
                 out[start:stop, d], c = _invert(
                     tables[d].grid, tables[d].pair_prefix, gamma, uniforms[start:stop, d] * traces
                 )

@@ -250,6 +250,8 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
             f"{excluded} of {z.shape[0]} reference points are poles of q; excluded",
             stacklevel=2,
         )
+        if excluded == z.shape[0]:
+            return float("nan"), float("nan"), excluded
         z, p_scores = z[keep], p_scores[keep]
     gap = p_scores - q.score(z)
     sq = np.sum(gap * gap, axis=1)

@@ -9,7 +9,9 @@ evaluators are point-at-a-time references for the vectorized feature code,
 and `copying_moment_matrix` is the streamed assembly before it stopped
 copying the features, the bitwise reference for the copy-free one; both
 multiply through the estimator's own `_gram`, so the comparison is of the
-features alone.
+features alone.  `recurrence_tables` is the 1-D derivative code before
+derivatives came from the derivative matrices: one hand-written recurrence
+per family, the reference for `derivative_matrix` times the values.
 """
 
 import math
@@ -17,7 +19,7 @@ import math
 import numpy as np
 from scipy import special
 
-from ofevi import BasisFamily, ProductBasis, basis_tables
+from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
 from ofevi.density import _composite_rule
 from ofevi.estimator import _gram
 from ofevi.product_basis import _combine
@@ -148,3 +150,57 @@ def pairwise_prefix(family: BasisFamily, order: int):
         block = np.cumsum(cells[:, upper, lower] * doubled, axis=0)
         prefix[start + 1 : start + 1 + block.shape[0]] = block + prefix[start]
     return grid, prefix
+
+
+def recurrence_tables(family: BasisFamily, order: int, z) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives (order, n) of phi_1..phi_order, each family by its own recurrence."""
+    z = np.asarray(z, dtype=float)
+    n = z.shape[0]
+    if family.kind == HERMITE:
+        # phi'_k = (sqrt(k-1)*phi_{k-1} - sqrt(k)*phi_{k+1}) / 2
+        vals = np.empty((max(order + 1, 2), n))
+        vals[0] = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * z * z)
+        vals[1] = z * vals[0]
+        for k in range(2, order + 1):
+            vals[k] = (z * vals[k - 1] - math.sqrt(k - 1) * vals[k - 2]) / math.sqrt(k)
+        grads = np.empty((order, n))
+        grads[0] = -0.5 * vals[1]
+        for k in range(2, order + 1):
+            grads[k - 1] = 0.5 * (math.sqrt(k - 1) * vals[k - 2] - math.sqrt(k) * vals[k])
+        return vals[:order], grads
+    if family.kind == LEGENDRE:
+        p = np.empty((order, n))
+        dp = np.empty((order, n))
+        p[0], dp[0] = 1.0, 0.0
+        if order >= 2:
+            p[1], dp[1] = z, 1.0
+        for k in range(2, order):
+            p[k] = ((2 * k - 1) * z * p[k - 1] - (k - 1) * p[k - 2]) / k
+            dp[k] = dp[k - 2] + (2 * k - 1) * p[k - 1]
+        scale = np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
+        return p * scale, dp * scale
+    if family.kind == FOURIER:
+        vals = np.empty((order, n))
+        grads = np.empty((order, n))
+        vals[0], grads[0] = (2.0 * math.pi) ** (-0.5), 0.0
+        inv_sqrt_pi = math.pi ** (-0.5)
+        for k in range(2, order + 1):
+            m = k // 2
+            if k % 2 == 0:
+                vals[k - 1] = np.cos(m * z) * inv_sqrt_pi
+                grads[k - 1] = -m * np.sin(m * z) * inv_sqrt_pi
+            else:
+                vals[k - 1] = np.sin(m * z) * inv_sqrt_pi
+                grads[k - 1] = m * np.cos(m * z) * inv_sqrt_pi
+        return vals, grads
+    assert family.kind == LAGUERRE
+    lag = np.empty((order, n))
+    dlag = np.empty((order, n))
+    lag[0], dlag[0] = 1.0, 0.0
+    if order >= 2:
+        lag[1], dlag[1] = 1.0 - z, -1.0
+    for k in range(2, order):
+        lag[k] = ((2 * k - 1 - z) * lag[k - 1] - (k - 1) * lag[k - 2]) / k
+        dlag[k] = dlag[k - 1] - lag[k - 1]
+    w = np.exp(-0.5 * z)
+    return lag * w, (dlag - 0.5 * lag) * w

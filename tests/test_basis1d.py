@@ -16,9 +16,9 @@ from ofevi import (
     SupportError,
     basis_tables,
 )
-from ofevi.basis1d import MAX_ORDER
+from ofevi.basis1d import MAX_ORDER, derivative_matrix
 
-from oracles import fd_derivative, gauss_panels
+from oracles import fd_derivative, gauss_panels, recurrence_tables
 
 FAMILIES = {
     "hermite": (BasisFamily(HERMITE), (-8.0, 8.0)),
@@ -109,6 +109,13 @@ def test_order_validation(name):
     basis_tables(fam, MAX_ORDER, [0.5])
     with pytest.raises(OrderLimitError, match="exceeds MAX_ORDER=64"):
         basis_tables(fam, 65, [0.5])
+    # The derivatives at MAX_ORDER take in the values one order up, and no more.
+    vals, _ = basis_tables(fam, MAX_ORDER + 1, [0.5], derivatives=False)
+    assert vals.shape == (MAX_ORDER + 1, 1)
+    with pytest.raises(OrderLimitError, match="exceeds MAX_ORDER=64"):
+        basis_tables(fam, MAX_ORDER + 2, [0.5], derivatives=False)
+    with pytest.raises(ValueError):
+        basis_tables(fam, 0, [0.5], derivatives=False)
     with pytest.raises(ValueError):
         BasisFamily("chebyshev")
 
@@ -123,12 +130,15 @@ def test_a_family_is_only_its_kind():
 
 @pytest.mark.parametrize(
     "name,z",
-    [("legendre", 1.5), ("laguerre", -0.1), ("fourier", 7.0), ("hermite", math.inf)],
+    [("legendre", 1.5), ("laguerre", -0.1), ("fourier", 7.0), ("hermite", math.inf)]
+    + [(name, z) for name in sorted(FAMILIES) for z in (math.nan, -math.inf, math.inf)],
 )
 def test_support_validation(name, z):
     fam = FAMILIES[name][0]
     with pytest.raises(SupportError):
-        basis_tables(fam, 1, [z])
+        basis_tables(fam, 1, [0.5, z])
+    with pytest.raises(SupportError):
+        fam.check_support(np.array([z]))
 
 
 @given(
@@ -152,3 +162,19 @@ def test_values_only_tables_equal_the_values_with_derivatives(name):
         vals, grads = basis_tables(family, order, z, derivatives=False)
         assert grads is None
         assert np.array_equal(vals, basis_tables(family, order, z)[0])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_derivative_matrix_times_the_values_matches_the_recurrences(name):
+    family, (lo, hi) = FAMILIES[name]
+    z = np.linspace(lo, hi, 301)
+    for order in range(1, MAX_ORDER + 1):
+        d = derivative_matrix(family, order)
+        assert d.shape == (order, order + 1)
+        vals, grads = basis_tables(family, order, z)
+        up, _ = basis_tables(family, order + 1, z, derivatives=False)
+        assert np.array_equal(grads, d @ up)
+        ref_vals, ref_grads = recurrence_tables(family, order, z)
+        assert np.array_equal(vals, ref_vals)
+        row_max = np.max(np.abs(ref_grads), axis=1, keepdims=True)
+        assert np.all(np.abs(grads - ref_grads) <= 1e-13 * row_max), order

@@ -141,6 +141,37 @@ def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_evaluation_gives_the_same_bits_at_any_thread_count():
+    # Evaluation runs unpinned: every GEMM in it, the coefficients mapped
+    # through the derivative matrices too, must not depend on the split.
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from ofevi import BasisFamily, OfeDensity, ProductBasis\n"
+        "for kind, orders, lo, hi in (('hermite', (20, 20), -4.0, 4.0),\n"
+        "                             ('legendre', (64, 64), -0.99, 0.99),\n"
+        "                             ('laguerre', (4, 4, 4, 3, 3), 0.0, 20.0)):\n"
+        "    basis = ProductBasis([BasisFamily(kind)] * len(orders), orders)\n"
+        "    rng = np.random.default_rng(len(orders))\n"
+        "    q = OfeDensity(basis, rng.normal(size=basis.size))\n"
+        "    z = rng.uniform(lo, hi, size=(9000, len(orders)))\n"
+        "    print(hashlib.sha256(q.score(z).tobytes() + q.log_density(z).tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
     # At one thread and at two, unpinned BLAS gives different K = 100 bytes.
     config = harness.ExperimentConfig(

@@ -32,6 +32,7 @@ from oracles import (
     hermite_expansion_pdf,
     pairwise_prefix,
     random_unit,
+    recurrence_tables,
 )
 
 
@@ -179,6 +180,31 @@ def test_score_raises_at_a_zero_past_the_first_chunk():
     with pytest.raises(PoleError):
         q.score(z)
     assert np.all(np.isfinite(q.score(z[:-1])))
+
+
+@pytest.mark.parametrize("orders", [(64,), (64, 3), (3, 64)])
+@pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
+def test_score_at_the_top_order_matches_the_recurrence_oracle(kind, orders):
+    # At an even order the Fourier derivatives take in phi_65, past MAX_ORDER.
+    rng = np.random.default_rng(len(orders))
+    family = BasisFamily(kind)
+    basis = ProductBasis([family] * len(orders), orders)
+    q = OfeDensity(basis, rng.normal(size=basis.size))
+    z = np.column_stack([_standard_points(rng, family, 500) for _ in orders])
+    tables = [recurrence_tables(family, k, z[:, d]) for d, k in enumerate(orders)]
+    axes = "abc"[: len(orders)]
+    spec = axes + "," + ",".join(a + "n" for a in axes) + "->n"
+    beta = q.coeffs.reshape(orders)
+    grad_ref = np.column_stack([
+        np.einsum(spec, beta, *(t[1] if e == d else t[0] for e, t in enumerate(tables)))
+        for d in range(len(orders))
+    ])
+    # Divided by q's own f, so the comparison is of the derivative path alone;
+    # f against its oracle is checked above.
+    f = q.expansion(z)
+    assert _max_rel(f, np.einsum(spec, beta, *(t[0] for t in tables))) < 1e-12
+    score_ref = 2.0 * grad_ref / f[:, None]
+    assert _max_rel(q.score(z), score_ref) < 1e-13
 
 
 def test_score_memory_stays_bounded():
@@ -679,21 +705,23 @@ def test_transformed_sampler_lands_in_original_coordinates():
 
 
 def test_expansion_builds_no_derivative_table(monkeypatch):
-    # f alone needs only the values; the score needs the derivatives too.
+    # f needs the values at each axis's order; the score needs them one
+    # order up, and no derivative table.
     asked = []
 
     def recording(family, order, z, derivatives=True):
-        asked.append(derivatives)
+        asked.append((order, derivatives))
         return basis_tables(family, order, z, derivatives)
 
+    monkeypatch.setattr(density, "basis_tables", recording)
     monkeypatch.setattr(product_basis, "basis_tables", recording)
     q = hermite_density_2d(np.random.default_rng(5).normal(size=(3, 4)))
     z = np.random.default_rng(6).normal(size=(10, 2))
     q.expansion(z)
     q.log_density(z)
-    assert asked == [False] * 4
+    assert asked == [(3, False), (4, False)] * 2
     q.score(z)
-    assert asked[4:] == [True] * 2
+    assert asked[4:] == [(4, False), (5, False)]
 
 
 def test_sample_count_validation():

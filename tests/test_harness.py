@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ def test_fisher_divergence_of_a_perfect_fit_is_zero():
     z = target.sample(np.random.default_rng(4), 1000)
     val, se, _ = fisher(target, standard_fit_density(), z)
     assert val < 1e-28 and se < 1e-28
+
+
+def test_fisher_with_every_point_a_pole_is_nan():
+    # exp(-z^2 / 4) underflows to zero near z = 100, so f vanishes at every point.
+    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)], (3,)), np.array([0.6, 0.0, 0.8]))
+    z = np.random.default_rng(5).uniform(99.0, 101.0, size=(50, 1))
+    target = Gaussian(np.zeros(1), np.eye(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(UserWarning, match="50 of 50 reference points are poles"):
+            val, se, excluded = fisher(target, q, z)
+    assert excluded == 50
+    assert math.isnan(val) and math.isnan(se)
 
 
 def test_fisher_divergence_validates_input():
