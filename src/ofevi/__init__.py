@@ -16,7 +16,6 @@ from .basis1d import (
 from .density import CdfTable, OfeDensity, build_cdf_table
 from .estimator import (
     FitResult,
-    ScoreCache,
     ScoreTarget,
     assemble_moment_matrix,
     feature_vectors,
@@ -80,7 +79,7 @@ __all__ = [
     "StandardizingTransform", "StandardizedTarget",
     "estimate_moments", "estimate_transform", "pull_density",
     "OfeDensity", "CdfTable", "build_cdf_table",
-    "ScoreTarget", "ScoreCache", "FitResult",
+    "ScoreTarget", "FitResult",
     "feature_vectors", "assemble_moment_matrix", "min_eigenpair",
     "fit", "fit_from_batch",
     "ExperimentConfig", "RunRecord", "run",

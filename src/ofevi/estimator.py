@@ -26,12 +26,13 @@ while BLAS stays pinned to one thread.
 `largest_array_bytes` gives the larger of the two terms, and a config whose
 bases would pass `MAX_ARRAY_BYTES` (1 GiB) is refused before any draw.
 Matrix products of different shapes need not round alike, so fits of
-nested bases on one batch share their common block through `ScoreCache`
-rather than by recomputing it: a basis nested in the largest one assembled
-on the batch takes its block of that M, and a basis containing it gets that
-M copied into its own.  The nested blocks are then bit-identical whatever
-the BLAS kernels do.  A fit runs with BLAS pinned to one thread
-(`_blas.pinned`), so its result does not depend on the thread count either.
+nested bases on one batch share their common block rather than recompute
+it: a fit handed an `earlier` fit of the batch reuses its kept draws and
+scores, and a basis nested in the earlier one takes its block of that M,
+while a basis containing it gets that M copied into its own.  The nested
+blocks are then bit-identical whatever the BLAS kernels do.  A fit runs
+with BLAS pinned to one thread (`_blas.pinned`), so its result does not
+depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -68,71 +69,12 @@ CHUNK = 1024
 MAX_ARRAY_BYTES = 1 << 30
 
 
-@runtime_checkable
 class ScoreTarget(Protocol):
     """What the fitter needs from a target: dimension and score."""
 
     dim: int
 
     def score(self, z): ...
-
-
-class ScoreCache:
-    """Memoizes target scores, and the largest M assembled, for the latest batch.
-
-    Fits of different basis sizes on the same draws then evaluate the target
-    score once per sample instead of once per fit.  The cache keys on object
-    identity of the batch array and keeps a reference to it, so a recycled
-    array address cannot alias a stale entry.
-
-    It also holds the basis and M of the largest fit assembled on the batch
-    and its weights array; see `moment_matrix`.  Both reset
-    when the batch changes.  The held M is the array the fit returned, so
-    it must not be modified in place.
-    """
-
-    def __init__(self, target: ScoreTarget):
-        self.target = target
-        self.dim = target.dim
-        self.n_score_evals = 0
-        self._batch = None
-        self._scores = None
-        self._held = None
-
-    def score(self, z):
-        """Scores of the (n, D) batch z, evaluated once per batch object."""
-        if z is not self._batch:
-            self._scores = np.asarray(self.target.score(z))
-            self.n_score_evals += z.shape[0]
-            self._batch = z
-            self._held = None
-        return self._scores
-
-    def moment_matrix(self, basis, z, weights, assemble) -> np.ndarray:
-        """M of `basis` on batch z, exact on every block shared with the held fit.
-
-        A basis nested in the held one takes its block of the held M;
-        otherwise `assemble()` builds M, and if the held basis is nested in
-        this one its M is copied over the matching block.  The larger of
-        the two is held afterwards.
-        """
-        held_basis = held_m = None
-        if self._held is not None:
-            held_z, held_weights, held_basis, held_m = self._held
-            if not (held_z is z and held_weights is weights):
-                held_basis = held_m = None
-        if held_basis is not None:
-            rows = _nested_rows(basis, held_basis)
-            if rows is not None:
-                return held_m[np.ix_(rows, rows)]
-        m = assemble()
-        if held_basis is not None:
-            rows = _nested_rows(held_basis, basis)
-            if rows is not None:
-                m[np.ix_(rows, rows)] = held_m
-        if held_basis is None or basis.size > held_basis.size:
-            self._held = (z, weights, basis, m)
-        return m
 
 
 def _nested_rows(small: ProductBasis, big: ProductBasis) -> np.ndarray | None:
@@ -243,12 +185,15 @@ def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted density with its M, and the kept draws, weights and finite scores of M."""
+
     density: OfeDensity
     eigenvalue: float
     residual: float
     moment_matrix: np.ndarray
     samples: np.ndarray
     weights: np.ndarray
+    scores: np.ndarray
     rejected: int
     blas_threads: int | None
     timings_ms: dict
@@ -288,8 +233,18 @@ def fit_from_batch(
     z: np.ndarray,
     weights: np.ndarray,
     residual_tol: float = 1e-8,
+    earlier: FitResult | None = None,
 ) -> FitResult:
-    """Fit on an existing batch; lets several basis sizes share draws and scores."""
+    """Fit on an existing batch of draws z with importance weights.
+
+    `earlier`, if given, must be a fit on this same z and weights; only its
+    batch size is checked (its kept draws plus its rejected ones must be
+    z's rows, else ValueError).  The fit then reuses its kept draws,
+    weights, scores and rejected count without calling the target.  A
+    basis nested in `earlier`'s takes its block of `earlier`'s M; a basis
+    containing it is assembled, and then that M is copied over the
+    matching block; any other basis is assembled in full.
+    """
     weights = np.asarray(weights, dtype=float)
     n = z.shape[0]
     if n < 1 or weights.shape != (n,):
@@ -299,36 +254,46 @@ def fit_from_batch(
         )
     if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ProposalSupportError("a sample has zero or invalid proposal density")
-    if n < basis.size:
-        warnings.warn(
-            f"batch size {n} is below the basis size {basis.size}; M is rank-deficient",
-            stacklevel=2,
+    if earlier is not None and earlier.samples.shape[0] + earlier.rejected != n:
+        raise ValueError(
+            f"the earlier fit kept {earlier.samples.shape[0]} and rejected "
+            f"{earlier.rejected} draws, not the {n} of this batch"
         )
     with _blas.pinned() as blas_threads:
         t0 = time.perf_counter()
-        scores = np.asarray(target.score(z))
+        if earlier is None:
+            scores = np.asarray(target.score(z))
+            finite = np.all(np.isfinite(scores), axis=1)
+            rejected = int(n - np.count_nonzero(finite))
+            if rejected:
+                if rejected > MAX_REJECT_FRAC * n:
+                    raise ScoreRejectionError(
+                        f"{rejected} of {n} samples have non-finite scores"
+                    )
+                z, scores, weights = z[finite], scores[finite], weights[finite]
+        else:
+            z, weights, scores, rejected = (
+                earlier.samples, earlier.weights, earlier.scores, earlier.rejected
+            )
         t1 = time.perf_counter()
-        finite = np.all(np.isfinite(scores), axis=1)
-        rejected = int(n - np.count_nonzero(finite))
-        batch, batch_weights = z, weights
-        if rejected:
-            if rejected > MAX_REJECT_FRAC * n:
-                raise ScoreRejectionError(
-                    f"{rejected} of {n} samples have non-finite scores"
-                )
-            z, scores, weights = z[finite], scores[finite], weights[finite]
-
-        def assemble():
+        if z.shape[0] < basis.size:
+            warnings.warn(
+                f"{z.shape[0]} of {n} draws have finite scores, below the basis size "
+                f"{basis.size}; M is rank-deficient",
+                stacklevel=2,
+            )
+        rows = None if earlier is None else _nested_rows(basis, earlier.density.basis)
+        if rows is not None:
+            m = earlier.moment_matrix[np.ix_(rows, rows)]
+        else:
             m = np.zeros((basis.size, basis.size))
             for start in range(0, z.shape[0], CHUNK):
                 c = slice(start, start + CHUNK)
                 m += assemble_moment_matrix(feature_vectors(basis, z[c], scores[c]), weights[c])
-            return m
-
-        if isinstance(target, ScoreCache):
-            m = target.moment_matrix(basis, batch, batch_weights, assemble)
-        else:
-            m = assemble()
+            if earlier is not None:
+                rows = _nested_rows(earlier.density.basis, basis)
+                if rows is not None:
+                    m[np.ix_(rows, rows)] = earlier.moment_matrix
         t2 = time.perf_counter()
         lam, alpha = min_eigenpair(m)
         t3 = time.perf_counter()
@@ -345,6 +310,7 @@ def fit_from_batch(
         moment_matrix=m,
         samples=z,
         weights=weights,
+        scores=scores,
         rejected=rejected,
         blas_threads=blas_threads,
         timings_ms={

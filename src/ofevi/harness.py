@@ -5,12 +5,13 @@ target.  `fit_cells` fits each cell; `run` then evaluates each fitted cell
 (forward KL against exact target samples, the mean squared score mismatch,
 an optional sampling probe) and appends a RunRecord.  Cells share one batch
 of reference samples, and within a fixed sample-count cell all basis sizes
-share one proposal batch, one set of cached target scores and the moment
-matrix of the largest basis fitted on it, from which nested bases take
-their blocks bit for bit.  `ofevi fit` is `fit_cells` on a one-cell config,
-so it writes the density `ofevi sweep` writes for the same config and seed;
-`ofevi evaluate` scores a saved density on the sweep's reference set with
-the sweep's divergence code, so it prints the numbers the sweep wrote.
+share one proposal batch: each fit is handed the largest fit made so far
+on it, whose target scores it reuses and from whose moment matrix nested
+bases take their blocks bit for bit.  `ofevi fit` is `fit_cells` on a
+one-cell config, so it writes the density `ofevi sweep` writes for the
+same config and seed; `ofevi evaluate` scores a saved density on the
+sweep's reference set with the sweep's divergence code, so it prints the
+numbers the sweep wrote.
 
 Outputs: a long-format CSV (one row per metric) whose bytes depend only on
 the config and seed, plus a JSON document carrying complete records
@@ -37,7 +38,6 @@ from .basis1d import HERMITE, MAX_ORDER, BasisFamily
 from .density import OfeDensity
 from .estimator import (
     MAX_ARRAY_BYTES,
-    ScoreCache,
     default_sample_count,
     fit_from_batch,
     largest_array_bytes,
@@ -294,8 +294,7 @@ def fit_cells(config: ExperimentConfig, target):
         fit_target = target
 
     for bi, b_spec in enumerate(config.samples):
-        cache = ScoreCache(fit_target)
-        shared = None
+        shared = earlier = None
         if b_spec is not None:
             z = proposal.sample(np.random.default_rng((config.seed, 1, bi)), b_spec)
             shared = (z, 1.0 / proposal.density(z))
@@ -318,7 +317,9 @@ def fit_cells(config: ExperimentConfig, target):
                     weights = 1.0 / proposal.density(z)
                 else:
                     z, weights = shared
-                result = fit_from_batch(cache, basis, z, weights)
+                result = fit_from_batch(fit_target, basis, z, weights, earlier=earlier)
+                if shared is not None and (earlier is None or size > earlier.density.basis.size):
+                    earlier = result
                 q = result.density if transform is None else pull_density(result.density, transform)
             except Exception as exc:  # per-cell isolation: record and move on
                 yield bi, ki, replace(record, error=f"{type(exc).__name__}: {exc}"), None, None

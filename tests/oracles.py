@@ -12,6 +12,7 @@ multiply through the estimator's own `_gram`, so the comparison is of the
 features alone.  `recurrence_tables` is the 1-D derivative code before
 derivatives came from the derivative matrices: one hand-written recurrence
 per family, the reference for `derivative_matrix` times the values.
+`CountingScore` wraps a target and counts the points it scores.
 """
 
 import math
@@ -204,3 +205,16 @@ def recurrence_tables(family: BasisFamily, order: int, z) -> tuple[np.ndarray, n
         dlag[k] = dlag[k - 1] - lag[k - 1]
     w = np.exp(-0.5 * z)
     return lag * w, (dlag - 0.5 * lag) * w
+
+
+class CountingScore:
+    """A target whose score calls are counted in `points`, the rows scored so far."""
+
+    def __init__(self, target):
+        self.target = target
+        self.dim = target.dim
+        self.points = 0
+
+    def score(self, z):
+        self.points += np.shape(z)[0]
+        return self.target.score(z)

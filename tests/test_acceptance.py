@@ -18,7 +18,6 @@ from ofevi import (
     Gaussian,
     OfeDensity,
     ProductBasis,
-    ScoreCache,
     SinhArcsinh,
     StandardizedTarget,
     UniformBox,
@@ -37,7 +36,7 @@ from ofevi import (
 )
 from ofevi.harness import kl_from_samples
 
-from oracles import fd_gradient, gauss_panels, hermite_expansion_cdf, random_unit
+from oracles import CountingScore, fd_gradient, gauss_panels, hermite_expansion_cdf, random_unit
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -285,21 +284,20 @@ def test_criterion_09_target_zoo_is_sound():
 
 
 def test_criterion_10_score_cache_reuse():
-    target = make_target("mixture2d")
-    cache = ScoreCache(target)
+    target = CountingScore(make_target("mixture2d"))
     proposal = UniformBox.centered(9.0, 2)
     z = proposal.sample(np.random.default_rng(101), 250)
     w = 1.0 / proposal.density(z)
     small = basis_nd(2, 3)
     large = basis_nd(2, 5)
-    r_small = fit_from_batch(cache, small, z, w)
-    r_large = fit_from_batch(cache, large, z, w)
-    one_eval_each = cache.n_score_evals == 250
+    r_small = fit_from_batch(target, small, z, w)
+    r_large = fit_from_batch(target, large, z, w, earlier=r_small)
+    one_eval_each = target.points == 250
     idx = np.ravel_multi_index(np.unravel_index(np.arange(small.size), small.orders), large.orders)
     shared = np.array_equal(r_large.moment_matrix[np.ix_(idx, idx)], r_small.moment_matrix)
     ok = one_eval_each and shared
-    report(10, "one cached batch serves K=9 and K=25 fits", ok,
-           f"score evals {cache.n_score_evals} for 250 samples; shared block bitwise: {shared}")
+    report(10, "one scored batch serves K=9 and K=25 fits", ok,
+           f"score evals {target.points} for 250 samples; shared block bitwise: {shared}")
 
 
 def test_criterion_11_byte_identical_outputs(tmp_path):

@@ -324,7 +324,7 @@ def test_sweep_seed_override_changes_the_hash(tmp_path, capsys):
 def test_sweep_returns_two_when_every_cell_fails(tmp_path, capsys, monkeypatch):
     from ofevi import harness
 
-    def failing_fit(*args):
+    def failing_fit(*args, **kwargs):
         raise np.linalg.LinAlgError("eigensolve did not converge")
 
     monkeypatch.setattr(harness, "fit_from_batch", failing_fit)

@@ -1,7 +1,7 @@
-import math
 import re
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from ofevi import (
     OfeDensity,
     ProductBasis,
     ProposalSupportError,
-    ScoreCache,
     ScoreRejectionError,
     UniformBox,
     assemble_moment_matrix,
@@ -32,7 +31,7 @@ from ofevi import (
 from ofevi import estimator
 from ofevi.estimator import CHUNK
 
-from oracles import copying_moment_matrix, eval_product, fd_gradient
+from oracles import CountingScore, copying_moment_matrix, eval_product, fd_gradient
 
 
 def standard_gaussian(dim=1):
@@ -294,16 +293,11 @@ def test_zero_proposal_density_raises():
 
 
 class PatchyScore:
-    """Standard normal whose score is NaN beyond a threshold."""
+    """Standard normal whose score is NaN where the first coordinate passes a threshold."""
 
-    dim = 1
-
-    def __init__(self, edge):
+    def __init__(self, edge, dim=1):
         self.edge = edge
-
-    def log_density(self, z):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return -0.5 * z[:, 0] ** 2 - 0.5 * math.log(2.0 * math.pi)
+        self.dim = dim
 
     def score(self, z):
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -319,6 +313,26 @@ def test_a_few_bad_scores_are_dropped_and_counted():
     result = fit_from_batch(PatchyScore(2.0), basis_1d(3), z, np.ones(200))
     assert result.rejected == 1
     assert result.samples.shape[0] == 199
+
+
+@pytest.mark.parametrize("earlier_orders", [None, (3, 3)], ids=["fresh", "earlier"])
+def test_a_fit_warns_when_its_kept_draws_are_fewer_than_the_basis(earlier_orders):
+    # 100 draws for K = 100, but one score is NaN: 99 draws are kept.
+    z = np.random.default_rng(23).uniform(-1.0, 1.0, size=(100, 2))
+    z[0, 0] = 3.0
+    w = np.ones(100)
+    target = PatchyScore(2.0, dim=2)
+    earlier = None
+    if earlier_orders is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            earlier = fit_from_batch(
+                target, ProductBasis([BasisFamily(HERMITE)] * 2, earlier_orders), z, w
+            )
+    basis = ProductBasis([BasisFamily(HERMITE)] * 2, (10, 10))
+    with pytest.warns(UserWarning, match="99 of 100 draws .* below the basis size 100"):
+        result = fit_from_batch(target, basis, z, w, earlier=earlier)
+    assert result.rejected == 1 and result.samples.shape[0] == 99
 
 
 def test_too_many_bad_scores_raise():
@@ -340,12 +354,12 @@ def test_too_many_bad_scores_raise():
     ids=["longer", "shorter", "scalar", "two-d", "empty"],
 )
 def test_a_batch_whose_weights_do_not_fit_raises_before_scoring(z_rows, weights):
-    cache = ScoreCache(standard_gaussian())
+    target = CountingScore(standard_gaussian())
     z = np.random.default_rng(15).normal(size=(z_rows, 1))
     shapes = f"shape {re.escape(str(np.shape(weights)))} .* shape {re.escape(str(z.shape))}"
     with pytest.raises(ValueError, match=shapes):
-        fit_from_batch(cache, basis_1d(3), z, weights)
-    assert cache.n_score_evals == 0
+        fit_from_batch(target, basis_1d(3), z, weights)
+    assert target.points == 0
 
 
 def test_a_fit_leaves_no_thread_behind():
@@ -365,36 +379,51 @@ def test_dimension_mismatch_raises():
         )
 
 
-# -- score cache --------------------------------------------------------------------
+# -- an earlier fit of the batch ------------------------------------------------------
 
-def test_score_cache_counts_and_reuses():
-    target = standard_gaussian()
-    cache = ScoreCache(target)
-    z = np.random.default_rng(15).normal(size=(50, 1))
-    s1 = cache.score(z)
-    s2 = cache.score(z)
-    assert cache.n_score_evals == 50
-    assert s2 is s1
-    assert np.array_equal(s1, -z)
-    other = z.copy()
-    cache.score(other)  # same values, different object: a fresh batch
-    assert cache.n_score_evals == 100
-
-
-def test_score_cache_shares_work_across_basis_sizes():
-    cache = ScoreCache(standard_gaussian())
+def test_an_earlier_fit_shares_its_scores_across_basis_sizes():
+    target = CountingScore(standard_gaussian())
     z = np.random.default_rng(16).normal(size=(120, 1))
     w = np.ones(120)
-    r1 = fit_from_batch(cache, basis_1d(3), z, w)
-    r2 = fit_from_batch(cache, basis_1d(5), z, w)
-    assert cache.n_score_evals == 120
+    r1 = fit_from_batch(target, basis_1d(3), z, w)
+    r2 = fit_from_batch(target, basis_1d(5), z, w, earlier=r1)
+    assert target.points == 120
+    assert np.array_equal(r2.scores, r1.scores)
     assert np.array_equal(r2.moment_matrix[:3, :3], r1.moment_matrix)
+
+
+def test_an_earlier_fit_of_another_batch_size_is_refused():
+    target = CountingScore(standard_gaussian())
+    rng = np.random.default_rng(18)
+    z = rng.normal(size=(80, 1))
+    earlier = fit_from_batch(target, basis_1d(6), z, np.ones(80))
+    other = rng.normal(size=(81, 1))
+    with pytest.raises(ValueError, match="kept 80 and rejected 0 draws, not the 81"):
+        fit_from_batch(target, basis_1d(3), other, np.ones(81), earlier=earlier)
+    assert target.points == 80
+
+
+def test_a_mismatched_earlier_never_lends_its_matrix_silently():
+    # The earlier fit kept 99 of its 100 draws.  A batch of its 99 kept draws,
+    # or of 101, is not its batch, though its M holds a block for basis_1d(3).
+    rng = np.random.default_rng(18)
+    z = rng.uniform(-1.0, 1.0, size=(100, 1))
+    z[0, 0] = 3.0
+    w = rng.uniform(0.5, 2.0, size=100)
+    earlier = fit_from_batch(PatchyScore(2.0), basis_1d(6), z, w)
+    assert earlier.rejected == 1
+    for other, weights in ((earlier.samples, earlier.weights),
+                           (np.concatenate([z, z[:1]]), np.concatenate([w, w[:1]]))):
+        with pytest.raises(ValueError, match="the earlier fit kept 99 and rejected 1 draws"):
+            fit_from_batch(PatchyScore(2.0), basis_1d(3), other, weights, earlier=earlier)
+    lent = fit_from_batch(PatchyScore(2.0), basis_1d(3), z, w, earlier=earlier)
+    assert np.array_equal(lent.moment_matrix, earlier.moment_matrix[:3, :3])
 
 
 # -- streamed assembly and nested blocks ---------------------------------------------
 
 # (target, smaller orders, larger orders, box half-width, batch size).  Without
-# the cache rule, 12 of these 15 (pair, seed) cases give nested blocks that
+# the shared block, 12 of these 15 (pair, seed) cases give nested blocks that
 # differ in the last bits, because matrix products of different shapes need
 # not round alike.
 NESTED_PAIRS = [
@@ -422,22 +451,21 @@ def test_nested_blocks_are_bit_identical_in_either_order(
         return assemble(u, *args, **kwargs)
 
     monkeypatch.setattr(estimator, "assemble_moment_matrix", counting)
-    target = make_target(name)
+    target = CountingScore(make_target(name))
     proposal = UniformBox.centered(scale, target.dim)
     z = proposal.sample(np.random.default_rng((seed, 7)), batch)
     w = 1.0 / proposal.density(z)
     small_basis = ProductBasis([BasisFamily(HERMITE)] * target.dim, small)
     large_basis = ProductBasis([BasisFamily(HERMITE)] * target.dim, large)
-    cache = ScoreCache(target)
     if large_first:
-        r_large = fit_from_batch(cache, large_basis, z, w)
-        r_small = fit_from_batch(cache, small_basis, z, w)
-        # The smaller basis is a slice of the held M: nothing is assembled for it.
+        r_large = fit_from_batch(target, large_basis, z, w)
+        r_small = fit_from_batch(target, small_basis, z, w, earlier=r_large)
+        # The smaller basis is a slice of the earlier M: nothing is assembled for it.
         assert small_basis.size not in assembled
     else:
-        r_small = fit_from_batch(cache, small_basis, z, w)
-        r_large = fit_from_batch(cache, large_basis, z, w)
-    assert cache.n_score_evals == batch
+        r_small = fit_from_batch(target, small_basis, z, w)
+        r_large = fit_from_batch(target, large_basis, z, w, earlier=r_small)
+    assert target.points == batch
     rows = np.ravel_multi_index(np.unravel_index(np.arange(small_basis.size), small), large)
     assert np.array_equal(r_large.moment_matrix[np.ix_(rows, rows)], r_small.moment_matrix)
 
@@ -458,18 +486,6 @@ def test_streamed_fit_matches_one_unchunked_product():
     assert np.array_equal(fit_from_batch(target, basis, z, w).moment_matrix, m)
 
 
-def test_the_held_matrix_serves_only_its_own_batch_and_weights():
-    cache = ScoreCache(standard_gaussian())
-    rng = np.random.default_rng(18)
-    z1, z2 = rng.normal(size=(80, 1)), rng.normal(size=(80, 1))
-    w = rng.uniform(0.5, 2.0, size=80)
-    for z, weights in ((z1, 2.0 * w), (z2, w)):
-        fit_from_batch(cache, basis_1d(6), z1, w)
-        held_elsewhere = fit_from_batch(cache, basis_1d(3), z, weights).moment_matrix
-        fresh = fit_from_batch(standard_gaussian(), basis_1d(3), z, weights).moment_matrix
-        assert np.array_equal(held_elsewhere, fresh)
-
-
 def test_fit_memory_stays_bounded_by_the_chunk():
     import tracemalloc
 
@@ -481,12 +497,10 @@ def test_fit_memory_stays_bounded_by_the_chunk():
     proposal = UniformBox.centered(6.0, 5)
     z = proposal.sample(np.random.default_rng(19), 5760)
     w = 1.0 / proposal.density(z)
-    cache = ScoreCache(target)
-    cache.score(z)
     basis = ProductBasis([BasisFamily(HERMITE)] * 5, (4, 4, 4, 3, 3))
     tracemalloc.start()
     try:
-        fit_from_batch(cache, basis, z, w)
+        fit_from_batch(target, basis, z, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -546,11 +560,9 @@ def test_a_streamed_fit_holds_one_feature_array_per_chunk():
     # One chunk's features are 23.6 MB at K = 576; a copy of them per chunk
     # would add as much again.
     target, basis, z, w = sinh5d_batch(19, 5760)
-    cache = ScoreCache(target)
-    cache.score(z)
     tracemalloc.start()
     try:
-        fit_from_batch(cache, basis, z, w)
+        fit_from_batch(target, basis, z, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

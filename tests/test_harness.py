@@ -23,9 +23,11 @@ from ofevi import (
     run,
     write_outputs,
 )
-from ofevi import density, harness
-from ofevi.estimator import MAX_ARRAY_BYTES, largest_array_bytes
+from ofevi import density, estimator, harness
+from ofevi.estimator import MAX_ARRAY_BYTES, fit_from_batch, largest_array_bytes
 from ofevi.harness import CSV_HEADER, _fisher_from_scores, kl_from_samples
+
+from oracles import CountingScore
 
 
 def standard_fit_density(k=1):
@@ -315,14 +317,56 @@ def test_run_shares_one_batch_across_basis_sizes():
     assert records[1].kl <= records[0].kl + 3.0 * (records[0].kl_se + records[1].kl_se)
 
 
+@pytest.mark.parametrize(
+    "orders, assembled_sizes, unshared",
+    [
+        # (4, 6) and (7, 3) neither nest in (5, 5) nor contain it.
+        (((5, 5), (3, 3), (4, 6), (7, 3)), [25, 24, 21], [(4, 6), (7, 3)]),
+        (((3, 3), (5, 5)), [9, 25], []),
+    ],
+    ids=["largest-first", "smallest-first"],
+)
+def test_fit_cells_scores_a_shared_batch_once_and_shares_nested_blocks(
+    orders, assembled_sizes, unshared, monkeypatch
+):
+    config = ExperimentConfig(
+        target="mixture2d", orders=orders, seed=0, samples=(400,), proposal_scale=9.0,
+    )
+    assembled = []
+    assemble = estimator.assemble_moment_matrix
+
+    def counting(u, *args, **kwargs):
+        assembled.append(u.shape[0])
+        return assemble(u, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "assemble_moment_matrix", counting)
+    target = CountingScore(config.build_target())
+    results = {record.orders: result for _, _, record, result, _ in harness.fit_cells(config, target)}
+    monkeypatch.undo()
+    assert target.points == 400
+    # One chunk of 400 draws for each basis that is assembled.
+    assert assembled == assembled_sizes
+    rows = np.ravel_multi_index(np.indices((3, 3)).reshape(2, -1), (5, 5))
+    assert np.array_equal(results[(5, 5)].moment_matrix[np.ix_(rows, rows)],
+                          results[(3, 3)].moment_matrix)
+    # An unshared basis holds no block of another M: its M is a fresh fit's
+    # on the same batch, bit for bit.
+    z, w = results[(5, 5)].samples, results[(5, 5)].weights
+    assert z.shape[0] == 400
+    for own in unshared:
+        basis = ProductBasis([BasisFamily(HERMITE)] * 2, own)
+        fresh = fit_from_batch(config.build_target(), basis, z, w).moment_matrix
+        assert np.array_equal(results[own].moment_matrix, fresh)
+
+
 def fail_fits_of_size(monkeypatch, size):
     # A runtime failure of the fit itself, for every basis of `size` functions.
     fit = harness.fit_from_batch
 
-    def failing_fit(cache, basis, *rest):
+    def failing_fit(target, basis, *rest, **kwargs):
         if basis.size == size:
             raise np.linalg.LinAlgError("eigensolve did not converge")
-        return fit(cache, basis, *rest)
+        return fit(target, basis, *rest, **kwargs)
 
     monkeypatch.setattr(harness, "fit_from_batch", failing_fit)
 

@@ -30,12 +30,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # per-family order setting went too: `basis1d.MAX_ORDER` caps every family.
 # The CDF table's packed pair positions went with the pairwise table, and
 # the harness's integer rule moved to `utils.as_integer`.  A CDF table
-# carried its family and order, which nothing read.
+# carried its family and order, which nothing read.  The score cache went
+# too: a fit on a shared batch takes the earlier fit it is handed.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
-            "fisher_divergence_empirical"),
+            "fisher_divergence_empirical", "ScoreCache"),
     ofevi.harness: ("fisher_divergence_empirical", "_integer"),
+    ofevi.estimator: ("ScoreCache",),
     ofevi.density: ("_packed_positions",),
     ofevi.basis1d: ("hermite", "legendre", "fourier", "laguerre",
                     "eval_basis", "eval_basis_grad", "recurrence_z_phi",
@@ -43,7 +45,6 @@ REMOVED = {
     ofevi.BasisFamily: ("max_order",),
     ofevi.ProductBasis: ("flatten_index", "unflatten_index"),
     ofevi.StandardizingTransform: ("identity",),
-    ofevi.ScoreCache: ("log_density",),
     ofevi.CdfTable: ("family", "order"),
 }
 
