@@ -15,12 +15,12 @@ from ofevi import (
     HERMITE,
     BasisFamily,
     Gaussian,
+    OfeDensity,
     ProductBasis,
     StandardizedTarget,
     UniformBox,
     estimate_transform,
     fit,
-    pull_density,
 )
 from ofevi.harness import kl_from_samples
 
@@ -50,7 +50,8 @@ def main() -> None:
     print(f"estimated mean {transform.mean}, scale {transform.chol.ravel()}")
     result = fit(StandardizedTarget(target, transform), ProductBasis([BasisFamily(HERMITE)], (1,)),
                  proposal, np.random.default_rng((args.seed, 5)), n_samples=100)
-    kl, se, _ = kl_from_samples(z_ref, log_p, pull_density(result.density, transform))
+    q = OfeDensity(result.density.basis, result.density.coeffs, transform)
+    kl, se, _ = kl_from_samples(z_ref, log_p, q)
     print(f"standardized K=1: kl={kl:.6e} (se {se:.6e})")
 
 

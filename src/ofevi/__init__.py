@@ -49,7 +49,6 @@ from .standardize import (
     StandardizingTransform,
     estimate_moments,
     estimate_transform,
-    pull_density,
 )
 from .targets import (
     TARGET_REGISTRY,
@@ -77,7 +76,7 @@ __all__ = [
     "bimodal_1d", "mixture_2d", "funnel_2d", "cross_2d",
     "sinh_arcsinh_2d", "sinh_arcsinh_5d", "make_target", "TARGET_REGISTRY",
     "StandardizingTransform", "StandardizedTarget",
-    "estimate_moments", "estimate_transform", "pull_density",
+    "estimate_moments", "estimate_transform",
     "OfeDensity", "CdfTable", "build_cdf_table",
     "ScoreTarget", "FitResult",
     "feature_vectors", "assemble_moment_matrix", "min_eigenpair",

@@ -29,7 +29,7 @@ from .harness import (
     write_outputs,
 )
 from .targets import make_target
-from .utils import as_integer
+from .utils import as_integer, to_json
 
 
 def _parse_params(text: str) -> dict:
@@ -80,7 +80,7 @@ def _cmd_fit(args) -> int:
         "standardized": args.standardize,
         "density_path": args.out,
     }
-    print(json.dumps(summary, indent=2))
+    print(to_json(summary))
     return 0
 
 
@@ -106,7 +106,7 @@ def _cmd_sample(args) -> int:
 def _cmd_moments(args) -> int:
     q = _load_density(args.density)
     mean, cov = q.mean_and_cov()
-    print(json.dumps({"mean": mean.tolist(), "cov": cov.tolist()}, indent=2))
+    print(to_json({"mean": mean.tolist(), "cov": cov.tolist()}))
     return 0
 
 
@@ -123,7 +123,7 @@ def _cmd_evaluate(args) -> int:
         print(f"error: {'; '.join(notes)}", file=sys.stderr)
         return 2
     payload = {key: fields[key] for key in ("kl", "kl_se", "fisher_div", "fisher_se")}
-    print(json.dumps(payload | {"n": args.n}, indent=2))
+    print(to_json(payload | {"n": args.n}))
     return 0
 
 

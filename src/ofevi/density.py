@@ -4,8 +4,9 @@ q(z) = f(z)^2 with f(z) = sum_i alpha_i Phi_i(z), where the Phi_i are
 products of orthonormal 1-D basis functions and ||alpha||_2 = 1.  Squaring
 makes q nonnegative and orthonormality makes it integrate to one, so q is a
 density for every unit coefficient vector with no normalizing constant to
-track.  An optional affine transform re-expresses the density in original
-(unstandardized) coordinates; evaluation, sampling, and moments all honor it.
+track.  An optional `StandardizingTransform`, passed to the constructor,
+re-expresses the density in original (unstandardized) coordinates;
+evaluation, sampling, moments and the density file all honor it.
 
 Evaluation never forms the K product features.  One primitive,
 `_contract_axis`, contracts the (K_1, ..., K_D) coefficient tensor against
@@ -67,6 +68,7 @@ from .basis1d import (
 )
 from .exceptions import PoleError, TableBuildError
 from .product_basis import ProductBasis
+from .standardize import StandardizingTransform
 from .utils import as_batch, as_integer
 
 _CHUNK_DRAWS = 1024
@@ -204,10 +206,6 @@ class CdfTable:
     node_vals: np.ndarray
     node_span: np.ndarray
 
-    @property
-    def points(self) -> int:
-        return self.grid.shape[0]
-
     def span_coefficients(self, block: np.ndarray) -> np.ndarray:
         """gamma (c, M) of the c densities sum_p (sum_k block[i, k, p] phi_k)^2.
 
@@ -344,10 +342,6 @@ class OfeDensity:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @property
-    def size(self) -> int:
-        return self.basis.size
 
     def _standardize(self, z):
         return as_batch(z, self.dim) if self.transform is None else self.transform.to_standard(z)
@@ -540,9 +534,6 @@ class OfeDensity:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OfeDensity":
-        # imported here: standardize depends on this module for pull_density
-        from .standardize import StandardizingTransform
-
         # Older files also carry a "max_orders" key, which MAX_ORDER replaced.
         families = [BasisFamily(kind) for kind in payload["families"]]
         basis = ProductBasis(families=families, orders=payload["orders"])

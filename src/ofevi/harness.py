@@ -45,9 +45,9 @@ from .estimator import (
 from .exceptions import ConfigError, PoleError, SupportError, TableBuildError
 from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
-from .standardize import StandardizedTarget, estimate_transform, pull_density
+from .standardize import StandardizedTarget, estimate_transform
 from .targets import TARGET_REGISTRY, make_target
-from .utils import as_integer
+from .utils import as_integer, to_json
 
 SCHEMA_VERSION = 1
 
@@ -320,7 +320,9 @@ def fit_cells(config: ExperimentConfig, target):
                 result = fit_from_batch(fit_target, basis, z, weights, earlier=earlier)
                 if shared is not None and (earlier is None or size > earlier.density.basis.size):
                     earlier = result
-                q = result.density if transform is None else pull_density(result.density, transform)
+                q = result.density
+                if transform is not None:
+                    q = OfeDensity(q.basis, q.coeffs, transform)
             except Exception as exc:  # per-cell isolation: record and move on
                 yield bi, ki, replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
                 continue
@@ -437,7 +439,8 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def records_to_json(records: list[RunRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+    """The records as strict JSON; a NaN metric is null, which records_from_json reads as None."""
+    return to_json([r.to_dict() for r in records]) + "\n"
 
 
 def records_from_json(text: str) -> list[RunRecord]:

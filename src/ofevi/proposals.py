@@ -28,6 +28,8 @@ class UniformBox:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("lo and hi must be finite")
         if np.any(lo >= hi):
             raise ValueError("need lo < hi in every dimension")
         object.__setattr__(self, "lo", lo)
@@ -64,8 +66,10 @@ class IsotropicGaussian:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("variance must be positive and finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", float(self.variance))
         object.__setattr__(self, "dim", mean.shape[0])

@@ -4,8 +4,9 @@ Fitting works best when the target has roughly zero mean and unit scale, so
 we estimate first and second moments by self-normalized importance sampling,
 form the transform z_std = L^{-1}(z - mu) with L the Cholesky factor of the
 estimated covariance, and fit in standardized coordinates.  The pushforward
-target and the pullback of the fitted density are exact changes of variables,
-so nothing about the fit itself is approximate.
+target is an exact change of variables, and so is the fitted density read
+back as `OfeDensity(basis, coeffs, transform)`, so nothing about the fit
+itself is approximate.  `density` imports this module, not the reverse.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import OfeDensity
 from .exceptions import ProposalSupportError, TransformError
 from .utils import as_batch
 
@@ -36,6 +36,8 @@ class StandardizingTransform:
         chol = np.atleast_2d(np.asarray(self.chol, dtype=float))
         if chol.shape != (mean.size, mean.size):
             raise TransformError("chol shape does not match mean")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(chol))):
+            raise TransformError("mean and chol must be finite")
         if np.any(np.triu(chol, 1) != 0.0):
             raise TransformError("chol must be lower triangular")
         if np.any(np.diag(chol) <= 0.0):
@@ -99,14 +101,6 @@ class StandardizedTarget:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.transform.to_standard(self.target.sample(rng, n))
-
-
-def pull_density(q_std: OfeDensity, transform: StandardizingTransform) -> OfeDensity:
-    """Attach a transform so a density fitted in standardized coordinates
-    evaluates, samples, and reports moments in original coordinates."""
-    if q_std.transform is not None:
-        raise TransformError("density already carries a transform")
-    return OfeDensity(q_std.basis, q_std.coeffs, transform)
 
 
 def estimate_moments(target, proposal, n_samples: int, rng: np.random.Generator):

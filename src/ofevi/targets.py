@@ -54,6 +54,8 @@ class Gaussian:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
         if not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be finite")
         # cholesky reads only the lower triangle, so it would silently
@@ -140,8 +142,8 @@ class Funnel:
     dim: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
 
     def log_density(self, z):
         z = as_batch(z, 2)
@@ -175,8 +177,11 @@ class SinhArcsinh:
     def __init__(self, s, tau, cov):
         self.s = np.atleast_1d(np.asarray(s, dtype=float))
         self.tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        if np.any(self.tau <= 0):
-            raise ValueError("tau must be strictly positive")
+        if not np.all(np.isfinite(self.s)):
+            raise ValueError("s must be finite")
+        # A NaN tau fails `> 0`.
+        if not np.all((self.tau > 0) & (self.tau < np.inf)):
+            raise ValueError("tau must be strictly positive and finite")
         self.base = Gaussian(np.zeros(self.s.size), cov)
         if self.s.shape != self.tau.shape or self.s.size != self.base.dim:
             raise ValueError("s, tau, and cov dimensions must agree")

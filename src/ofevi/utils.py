@@ -3,10 +3,15 @@
 Every evaluator in ofevi takes a batch of points, shape (n, D), and returns
 arrays, shape (n,) or (n, D); a single point z is the batch z[None].  Every
 count, in a config, on the command line or in a sampling call, goes through
-one integer rule, `as_integer`.
+one integer rule, `as_integer`.  The CLI's JSON output and the records
+file go through `to_json`, which writes a non-finite float as null, so
+strict JSON parsers read them.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -33,3 +38,18 @@ def as_integer(value, name: str, least: int) -> int:
     if whole < least:
         raise ConfigError(f"{name} must be at least {least}")
     return whole
+
+
+def to_json(payload) -> str:
+    """payload as strict JSON, indented by 2; a NaN or infinite float becomes null."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(item) for item in value]
+        return value
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False)

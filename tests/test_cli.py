@@ -17,6 +17,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """text parsed as JSON, refusing the NaN and Infinity tokens json.loads accepts by default."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def fit_gaussian(tmp_path, capsys, orders="1", extra=()):
     out = tmp_path / "density.json"
     code, stdout, _ = run_cli(
@@ -26,7 +35,7 @@ def fit_gaussian(tmp_path, capsys, orders="1", extra=()):
         "--out", str(out), *extra,
     )
     assert code == 0
-    return out, json.loads(stdout)
+    return out, strict_json(stdout)
 
 
 def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
@@ -93,7 +102,7 @@ def test_moments_reports_mean_and_cov(tmp_path, capsys):
     density, _ = fit_gaussian(tmp_path, capsys)
     code, stdout, _ = run_cli(capsys, "moments", "--density", str(density))
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert payload["mean"][0] == pytest.approx(0.0, abs=1e-12)
     assert payload["cov"][0][0] == pytest.approx(1.0, rel=1e-12)
 
@@ -110,6 +119,19 @@ def test_evaluate_reports_divergences(tmp_path, capsys):
     assert abs(payload["kl"]) < 1e-10
     assert payload["fisher_div"] < 1e-24 and payload["fisher_se"] < 1e-24
     assert payload["n"] == 5000
+
+
+def test_evaluate_on_one_draw_prints_strict_json_with_null_standard_errors(tmp_path, capsys):
+    # One draw has no sample standard error: NaN, which JSON cannot hold.
+    density, _ = fit_gaussian(tmp_path, capsys)
+    code, stdout, _ = run_cli(
+        capsys, "evaluate", "--density", str(density), "--target", "gaussian",
+        "--target-params", '{"mean": [0.0], "cov": [[1.0]]}', "--n", "1",
+    )
+    assert code == 0
+    payload = strict_json(stdout)
+    assert payload["kl_se"] is None and payload["fisher_se"] is None
+    assert math.isfinite(payload["kl"]) and payload["n"] == 1
 
 
 DRAW_COMMANDS = [
@@ -144,9 +166,12 @@ GOOD_DENSITY = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * 2, (2, 2)), np.f
         [GOOD_DENSITY],
         # An older file's own "max_orders" cannot lift the cap of 64.
         dict(GOOD_DENSITY, max_orders=[128, 64], orders=[65, 2], coeffs=[0.1] * 130),
+        # Such a transform would load and sample NaN.
+        dict(GOOD_DENSITY, transform={"mean": [math.nan, 0.0], "chol": [[1.0, 0.0], [0.0, 1.0]]}),
+        dict(GOOD_DENSITY, transform={"mean": [0.0, 0.0], "chol": [[math.inf, 0.0], [0.0, 1.0]]}),
     ],
     ids=["unknown-family", "coefficient-short", "upper-triangular-chol", "top-level-list",
-         "order-past-the-cap"],
+         "order-past-the-cap", "nan-transform-mean", "infinite-transform-chol"],
 )
 def test_a_malformed_density_file_exits_one(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -179,6 +204,14 @@ BAD_TARGET_PARAMS = [
      "--orders", "2,2"),
     ("--target", "mixture", "--target-params",
      '{"weights": [NaN, 1.0], "means": [[0.0], [1.0]], "covs": [[[1.0]], [[1.0]]]}'),
+    ("--target", "gaussian", "--target-params", '{"mean": [NaN], "cov": [[1.0]]}'),
+    ("--target", "mixture", "--target-params",
+     '{"weights": [0.5, 0.5], "means": [[0.0], [Infinity]], "covs": [[[1.0]], [[1.0]]]}'),
+    ("--target", "funnel", "--target-params", '{"sigma2": Infinity}', "--orders", "2,2"),
+    ("--target", "sinh_arcsinh", "--target-params", '{"s": [NaN], "tau": [1.0], "cov": [[1.0]]}'),
+    ("--target", "sinh_arcsinh", "--target-params", '{"s": [0.0], "tau": [NaN], "cov": [[1.0]]}'),
+    ("--target", "sinh_arcsinh", "--target-params",
+     '{"s": [0.0], "tau": [Infinity], "cov": [[1.0]]}'),
 ]
 
 
@@ -379,6 +412,21 @@ def test_fit_flag_errors_exit_one(capsys, extra):
         "--target-params", '{"mean": [0.0], "cov": [[1.0]]}', *extra,
     )
     assert code == 1 and "config error" in stderr
+
+
+def test_fit_with_a_nan_target_mean_exits_one_before_drawing_a_batch(capsys, monkeypatch):
+    # It used to draw its batch, find every score NaN and exit 2.
+    from ofevi import proposals
+
+    def no_draws(self, rng, n):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(proposals.UniformBox, "sample", no_draws)
+    code, _, stderr = run_cli(
+        capsys, "fit", "--target", "gaussian", "--target-params", '{"mean": [NaN], "cov": [[1.0]]}',
+        "--orders", "3", "--seed", "0",
+    )
+    assert code == 1 and "config error" in stderr and "mean must be finite" in stderr
 
 
 @pytest.mark.parametrize(

@@ -356,8 +356,8 @@ def test_moment_memory_stays_bounded():
 
 def test_cdf_table_matches_standard_normal():
     table = build_cdf_table(BasisFamily(HERMITE), 1)
-    mid = table.points // 2
-    assert table.pair_prefix.shape == (table.points, 1)
+    mid = table.grid.shape[0] // 2
+    assert table.pair_prefix.shape == (table.grid.shape[0], 1)
     cdf = table.pair_prefix @ table.span_coefficients(np.ones((1, 1, 1)))[0]
     assert table.grid[mid] == 0.0
     assert cdf[mid] == pytest.approx(0.5, abs=1e-9)
@@ -369,7 +369,7 @@ def test_cdf_table_cross_terms_and_bounds():
     # The integral of each product phi_k phi_l, read through the span: its
     # span coefficients are the Gauss rule's projection of phi_k phi_l.
     table = build_cdf_table(BasisFamily(HERMITE), 8)
-    assert table.pair_prefix.shape == (table.points, 15)
+    assert table.pair_prefix.shape == (table.grid.shape[0], 15)
     products = np.einsum("kj,lj,jm->klm", table.node_vals, table.node_vals, table.node_span)
     plain = table.pair_prefix @ products.reshape(64, -1).T
     last = plain[-1].reshape(8, 8)
@@ -391,7 +391,7 @@ def test_span_cdf_matches_the_pairwise_prefix_integrals(kind, order):
     family = BasisFamily(kind)
     table = build_cdf_table(family, order)
     size = 4 * (order // 2) + 1 if kind == FOURIER else 2 * order - 1
-    assert table.pair_prefix.shape == (table.points, size)
+    assert table.pair_prefix.shape == (table.grid.shape[0], size)
     grid, prefix = pairwise_prefix(family, order)
     assert np.array_equal(grid, table.grid)
     w = np.random.default_rng(order).normal(size=(order, 3))

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ofevi import (
     RunRecord,
     StandardizingTransform,
     TableBuildError,
-    pull_density,
     records_from_json,
     records_to_csv,
     records_to_json,
@@ -48,8 +48,9 @@ def test_forward_kl_of_a_perfect_fit_is_zero():
 def test_forward_kl_matches_the_gaussian_formula():
     # KL(N(0,1) || N(0,2)) = (1/2 + ln 2 - 1) / 2
     target = Gaussian(np.zeros(1), np.eye(1))
-    wide = pull_density(
-        standard_fit_density(), StandardizingTransform(np.zeros(1), np.array([[math.sqrt(2.0)]]))
+    q_std = standard_fit_density()
+    wide = OfeDensity(
+        q_std.basis, q_std.coeffs, StandardizingTransform(np.zeros(1), np.array([[math.sqrt(2.0)]]))
     )
     z = target.sample(np.random.default_rng(1), 200_000)
     kl, se, _ = kl_from_samples(z, np.asarray(target.log_density(z)), wide)
@@ -487,6 +488,23 @@ def test_records_round_trip_through_json():
     records, _ = run(small_config())
     back = records_from_json(records_to_json(records))
     assert back == list(records)
+
+
+def test_records_json_writes_a_non_finite_metric_as_null_and_the_csv_keeps_nan():
+    records, _ = run(small_config())
+    odd = [replace(records[0], kl_se=math.nan, fisher_se=math.inf), records[1]]
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = records_to_json(odd)
+    json.loads(text, parse_constant=refuse)
+    back = records_from_json(text)
+    assert back[0].kl_se is None and back[0].fisher_se is None
+    assert back[0] == replace(odd[0], kl_se=None, fisher_se=None) and back[1] == records[1]
+    # The CSV still writes repr(value).
+    rows = records_to_csv(odd).split("\n")
+    assert rows[4].endswith(",kl_se,nan") and rows[6].endswith(",fisher_se,inf")
 
 
 def test_csv_is_long_format_and_byte_stable():

@@ -32,20 +32,25 @@ ROOT = Path(__file__).resolve().parents[1]
 # the harness's integer rule moved to `utils.as_integer`.  A CDF table
 # carried its family and order, which nothing read.  The score cache went
 # too: a fit on a shared batch takes the earlier fit it is handed.
+# `pull_density` restated the density constructor with a transform; a
+# density's `size` restated its basis's, and a CDF table's `points` its
+# grid's length.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
-            "fisher_divergence_empirical", "ScoreCache"),
+            "fisher_divergence_empirical", "ScoreCache", "pull_density"),
     ofevi.harness: ("fisher_divergence_empirical", "_integer"),
     ofevi.estimator: ("ScoreCache",),
     ofevi.density: ("_packed_positions",),
+    ofevi.standardize: ("pull_density",),
     ofevi.basis1d: ("hermite", "legendre", "fourier", "laguerre",
                     "eval_basis", "eval_basis_grad", "recurrence_z_phi",
                     "DEFAULT_MAX_ORDER"),
     ofevi.BasisFamily: ("max_order",),
     ofevi.ProductBasis: ("flatten_index", "unflatten_index"),
     ofevi.StandardizingTransform: ("identity",),
-    ofevi.CdfTable: ("family", "order"),
+    ofevi.CdfTable: ("family", "order", "points"),
+    ofevi.OfeDensity: ("size",),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -72,3 +74,21 @@ def test_validation_errors():
         IsotropicGaussian(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         UniformBox.centered(1.0, 1).sample(np.random.default_rng(0), 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformBox(np.array([math.nan]), np.array([1.0])),
+        lambda: UniformBox(np.array([0.0]), np.array([math.inf])),
+        lambda: UniformBox(np.array([-math.inf]), np.array([1.0])),
+        lambda: IsotropicGaussian(np.array([math.nan]), 1.0),
+        lambda: IsotropicGaussian(np.zeros(1), math.inf),
+        lambda: IsotropicGaussian(np.zeros(1), math.nan),
+    ],
+    ids=["box-nan-lo", "box-infinite-hi", "box-infinite-lo", "gaussian-nan-mean",
+         "gaussian-infinite-variance", "gaussian-nan-variance"],
+)
+def test_a_non_finite_parameter_is_refused(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

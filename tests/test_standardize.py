@@ -20,7 +20,6 @@ from ofevi import (
     UniformBox,
     estimate_moments,
     estimate_transform,
-    pull_density,
 )
 
 from oracles import fd_gradient
@@ -60,6 +59,23 @@ def test_transform_validation():
         StandardizingTransform.from_moments(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "mean, chol",
+    [([math.nan], [[1.0]]), ([math.inf], [[1.0]]), ([0.0], [[math.inf]]),
+     ([0.0, 0.0], [[1.0, 0.0], [math.nan, 1.0]])],
+    ids=["nan-mean", "infinite-mean", "infinite-chol", "nan-below-the-diagonal"],
+)
+def test_a_non_finite_transform_is_refused(mean, chol):
+    # A NaN below the diagonal passes the triangle and diagonal checks.
+    with pytest.raises(TransformError, match="finite"):
+        StandardizingTransform(np.array(mean), np.array(chol))
+    payload = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * len(mean), (2,) * len(mean)),
+                         np.ones(2 ** len(mean))).to_dict()
+    payload["transform"] = {"mean": mean, "chol": chol}
+    with pytest.raises(TransformError, match="finite"):
+        OfeDensity.from_dict(payload)
+
+
 def test_scale_moments():
     rng = np.random.default_rng(1)
     t = random_transform(rng, 3)
@@ -94,12 +110,12 @@ def test_pushforward_score_matches_finite_differences():
         assert np.allclose(std.score(z[None])[0], fd, rtol=1e-6, atol=1e-7)
 
 
-def test_pull_density_is_an_exact_change_of_variables():
-    # K=1 in standardized coordinates pulled back through (mu, L) is N(mu, L L^T).
+def test_a_density_built_with_a_transform_is_an_exact_change_of_variables():
+    # K=1 in standardized coordinates read back through (mu, L) is N(mu, L L^T).
     basis = ProductBasis([BasisFamily(HERMITE)], (1,))
     q_std = OfeDensity(basis, np.array([1.0]))
     t = StandardizingTransform(np.array([3.0]), np.array([[math.sqrt(0.125)]]))
-    q = pull_density(q_std, t)
+    q = OfeDensity(q_std.basis, q_std.coeffs, t)
     ref = Gaussian(np.array([3.0]), np.array([[0.125]]))
     for x in (2.5, 3.0, 3.5):
         assert q.log_density([[x]])[0] == pytest.approx(ref.log_density([[x]])[0], rel=1e-12)
@@ -109,13 +125,6 @@ def test_pull_density_is_an_exact_change_of_variables():
     mean, cov = q.mean_and_cov()
     assert mean[0] == pytest.approx(3.0, rel=1e-12)
     assert cov[0, 0] == pytest.approx(0.125, rel=1e-12)
-
-
-def test_pull_density_rejects_double_attachment():
-    basis = ProductBasis([BasisFamily(HERMITE)], (2,))
-    q = OfeDensity(basis, np.array([1.0, 0.0]), StandardizingTransform(np.zeros(1), np.eye(1)))
-    with pytest.raises(TransformError):
-        pull_density(q, StandardizingTransform(np.zeros(1), np.eye(1)))
 
 
 def test_estimate_moments_recovers_a_gaussian():

@@ -213,6 +213,26 @@ def test_parameter_validation():
         Gaussian(np.zeros(2), np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Gaussian([math.nan], [[1.0]]),
+        lambda: Gaussian([0.0], [[math.inf]]),
+        lambda: GaussianMixture([0.5, 0.5], [[0.0], [math.inf]], [[[1.0]], [[1.0]]]),
+        lambda: SinhArcsinh([math.nan], [1.0], [[1.0]]),
+        lambda: SinhArcsinh([0.0], [math.nan], [[1.0]]),
+        lambda: SinhArcsinh([0.0], [math.inf], [[1.0]]),
+        lambda: Funnel(sigma2=math.inf),
+        lambda: Funnel(sigma2=math.nan),
+    ],
+    ids=["gaussian-nan-mean", "gaussian-infinite-cov", "mixture-infinite-mean", "sinh-nan-s",
+         "sinh-nan-tau", "sinh-infinite-tau", "funnel-infinite-sigma2", "funnel-nan-sigma2"],
+)
+def test_a_non_finite_parameter_is_refused(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_an_asymmetric_covariance_is_refused():
     # cholesky reads only the lower triangle: this one would become N(0, I).
     lower = [[1.0, 0.0], [0.9, 1.0]]
