@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _blas
 from .density import OfeDensity
-from .estimator import largest_array_bytes
 from .exceptions import ConfigError
 from .harness import (
     ExperimentConfig,
@@ -76,7 +75,7 @@ def _cmd_fit(args) -> int:
         "rejected": result.rejected,
         "blas_threads": result.blas_threads,
         "timings_ms": result.timings_ms,
-        "largest_array_bytes": largest_array_bytes(record.K, q.dim),
+        "largest_array_bytes": result.largest_array_bytes,
         "standardized": args.standardize,
         "density_path": args.out,
     }

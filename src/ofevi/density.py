@@ -35,12 +35,11 @@ coefficients and transform.
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
-x^2 phi_a phi_b: banded recurrences for Hermite, quadrature otherwise.
+x^2 phi_a phi_b, each exact from the family's own Gauss rule.
 
-Every other 1-D integral, the CDF tables' prefix integrals and the
-non-Hermite moments, comes from one composite 7-point Gauss-Lobatto rule on
-a grid sized from the family and the order, so sampling and moments hold at
-every order up to basis1d.MAX_ORDER.
+The CDF tables' prefix integrals come from one composite 7-point
+Gauss-Lobatto rule on a grid sized from the family and the order, so
+sampling holds at every order up to basis1d.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -229,16 +228,14 @@ def _span_values(family: BasisFamily, size: int, t: np.ndarray) -> np.ndarray:
     order.  M runs past MAX_ORDER (127 at order 64), so the family's builder
     is called directly.
     """
-    build = _TABLE_BUILDERS[family.kind]
-    if family.kind == HERMITE:
-        return 2.0**0.25 * build(size, math.sqrt(2.0) * t)
-    if family.kind == LAGUERRE:
-        return math.sqrt(2.0) * build(size, 2.0 * t)
-    return build(size, t)
+    c = _DILATION[family.kind]
+    return math.sqrt(c) * _TABLE_BUILDERS[family.kind](size, c * t)
 
 
-# Nodes of the span's M-point Gauss rule: the zeros of g_{M+1}, or any M
-# equispaced points for Fourier.
+# The span's dilation c, g_m(t) = sqrt(c) phi_m(c t), and the nodes of its
+# M-point Gauss rule: the zeros of g_{M+1}, or any M equispaced points for
+# Fourier.  Dilated by c, the nodes are those of the family's own rule.
+_DILATION = {HERMITE: math.sqrt(2.0), LAGUERRE: 2.0, LEGENDRE: 1.0, FOURIER: 1.0}
 _SPAN_NODES = {
     HERMITE: lambda size: hermgauss(size)[0],
     LAGUERRE: lambda size: 0.5 * laggauss(size)[0],
@@ -298,24 +295,24 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
 def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, order) matrices of the integrals of x phi_a phi_b and x^2 phi_a phi_b.
 
-    For the Hermite family these are the closed-form bands of the
-    recurrence z phi_a = sqrt(a) phi_{a+1} + sqrt(a-1) phi_{a-1} (1-based):
-    x couples neighbours, and x^2 is the square of the untruncated x band,
-    not of its top-left block.  Other families integrate on the nodes of the
-    composite rule that builds their CDF tables.
+    Both come from the family's own Gauss rule, with Christoffel weights
+    1 / sum_m phi_m(t_j)^2.  For the polynomial families the (order + 1)-point
+    rule is exact.  Fourier products have degree 2 * (order // 2), which the
+    span's rule integrates exactly against the Fourier series of x and x^2
+    on (0, 2 pi) cut at that degree; the cut terms are orthogonal to them.
     """
-    if family.kind == HERMITE:
-        a = np.arange(order)
-        first = np.zeros((order, order))
-        first[a[:-1], a[1:]] = first[a[1:], a[:-1]] = np.sqrt(a[1:])
-        second = np.diag(2.0 * a + 1.0)
-        second[a[:-2], a[2:]] = second[a[2:], a[:-2]] = np.sqrt((a[:-2] + 1.0) * (a[:-2] + 2.0))
-        return first, second
-    _, nodes, weights = _composite_rule(family, order)
-    x, w = nodes.reshape(-1), weights.reshape(-1)
-    vals, _ = basis_tables(family, order, x, derivatives=False)
-    weighted = vals * (w * x)
-    return weighted @ vals.T, (weighted * x) @ vals.T
+    if family.kind == FOURIER:
+        t = _SPAN_NODES[FOURIER](4 * (order // 2) + 1)
+        m = np.arange(1.0, 2 * (order // 2) + 1)[:, None]
+        sin, cos = np.sin(m * t) / m, np.cos(m * t) / m**2
+        x = math.pi - 2.0 * sin.sum(axis=0)
+        x2 = 4.0 * (math.pi**2 / 3.0 + (cos - math.pi * sin).sum(axis=0))
+    else:
+        t = _DILATION[family.kind] * _SPAN_NODES[family.kind](order + 1)
+        x, x2 = t, t * t
+    vals = _TABLE_BUILDERS[family.kind](t.shape[0], t)
+    weighted = vals[:order] / np.sum(vals * vals, axis=0)
+    return (weighted * x) @ vals[:order].T, (weighted * x2) @ vals[:order].T
 
 
 def _apply_axis(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:

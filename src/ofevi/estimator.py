@@ -185,7 +185,11 @@ def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted density with its M, and the kept draws, weights and finite scores of M."""
+    """A fitted density with its M, and the kept draws, weights and finite scores of M.
+
+    largest_array_bytes is `largest_array_bytes` of the basis: the bytes of M or of one
+    chunk's features, whichever is larger.
+    """
 
     density: OfeDensity
     eigenvalue: float
@@ -197,6 +201,7 @@ class FitResult:
     rejected: int
     blas_threads: int | None
     timings_ms: dict
+    largest_array_bytes: int
 
 
 def largest_array_bytes(size: int, dim: int) -> int:
@@ -318,4 +323,5 @@ def fit_from_batch(
             "assemble": 1e3 * (t2 - t1),
             "eigensolve": 1e3 * (t3 - t2),
         },
+        largest_array_bytes=largest_array_bytes(basis.size, basis.dim),
     )

@@ -118,8 +118,19 @@ class ExperimentConfig:
             )
         scale = self.proposal_scale
         if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
-                or not (math.isfinite(scale) and scale > 0)):
+                or not 0 < scale < math.inf):
             raise ConfigError("proposal_scale must be a positive and finite number")
+        # A finite scale can still under- or overflow the proposal's density.
+        try:
+            with np.errstate(all="ignore"):
+                proposal = self.build_proposal()
+                centre = (proposal.mean if self.proposal == "gaussian"
+                          else 0.5 * (proposal.lo + proposal.hi))
+                peak = float(proposal.density(centre[None])[0])
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"proposal_scale {scale!r} builds no proposal: {exc}") from None
+        if not (math.isfinite(peak) and peak > 0.0):
+            raise ConfigError(f"proposal_scale {scale!r} gives a proposal density of {peak} at its centre")
         if not isinstance(self.standardize, bool):
             raise ConfigError("standardize must be true or false")
         if self.out_prefix is not None and not isinstance(self.out_prefix, str):
@@ -137,6 +148,21 @@ class ExperimentConfig:
                 f"target {self.target!r} has dimension {target.dim}, orders imply {self.dim}"
             )
         return target
+
+    def build_proposal(self):
+        """The configured proposal in `dim` dimensions, drawing only inside the family's support.
+
+        A finite support edge is a side of the uniform box, and -/+ proposal_scale
+        stands in for an infinite one; the Gaussian's sd is proposal_scale.
+        """
+        if self.proposal == "gaussian":
+            return IsotropicGaussian(np.zeros(self.dim), self.proposal_scale**2)
+        lo, hi = BasisFamily(self.family).support
+        s = self.proposal_scale
+        return UniformBox(
+            np.full(self.dim, lo if math.isfinite(lo) else -s),
+            np.full(self.dim, hi if math.isfinite(hi) else s),
+        )
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -199,6 +225,7 @@ class RunRecord:
     assemble_ms: float | None = None
     eigensolve_ms: float | None = None
     blas_threads: int | None = None
+    largest_array_bytes: int | None = None
     error: str | None = None
     note: str = ""
 
@@ -271,17 +298,7 @@ def fit_cells(config: ExperimentConfig, target):
     set and None for the result and the density.
     """
     family = BasisFamily(config.family)
-    if config.proposal == "uniform":
-        # Every draw must lie in the family's support: a finite support edge
-        # is a side of the box, and -/+ proposal_scale stands in for an infinite one.
-        lo, hi = family.support
-        s = config.proposal_scale
-        proposal = UniformBox(
-            np.full(target.dim, lo if math.isfinite(lo) else -s),
-            np.full(target.dim, hi if math.isfinite(hi) else s),
-        )
-    else:
-        proposal = IsotropicGaussian(np.zeros(target.dim), config.proposal_scale**2)
+    proposal = config.build_proposal()
     config_hash = config.hash()
 
     if config.standardize:
@@ -408,6 +425,7 @@ def _run_cell(config, record, result, q, reference, bi, ki):
         assemble_ms=result.timings_ms["assemble"],
         eigensolve_ms=result.timings_ms["eigensolve"],
         blas_threads=result.blas_threads,
+        largest_array_bytes=result.largest_array_bytes,
         note="; ".join(notes),
     )
 

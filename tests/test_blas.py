@@ -241,7 +241,8 @@ def test_sampling_runs_at_one_thread_whatever_the_thread_count(monkeypatch):
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_moments_run_at_one_thread_whatever_the_thread_count(monkeypatch):
-    # Unpinned at two threads, this density's mean differs in its last bits.
+    # Each _moment_matrices call runs under the pin, whatever the thread
+    # count outside it, and the moments are the pinned ones bit for bit.
     basis = ProductBasis([BasisFamily("legendre"), BasisFamily("laguerre")], (40, 40))
     q = OfeDensity(basis, np.random.default_rng(0).normal(size=basis.size))
     with _blas.pinned():

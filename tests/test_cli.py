@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,26 @@ def test_fit_flag_errors_exit_one(capsys, extra):
     assert code == 1 and "config error" in stderr
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # scale**2 underflows to a zero variance
+        ("--target", "bimodal1d", "--orders", "4", "--proposal", "gaussian", "--scale", "1e-200"),
+        # scale**2 overflows
+        ("--target", "bimodal1d", "--orders", "4", "--proposal", "gaussian", "--scale", "1e200"),
+        # the box volume overflows, so the box density is 0
+        ("--target", "mixture2d", "--orders", "4,4", "--scale", "1e200"),
+    ],
+    ids=["gaussian-underflow", "gaussian-overflow", "box-overflow"],
+)
+def test_a_scale_whose_proposal_density_under_or_overflows_exits_one(capsys, flags):
+    # It used to fail later, in the fit, with exit 2 (and a RuntimeWarning on the box).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run_cli(capsys, "fit", *flags, "--seed", "0")
+    assert code == 1 and "config error" in stderr and "proposal_scale" in stderr
+
+
 def test_fit_with_a_nan_target_mean_exits_one_before_drawing_a_batch(capsys, monkeypatch):
     # It used to draw its batch, find every score NaN and exit 2.
     from ofevi import proposals
@@ -449,6 +470,7 @@ def test_fit_with_a_nan_target_mean_exits_one_before_drawing_a_batch(capsys, mon
         {"sample_probe": False},
         {"standardize": "false"},
         {"proposal_scale": True},
+        {"proposal_scale": 10**400},
         {"out_prefix": 5},
     ],
 )

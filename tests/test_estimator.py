@@ -229,6 +229,8 @@ def test_gaussian_fit_is_exact_at_order_one():
     assert np.array_equal(result.density.coeffs, [1.0])
     assert result.rejected == 0
     assert set(result.timings_ms) == {"score_eval", "assemble", "eigensolve"}
+    # The larger of M (8 bytes) and one chunk's features (8 * CHUNK bytes).
+    assert result.largest_array_bytes == 8 * CHUNK
 
 
 def test_fit_recovers_an_in_family_density():

@@ -295,6 +295,7 @@ def test_run_produces_complete_records():
         assert rec.B == 400
         for field in ("score_ms", "assemble_ms", "eigensolve_ms"):
             assert getattr(rec, field) >= 0.0
+        assert rec.largest_array_bytes == largest_array_bytes(rec.K, 2)
     assert records[0].K == 4 and records[1].K == 9
 
 
@@ -488,6 +489,10 @@ def test_records_round_trip_through_json():
     records, _ = run(small_config())
     back = records_from_json(records_to_json(records))
     assert back == list(records)
+    # The bytes of a fit's largest array are in the JSON, not among the CSV's metrics.
+    payload = json.loads(records_to_json(records))
+    assert [p["largest_array_bytes"] for p in payload] == [largest_array_bytes(r.K, 2) for r in records]
+    assert "largest_array_bytes" not in records_to_csv(records)
 
 
 def test_records_json_writes_a_non_finite_metric_as_null_and_the_csv_keeps_nan():
@@ -571,6 +576,6 @@ def test_record_round_trip_preserves_every_field():
         seed=1, standardize=False, lambda_min=1e-4, residual=1e-12,
         kl=0.5, kl_se=0.01, kl_excluded=0, fisher_div=0.2, fisher_se=0.02, fisher_excluded=0,
         rejected=0, tail_clips=2, score_ms=1.5, assemble_ms=0.3, eigensolve_ms=0.1,
-        error=None, note="",
+        blas_threads=1, largest_array_bytes=24576, error=None, note="",
     )
     assert RunRecord.from_dict(rec.to_dict()) == rec
