@@ -88,7 +88,8 @@ def _legendre_tables(order, z):
         p[1] = z
     for k in range(2, order):
         p[k] = ((2 * k - 1) * z * p[k - 1] - (k - 1) * p[k - 2]) / k
-    return p * np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
+    p *= np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
+    return p
 
 
 def _fourier_tables(order, z):
@@ -110,7 +111,8 @@ def _laguerre_tables(order, z):
         lag[1] = 1.0 - z
     for k in range(2, order):
         lag[k] = ((2 * k - 1 - z) * lag[k - 1] - (k - 1) * lag[k - 2]) / k
-    return lag * np.exp(-0.5 * z)
+    lag *= np.exp(-0.5 * z)
+    return lag
 
 
 _TABLE_BUILDERS = {

@@ -83,20 +83,30 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# Rows of the sample CSV formatted and written at a time, so the text in
+# memory does not grow with the number of draws.
+_CSV_ROWS = 4096
+
+
+def _write_csv(handle, samples: np.ndarray) -> None:
+    """A header z1,...,zD, then one line per draw of each coordinate's repr."""
+    handle.write(",".join(f"z{d + 1}" for d in range(samples.shape[1])) + "\n")
+    for start in range(0, samples.shape[0], _CSV_ROWS):
+        rows = samples[start:start + _CSV_ROWS].tolist()
+        handle.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
 def _cmd_sample(args) -> int:
     as_integer(args.n, "--n", least=1)
     as_integer(args.seed, "--seed", least=0)
     q = _load_density(args.density)
     rng = np.random.default_rng(args.seed)
     samples, info = q.sample_with_info(rng, args.n)
-    lines = [",".join(f"z{d + 1}" for d in range(q.dim))]
-    lines += [",".join(repr(float(v)) for v in row) for row in samples]
-    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(text)
+            _write_csv(handle, samples)
     else:
-        sys.stdout.write(text)
+        _write_csv(sys.stdout, samples)
     clamps = info["boundary_clamps"].tolist()
     print(f"boundary clamps per dimension: {clamps}", file=sys.stderr)
     return 0

@@ -13,7 +13,8 @@ Evaluation never forms the K product features.  One primitive,
 per-point 1-D value tables one axis at a time, points last and in chunks,
 so memory is O(chunk * (K / K_1 + sum K_d)).  Partial d of f is the
 coefficient tensor mapped through axis d's `derivative_matrix`, contracted
-against the values one order up: no derivative table is built.
+against the values, one order up only where that matrix reaches phi_{K_d + 1}:
+no derivative table is built.
 
 Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
@@ -28,10 +29,11 @@ functions' prefix integrals.  Every draw shares the first coordinate's S,
 so its CDF is tabulated once and searched with `np.searchsorted`; a
 conditional's differs per draw, and `_invert` bisects it from one GEMM per
 chunk of draws at every 128th grid point.  Both end in one linear step
-inside a grid cell (`_place`).  The sampler's working memory beyond its
-uniforms and samples is O(chunk).  A sampling call builds one CDF table per distinct (family,
-order) axis and drops them when it returns: a density holds only its basis,
-coefficients and transform.
+inside a grid cell (`_place`).  Each chunk draws its own uniforms, so the
+sampler's working memory beyond its samples is O(chunk).  A sampling call
+builds one CDF table per distinct (family, order) axis, without full-size
+copies of its values, and drops them when it returns: a density holds only
+its basis, coefficients and transform.
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
@@ -229,7 +231,9 @@ def _span_values(family: BasisFamily, size: int, t: np.ndarray) -> np.ndarray:
     is called directly.
     """
     c = _DILATION[family.kind]
-    return math.sqrt(c) * _TABLE_BUILDERS[family.kind](size, c * t)
+    vals = _TABLE_BUILDERS[family.kind](size, c * t)
+    vals *= math.sqrt(c)
+    return vals
 
 
 # The span's dilation c, g_m(t) = sqrt(c) phi_m(c t), and the nodes of its
@@ -261,10 +265,11 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
     """Prefix integrals of the span functions on `default_grid_spec(family, order)`.
 
     Each cell's integrals are the 7-point rule on its rows of span values,
-    accumulated in grid order.  Raises TableBuildError when the pairwise
-    integrals at the grid's upper end, read through the span, are farther
-    than 1e-6 from the identity, i.e. the grid misses mass of some basis
-    product.
+    accumulated in grid order.  The span values are scaled and the cell
+    sums accumulated in place, so no full-size copy of the table is made.
+    Raises TableBuildError when the pairwise integrals at the grid's upper
+    end, read through the span, are farther than 1e-6 from the identity,
+    i.e. the grid misses mass of some basis product.
     """
     grid, nodes, weights = _composite_rule(family, order)
     points = grid.shape[0]
@@ -273,11 +278,9 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
     node_vals, _ = basis_tables(family, order, span_nodes, derivatives=False)
     vals = _span_values(family, size, grid)
     mid_vals = _span_values(family, size, nodes[:, 1:-1].reshape(-1)).reshape(size, points - 1, 5)
-    cells = (
-        vals[:, :-1] * weights[:, 0]
-        + np.einsum("mci,ci->mc", mid_vals, weights[:, 1:-1])
-        + vals[:, 1:] * weights[:, -1]
-    )
+    cells = vals[:, :-1] * weights[:, 0]
+    cells += np.einsum("mci,ci->mc", mid_vals, weights[:, 1:-1])
+    cells += vals[:, 1:] * weights[:, -1]
     prefix = np.empty((points, size))
     prefix[0] = 0.0
     np.cumsum(cells.T, axis=0, out=prefix[1:])
@@ -380,20 +383,25 @@ class OfeDensity:
 
         Each term's coefficient tensor meets the value tables of chunks of `_CHUNK_POINTS`
         points through `_contract_axis`, one term at a time.  Partial d's tensor is f's, mapped
-        once per call through axis d's `derivative_matrix`; it reads axis d's table one order up.
+        once per call through axis d's `derivative_matrix`.  Only where that matrix reaches
+        phi_{k+1} (Hermite, and Fourier at even orders) is axis d's table built one order up;
+        elsewhere the mapped tensor's all-zero last slice is dropped.
         """
         n, axes = z.shape[0], list(enumerate(zip(self.basis.families, self.basis.orders)))
         terms = [(self.coeffs, self.basis.orders)]
+        up = [0] * len(axes)
         if gradient:
             beta = self.coeffs.reshape(self.basis.orders)
             for d, (family, k) in axes:
-                mapped = _apply_axis(beta, derivative_matrix(family, k).T, d)
+                dmat = derivative_matrix(family, k)
+                up[d] = int(np.any(dmat[:, -1]))
+                mapped = _apply_axis(beta, dmat[:, : k + up[d]].T, d)
                 terms.append((mapped.reshape(-1), mapped.shape))
         out = np.empty((len(terms), n))
         for start in range(0, n, _CHUNK_POINTS):
             stop = min(start + _CHUNK_POINTS, n)
             tables = [
-                basis_tables(family, k + gradient, z[start:stop, d], derivatives=False)[0]
+                basis_tables(family, k + up[d], z[start:stop, d], derivatives=False)[0]
                 for d, (family, k) in axes
             ]
             for i, (w, shape) in enumerate(terms):
@@ -456,12 +464,14 @@ class OfeDensity:
 
         n must be a whole number of at least 1; a bool or a fraction is a
         ConfigError.  Draws go through in chunks of `_CHUNK_DRAWS`, every
-        coordinate of a chunk before the next, so working memory beyond the
-        (n, dim) uniforms and samples is O(chunk).  Every draw shares the
-        first coordinate's CDF, and one `np.searchsorted` places a chunk's
-        draws in it.  A chunk's running block W starts as the coefficient
-        tensor and takes in each coordinate once it is drawn; coordinate d's
-        density is sum_p (W^T phi)_p^2 with span coefficients from
+        coordinate of a chunk before the next.  A chunk draws its (chunk, dim)
+        uniforms when it starts, the next rows of one stream, so the draws are
+        those of a single (n, dim) call and working memory beyond the (n, dim)
+        samples is O(chunk).  Every draw shares the first coordinate's CDF,
+        and one `np.searchsorted` places a chunk's draws in it.  A chunk's
+        running block W starts as the coefficient tensor and takes in each
+        coordinate once it is drawn; coordinate d's density is
+        sum_p (W^T phi)_p^2 with span coefficients from
         `CdfTable.span_coefficients` and normalizer ||W||^2, and `_invert`
         searches its CDF.  A clamp happens when a uniform draw targets the
         sliver of mass the grid does not capture (at most the build
@@ -475,7 +485,6 @@ class OfeDensity:
         orders, families = self.basis.orders, self.basis.families
         out = np.empty((n, ndim))
         clamps = np.zeros(ndim, dtype=int)
-        uniforms = rng.random((n, ndim))
         axes = list(zip(families, orders))
         built = {axis: build_cdf_table(*axis) for axis in dict.fromkeys(axes)}
         tables = [built[axis] for axis in axes]
@@ -487,7 +496,9 @@ class OfeDensity:
 
         for start in range(0, n, _CHUNK_DRAWS):
             stop = min(start + _CHUNK_DRAWS, n)
-            targets = uniforms[start:stop, 0] * trace0
+            # The stream's next rows: the draws are those of one (n, dim) call.
+            uniforms = rng.random((stop - start, ndim))
+            targets = uniforms[:, 0] * trace0
             hi = np.minimum(np.searchsorted(cdf0, targets, side="right"), cdf0.shape[0] - 1)
             out[start:stop, 0], c = _place(
                 tables[0].grid, targets, cdf0[-1], hi - 1, hi, cdf0[hi - 1], cdf0[hi]
@@ -506,7 +517,7 @@ class OfeDensity:
                     raise PoleError("conditional density requested at a zero of the marginal")
                 gamma = tables[d].span_coefficients(block.reshape(stop - start, orders[d], -1))
                 out[start:stop, d], c = _invert(
-                    tables[d].grid, tables[d].pair_prefix, gamma, uniforms[start:stop, d] * traces
+                    tables[d].grid, tables[d].pair_prefix, gamma, uniforms[:, d] * traces
                 )
                 clamps[d] += c
         if self.transform is not None:

@@ -13,13 +13,16 @@ minimum-eigenvalue problem, so the fit is a single dense symmetric
 eigensolve (LAPACK, through numpy) with no iterative optimization over the
 variational parameters.
 
-The batch is streamed in fixed-order chunks of `CHUNK` samples.  Each
-chunk builds its (K, chunk, D) features from the 1-D basis tables, with the
-score folded into one table per component, and adds the Gram matrix
-(sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * chunk * D).
+The batch is streamed in fixed-order chunks of `chunk_draws(D)` samples,
+at most `CHUNK_COLUMNS` feature columns (draws times D) each.  Each chunk
+builds its (K, chunk, D) features from the 1-D basis tables, with the score
+folded into one table per component, and adds the Gram matrix
+(sqrt(w) u)(sqrt(w) u)^T into M, so memory is O(K^2 + K * CHUNK_COLUMNS)
+whatever D.
 The features are made without a copy: each component's last outer
 product is written straight into u, u is scaled by sqrt(w) in place, and
-the matrix products read views of it, so a chunk holds one feature array.
+the matrix products read views of it, so a fit holds one feature array,
+a buffer that every chunk writes into.
 The Gram matrix is three fixed blocks split at row K(1 - 1/sqrt(2)), one
 BLAS call each, on two Python threads (`_gram`), so a chunk uses two cores
 while BLAS stays pinned to one thread.
@@ -58,14 +61,15 @@ from .utils import as_integer
 # instead: a silent bias is worse than a loud failure.
 MAX_REJECT_FRAC = 0.01
 
-# Samples per streamed chunk of a fit.  One chunk's features take
-# K * 1024 * D doubles: 23.6 MB at K = 576, D = 5.  Smaller chunks assemble
-# more slowly; 2048 is no faster.
-CHUNK = 1024
+# Feature columns (draws times D) per streamed chunk of a fit.  A chunk
+# holds max(1, CHUNK_COLUMNS // D) draws, 1024 in 2-D and 409 in 5-D, so its
+# features take at most 8 K * CHUNK_COLUMNS bytes whatever D: 9.4 MB at
+# K = 576.  Chunks of 256 draws assemble 7% more slowly in 5-D.
+CHUNK_COLUMNS = 2048
 
 # The largest array a fit may hold, in bytes: M (8 K^2) or one chunk's
-# features (8 K * CHUNK * D).  1 GiB admits every 2-D basis up to
-# basis1d.MAX_ORDER (K = 64^2 needs a 134 MB M); 64^3 would need 550 GB.
+# features (8 K * CHUNK_COLUMNS at most).  1 GiB admits every 2-D basis up
+# to basis1d.MAX_ORDER (K = 64^2 needs a 134 MB M); 64^3 would need 550 GB.
 MAX_ARRAY_BYTES = 1 << 30
 
 
@@ -87,19 +91,23 @@ def _nested_rows(small: ProductBasis, big: ProductBasis) -> np.ndarray | None:
     return np.ravel_multi_index(tuple(multi), big.orders)
 
 
-def feature_vectors(basis: ProductBasis, z: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def feature_vectors(
+    basis: ProductBasis, z: np.ndarray, scores: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """u_k(z_b) = 2 grad Phi_k(z_b) - Phi_k(z_b) * scores_b, shape (K, B, D).
 
     Component d is the row-major product of the 1-D value tables with table
     d replaced by 2 phi_d' - s_d phi_d, so neither the product values nor
     their gradients are formed.  The result is a view of a (K, D, B) array,
     and each component's last outer product is written straight into its
-    contiguous rows, so no product is formed and then copied.
+    contiguous rows, so no product is formed and then copied.  That array
+    is new, or the first K * D * B entries of `out`, a flat float array.
     """
     vals, grads = basis.tables(z)
     scores = np.asarray(scores, dtype=float)
     n, last = vals[0].shape[1], basis.orders[-1]
-    u = np.empty((basis.size, basis.dim, n))
+    shape = (basis.size, basis.dim, n)
+    u = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
     # Component d as (K / K_D, K_D, B): a view taken from the contiguous u.
     # A reshaped strided slice could be a copy, and the write would be lost.
     split = u.reshape(basis.size // last, last, basis.dim, n)
@@ -204,14 +212,36 @@ class FitResult:
     largest_array_bytes: int
 
 
+def chunk_draws(dim: int) -> int:
+    """Draws per streamed chunk of a fit in dim dimensions: CHUNK_COLUMNS // dim, at least 1."""
+    return max(1, CHUNK_COLUMNS // dim)
+
+
 def largest_array_bytes(size: int, dim: int) -> int:
     """Bytes of the larger of M and one chunk's features for K = size in dim dimensions."""
-    return 8 * size * max(size, CHUNK * dim)
+    return 8 * size * max(size, chunk_draws(dim) * dim)
 
 
 def default_sample_count(size: int) -> int:
     """The batch size B of a fit with K = size basis functions and no set count: 10 K."""
     return 10 * size
+
+
+def _streamed_moment_matrix(basis: ProductBasis, z, scores, weights) -> np.ndarray:
+    """M summed over chunks of `chunk_draws(D)` draws, in batch order.
+
+    Every chunk's features are written into one buffer, which is dropped
+    before the eigensolve: a fresh array per chunk made the 409-draw chunks
+    of a 5-D fit slower than 1024-draw ones.
+    """
+    step = chunk_draws(basis.dim)
+    buffer = np.empty(basis.size * basis.dim * min(step, z.shape[0]))
+    m = np.zeros((basis.size, basis.size))
+    for start in range(0, z.shape[0], step):
+        c = slice(start, start + step)
+        u = feature_vectors(basis, z[c], scores[c], out=buffer)
+        m += assemble_moment_matrix(u, weights[c])
+    return m
 
 
 def fit(
@@ -291,10 +321,7 @@ def fit_from_batch(
         if rows is not None:
             m = earlier.moment_matrix[np.ix_(rows, rows)]
         else:
-            m = np.zeros((basis.size, basis.size))
-            for start in range(0, z.shape[0], CHUNK):
-                c = slice(start, start + CHUNK)
-                m += assemble_moment_matrix(feature_vectors(basis, z[c], scores[c]), weights[c])
+            m = _streamed_moment_matrix(basis, z, scores, weights)
             if earlier is not None:
                 rows = _nested_rows(earlier.density.basis, basis)
                 if rows is not None:

@@ -16,6 +16,12 @@ import numpy as np
 from .utils import as_batch
 
 
+def _check_peak(peak, what: str) -> None:
+    """Refuse a proposal whose largest density is not a positive finite float."""
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"{what} has a peak density of {peak}, which is not representable")
+
+
 @dataclass(frozen=True)
 class UniformBox:
     """Uniform density on the axis-aligned box [lo_1, hi_1] x ... x [lo_D, hi_D]."""
@@ -32,6 +38,9 @@ class UniformBox:
             raise ValueError("lo and hi must be finite")
         if np.any(lo >= hi):
             raise ValueError("need lo < hi in every dimension")
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            volume = np.prod(hi - lo)
+            _check_peak(1.0 / volume, f"a box of volume {volume}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -70,8 +79,12 @@ class IsotropicGaussian:
             raise ValueError("mean must be finite")
         if not 0 < self.variance < np.inf:
             raise ValueError("variance must be positive and finite")
+        variance = float(self.variance)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            norm = np.power(2.0 * np.pi * variance, mean.shape[0] / 2.0)
+            _check_peak(1.0 / norm, f"variance {variance} in {mean.shape[0]} dimensions")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "dim", mean.shape[0])
 
     def density(self, z):

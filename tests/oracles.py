@@ -13,17 +13,31 @@ features alone.  `recurrence_tables` is the 1-D derivative code before
 derivatives came from the derivative matrices: one hand-written recurrence
 per family, the reference for `derivative_matrix` times the values.
 `CountingScore` wraps a target and counts the points it scores.
+`traced_peak` is the peak of the bytes allocated during one call, as
+`tracemalloc` sees them: numpy reports its arrays to it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import special
 
 from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
+from ofevi import _blas
 from ofevi.density import _composite_rule
 from ofevi.estimator import _gram
 from ofevi.product_basis import _combine
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn(*args) runs, counted from the call's start."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fd_gradient(fn, z, h=1e-6):
@@ -113,9 +127,14 @@ def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
     return g[i, 0, :].copy()
 
 
+@_blas.pinned()
 def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -> np.ndarray:
     """M assembled as the copying code did: each component's product formed and
-    then copied into u, and u scaled into a new array before one product per chunk."""
+    then copied into u, and u scaled into a new array before one product per chunk.
+
+    BLAS is pinned to one thread, as in a fit: a threaded GEMM may round
+    differently at some chunk widths, which would not be a difference of
+    the features."""
     m = np.zeros((basis.size, basis.size))
     for start in range(0, z.shape[0], chunk):
         c = slice(start, start + chunk)

@@ -11,6 +11,8 @@ from ofevi.cli import build_parser, main
 from ofevi.estimator import largest_array_bytes
 from ofevi.harness import ExperimentConfig
 
+from oracles import traced_peak
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -97,6 +99,26 @@ def test_sample_same_seed_same_bytes(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sample_streams_the_csv_bytes_of_one_joined_text(tmp_path, capsys):
+    basis = ProductBasis([BasisFamily(HERMITE)] * 2, (4, 3))
+    density = tmp_path / "density.json"
+    OfeDensity(basis, np.random.default_rng(5).normal(size=basis.size)).save(density)
+    peaks = {}
+    for n in (20_000, 200_000):
+        csv_path = tmp_path / f"draws_{n}.csv"
+        argv = ["sample", "--density", str(density), "--n", str(n), "--seed", "4",
+                "--out", str(csv_path)]
+        peaks[n] = traced_peak(main, argv)
+        capsys.readouterr()
+        # The text as one join of every line, which the CLI used to build.
+        samples = OfeDensity.load(density).sample(np.random.default_rng(4), n)
+        lines = ["z1,z2"] + [",".join(repr(float(v)) for v in row) for row in samples]
+        assert csv_path.read_text() == "\n".join(lines) + "\n"
+    # Beyond the (n, 2) draws, 16 bytes each, the peak does not grow with n:
+    # the joined text of 180k more lines would add more than 7 MB.
+    assert peaks[200_000] - peaks[20_000] <= 16 * 180_000 + 2**20
 
 
 def test_moments_reports_mean_and_cov(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from oracles import (
     pairwise_prefix,
     random_unit,
     recurrence_tables,
+    traced_peak,
 )
 
 
@@ -211,13 +211,27 @@ def test_score_memory_stays_bounded():
     rng = np.random.default_rng(8)
     q = hermite_density_2d(rng.normal(size=(20, 20)))
     z = rng.normal(scale=2.0, size=(50_000, 2))
-    tracemalloc.start()
-    try:
-        q.score(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert traced_peak(q.score, z) < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, order, up",
+    [(HERMITE, 5, 6), (FOURIER, 6, 7), (FOURIER, 5, 5), (LEGENDRE, 64, 64), (LAGUERRE, 5, 5)],
+)
+def test_the_score_reads_one_order_up_only_where_the_derivative_reaches_it(
+    monkeypatch, kind, order, up
+):
+    # Hermite and even-order Fourier derivatives reach phi_{k+1}; the others do not.
+    requested = []
+
+    def recording(family, k, z, derivatives=True):
+        requested.append(k)
+        return basis_tables(family, k, z, derivatives)
+
+    monkeypatch.setattr(density, "basis_tables", recording)
+    q = OfeDensity(ProductBasis([BasisFamily(kind)], (order,)), np.ones(order))
+    q.score(np.array([[0.5]]))
+    assert requested == [up]
 
 
 # -- marginals ----------------------------------------------------------------
@@ -356,13 +370,7 @@ def test_moment_memory_stays_bounded():
     # pairwise node arrays.
     basis = ProductBasis([BasisFamily(LEGENDRE)] * 2, (12, 12))
     q = OfeDensity(basis, np.random.default_rng(12).normal(size=basis.size))
-    tracemalloc.start()
-    try:
-        q.mean_and_cov()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert traced_peak(q.mean_and_cov) <= 16 * 2**20
 
 
 # -- inversion tables -----------------------------------------------------------
@@ -552,20 +560,27 @@ def test_non_separable_inversion_hits_the_conditional_cdf_draw_by_draw(families,
 
 
 def test_sampler_memory_does_not_grow_with_draws():
-    # Beyond the (n, 2) uniforms and samples, 32 bytes a draw, the sampler
-    # works a chunk of draws at a time.  Every call builds its own CDF table,
-    # so the table's bytes are in both peaks and cancel in their difference.
+    # Beyond its (n, 2) samples, 16 bytes a draw, the sampler works a chunk
+    # of draws at a time, uniforms included.  Every call builds its own CDF
+    # tables, so their bytes are in both peaks and cancel in the difference.
+    # Drawing every uniform up front would add 16 bytes a draw: 5.8 MB here.
     basis = ProductBasis([BasisFamily(HERMITE)] * 2, (20, 20))
     q = OfeDensity(basis, np.random.default_rng(32).normal(size=basis.size))
-    peaks = []
-    for n in (10_000, 400_000):
-        tracemalloc.start()
-        try:
-            q.sample(np.random.default_rng(34), n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 32 * (400_000 - 10_000) + 2**20
+    beyond = [
+        traced_peak(q.sample, np.random.default_rng(34), n) - 16 * n for n in (40_000, 400_000)
+    ]
+    assert abs(beyond[1] - beyond[0]) <= 2**19
+
+
+@pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
+def test_cdf_table_builds_without_full_size_copies(kind):
+    # A scaled copy of the (M, points - 1, 5) interior values alone would
+    # take 5/7 of the table again.
+    table = build_cdf_table(BasisFamily(kind), 64)
+    fields = (table.grid, table.vals, table.mid_vals, table.pair_prefix,
+              table.node_vals, table.node_span)
+    table_bytes = sum(a.nbytes for a in fields)
+    assert traced_peak(build_cdf_table, BasisFamily(kind), 64) < 1.25 * table_bytes
 
 
 def test_a_sampling_call_builds_one_table_per_axis_and_keeps_none(monkeypatch):
@@ -682,13 +697,15 @@ def test_truncated_table_counts_boundary_clamps(monkeypatch):
 
 
 class _FixedUniforms:
-    """A generator stand-in whose uniforms are the given targets."""
+    """A generator stand-in whose uniforms are the given targets, served in consecutive rows."""
 
     def __init__(self, targets):
         self.targets = targets
+        self.served = 0
 
     def random(self, shape):
-        return self.targets.reshape(shape)
+        start, self.served = self.served, self.served + math.prod(shape)
+        return self.targets[start:self.served].reshape(shape)
 
 
 def test_first_coordinate_search_matches_the_bisection(monkeypatch):
@@ -704,7 +721,9 @@ def test_first_coordinate_search_matches_the_bisection(monkeypatch):
         t = np.concatenate([targets, c, c[NODES]])
         table = density.CdfTable(GRID, None, None, c[:, None], one, one)
         monkeypatch.setattr(density, "build_cdf_table", lambda family, order: table)
-        z, info = hermite_density([1.0]).sample_with_info(_FixedUniforms(t), t.size)
+        uniforms = _FixedUniforms(t)
+        z, info = hermite_density([1.0]).sample_with_info(uniforms, t.size)
+        assert uniforms.served == t.size
         bisected, clamps = _invert_shared(c, t)
         assert np.array_equal(z[:, 0], bisected)
         assert info["boundary_clamps"][0] == clamps > 0

@@ -29,9 +29,9 @@ from ofevi import (
     min_eigenpair,
 )
 from ofevi import estimator
-from ofevi.estimator import CHUNK
+from ofevi.estimator import CHUNK_COLUMNS, chunk_draws
 
-from oracles import CountingScore, copying_moment_matrix, eval_product, fd_gradient
+from oracles import CountingScore, copying_moment_matrix, eval_product, fd_gradient, traced_peak
 
 
 def standard_gaussian(dim=1):
@@ -138,8 +138,8 @@ def test_doubling_the_batch_doubles_the_matrix_exactly():
     rng = np.random.default_rng(3)
     target = standard_gaussian(2)
     basis = ProductBasis([BasisFamily(HERMITE)] * 2, (3, 2))
-    z = rng.uniform(-4.0, 4.0, size=(CHUNK, 2))
-    w = rng.uniform(0.5, 2.0, size=CHUNK)
+    z = rng.uniform(-4.0, 4.0, size=(chunk_draws(2), 2))
+    w = rng.uniform(0.5, 2.0, size=chunk_draws(2))
     m1 = fit_from_batch(target, basis, z, w).moment_matrix
     m2 = fit_from_batch(
         target, basis, np.concatenate([z, z]), np.concatenate([w, w])
@@ -229,8 +229,9 @@ def test_gaussian_fit_is_exact_at_order_one():
     assert np.array_equal(result.density.coeffs, [1.0])
     assert result.rejected == 0
     assert set(result.timings_ms) == {"score_eval", "assemble", "eigensolve"}
-    # The larger of M (8 bytes) and one chunk's features (8 * CHUNK bytes).
-    assert result.largest_array_bytes == 8 * CHUNK
+    # The larger of M (8 bytes) and one chunk's features: in 1-D a chunk
+    # holds CHUNK_COLUMNS draws of one column each.
+    assert result.largest_array_bytes == 8 * CHUNK_COLUMNS
 
 
 def test_fit_recovers_an_in_family_density():
@@ -488,27 +489,6 @@ def test_streamed_fit_matches_one_unchunked_product():
     assert np.array_equal(fit_from_batch(target, basis, z, w).moment_matrix, m)
 
 
-def test_fit_memory_stays_bounded_by_the_chunk():
-    import tracemalloc
-
-    from ofevi import make_target
-
-    # u for the whole batch would be 576 * 5760 * 5 doubles (133 MB); a
-    # streamed fit holds one 1024-sample chunk of it at a time.
-    target = make_target("sinh5d_1")
-    proposal = UniformBox.centered(6.0, 5)
-    z = proposal.sample(np.random.default_rng(19), 5760)
-    w = 1.0 / proposal.density(z)
-    basis = ProductBasis([BasisFamily(HERMITE)] * 5, (4, 4, 4, 3, 3))
-    tracemalloc.start()
-    try:
-        fit_from_batch(target, basis, z, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 96 * 2**20
-
-
 def sinh5d_batch(seed, n):
     """The benchmark's 5-D fit at K = 576 on n draws from the box it uses."""
     from ofevi import make_target
@@ -534,38 +514,50 @@ def test_copy_free_assembly_gives_the_copying_matrix_bit_for_bit():
         (sinh5d, sinh5d_basis, z_5d),
     ]
     for target, basis, z in cases:
-        assert z.shape[0] % CHUNK
+        step = chunk_draws(basis.dim)
+        assert z.shape[0] % step
         w = rng.uniform(0.5, 2.0, size=z.shape[0])
         scores = np.asarray(target.score(z))
         m = fit_from_batch(target, basis, z, w).moment_matrix
-        assert np.array_equal(m, copying_moment_matrix(basis, z, scores, w, CHUNK))
+        assert np.array_equal(m, copying_moment_matrix(basis, z, scores, w, step))
 
 
 def test_assembly_allocates_only_the_matrix():
-    import tracemalloc
-
-    target, basis, z, w = sinh5d_batch(22, CHUNK)
+    target, basis, z, w = sinh5d_batch(22, chunk_draws(5))
     u = feature_vectors(basis, z, np.asarray(target.score(z)))
-    tracemalloc.start()
-    try:
-        m = assemble_moment_matrix(u, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # Copying the scaled features would take another 8 * 576 * 1024 * 5 bytes (23.6 MB).
-    assert peak <= m.nbytes + 2**20
+    # M takes 8 * 576^2 bytes; copying the scaled features would take
+    # another 8 * 576 * 409 * 5 bytes (9.4 MB).
+    assert traced_peak(assemble_moment_matrix, u, w) <= 8 * basis.size**2 + 2**20
 
 
 def test_a_streamed_fit_holds_one_feature_array_per_chunk():
-    import tracemalloc
-
-    # One chunk's features are 23.6 MB at K = 576; a copy of them per chunk
-    # would add as much again.
+    # The whole batch's features would be 576 * 5760 * 5 doubles (133 MB).
+    # One chunk's are 9.4 MB at K = 576, and a copy of them per chunk would
+    # add as much again.
     target, basis, z, w = sinh5d_batch(19, 5760)
-    tracemalloc.start()
-    try:
-        fit_from_batch(target, basis, z, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert traced_peak(fit_from_batch, target, basis, z, w) < 20 * 2**20
+
+
+def test_fit_chunks_hold_at_most_chunk_columns_feature_columns(monkeypatch):
+    # A chunk's features take at most 8 K CHUNK_COLUMNS bytes whatever D,
+    # and every chunk writes them into the same buffer.  2048 columns keep
+    # the 400-draw 5-D fit of the benchmark's tests whole.
+    assert [chunk_draws(d) for d in (1, 2, 5, 17, 4096)] == [2048, 1024, 409, 120, 1]
+    chunks = []
+    inner = estimator.feature_vectors
+
+    def recording(basis, z, scores, **kwargs):
+        u = inner(basis, z, scores, **kwargs)
+        chunks.append((z.shape[0], u.nbytes, u.__array_interface__["data"][0]))
+        return u
+
+    monkeypatch.setattr(estimator, "feature_vectors", recording)
+    for dim in range(1, 6):
+        chunks.clear()
+        basis = ProductBasis([BasisFamily(HERMITE)] * dim, (2,) * dim)
+        n = 2 * chunk_draws(dim) + 7
+        z = np.random.default_rng(dim).uniform(-3.0, 3.0, size=(n, dim))
+        fit_from_batch(standard_gaussian(dim), basis, z, np.ones(n))
+        assert [draws for draws, _, _ in chunks] == [chunk_draws(dim)] * 2 + [7]
+        assert max(nbytes for _, nbytes, _ in chunks) <= 8 * basis.size * CHUNK_COLUMNS
+        assert len({start for _, _, start in chunks}) == 1

@@ -261,13 +261,17 @@ def test_config_schema_and_seed_are_enforced():
 
 
 def test_config_refuses_bases_past_the_memory_bound():
-    # 64^3 functions need a 550 GB M.  (2,)*13 + (1,)*4 has a 537 MB M, but
-    # one chunk of its 17-D features takes 1.14 GB.
-    for orders in ((64, 64, 64), (2,) * 13 + (1,) * 4):
+    # 64^3 functions need a 550 GB M, and (2,)*14 a 2.1 GB one.
+    for orders in ((64, 64, 64), (2,) * 14):
         assert largest_array_bytes(math.prod(orders), len(orders)) > MAX_ARRAY_BYTES
         with pytest.raises(ConfigError, match="bytes for M or one chunk"):
             ExperimentConfig(target="mixture2d", orders=(orders,), seed=0)
     ExperimentConfig(target="mixture2d", orders=((64, 64),), seed=0)
+    # (2,)*13 + (1,)*4 has a 537 MB M; its 17-D chunks hold 120 draws, whose
+    # features take 8 * 8192 * 2040 bytes (134 MB), so M bounds it.
+    orders = (2,) * 13 + (1,) * 4
+    assert largest_array_bytes(8192, 17) == 8 * 8192**2 < MAX_ARRAY_BYTES
+    ExperimentConfig(target="mixture2d", orders=(orders,), seed=0)
 
 
 # -- runs --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,3 +93,22 @@ def test_validation_errors():
 def test_a_non_finite_parameter_is_refused(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformBox.centered(1e200, 2),
+        lambda: UniformBox.centered(1e-160, 2),
+        lambda: IsotropicGaussian(np.zeros(5), 1e-320),
+        lambda: IsotropicGaussian(np.zeros(5), 1e200),
+    ],
+    ids=["box-volume-overflows", "box-volume-underflows", "gaussian-normalizer-underflows",
+         "gaussian-normalizer-overflows"],
+)
+def test_a_proposal_whose_density_is_not_representable_is_refused(make):
+    # These used to build, and gave a density of 0 or inf everywhere on them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not representable"):
+            make()
