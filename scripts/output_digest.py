@@ -1,0 +1,104 @@
+"""Print one `name sha256` line for every output that must keep its bytes.
+
+A change that claims to keep ofevi's results bit for bit runs this on both
+trees at the same seed and diffs the two listings:
+
+    python3 scripts/output_digest.py --seed 1 --out-dir digest > digest_seed1.txt
+
+The outputs are the CSV and density files of six sweep configs (the
+benchmark's `sweep_mixture2d` and `fit_sinh5d` configs, written out here,
+and 1-D Hermite, 1-D Laguerre, 2-D Legendre and 2-D Fourier sweeps), then
+10k draws and the moments of a fitted 20x20 mixture2d density, and 50k
+draws of the standardized 5-D density.  The records JSON carries wall-clock
+timings, so it is left out.
+"""
+
+import argparse
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+
+from ofevi import (
+    BasisFamily,
+    ExperimentConfig,
+    OfeDensity,
+    ProductBasis,
+    UniformBox,
+    fit,
+    make_target,
+    run,
+    write_outputs,
+)
+
+CONFIGS = {
+    "sweep_mixture2d": dict(
+        target="mixture2d", orders=[[5, 5], [10, 10], [15, 15], [20, 20]],
+        proposal_scale=9.0, eval_samples=100_000, sample_probe=1_000,
+    ),
+    "fit_sinh5d": dict(
+        target="sinh5d_1", orders=[[3] * 5, [4, 4, 4, 3, 3]], samples=[5760],
+        standardize=True, standardize_samples=10_000, proposal_scale=6.0, eval_samples=5_000,
+    ),
+    "hermite1d": dict(
+        target="bimodal1d", orders=[[3], [6], [9]], eval_samples=20_000, sample_probe=1_000,
+    ),
+    "laguerre1d": dict(
+        target="gaussian", target_params={"mean": [6.0], "cov": [[1.0]]}, family="laguerre",
+        orders=[[4], [8]], proposal_scale=10.0, eval_samples=20_000, sample_probe=1_000,
+    ),
+    "legendre2d": dict(
+        target="gaussian", family="legendre",
+        target_params={"mean": [0.1, -0.1], "cov": [[0.03, 0.01], [0.01, 0.04]]}, orders=[[3, 3], [5, 4]], eval_samples=20_000, sample_probe=1_000,
+    ),
+    "fourier2d": dict(
+        target="gaussian", target_params={"mean": [math.pi, 3.0], "cov": [[0.3, 0.1], [0.1, 0.4]]},
+        family="fourier", orders=[[3, 3], [5, 5]], eval_samples=20_000, sample_probe=1_000,
+    ),
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out-dir", type=Path, default=Path("digest"))
+    args = parser.parse_args()
+
+    lines = []
+    for name, fields in CONFIGS.items():
+        config = ExperimentConfig(seed=args.seed, out_prefix=str(args.out_dir / name), **fields)
+        for path in write_outputs(config, *run(config)):
+            if not path.name.endswith("_records.json"):
+                lines.append((path.name, digest(path.read_bytes())))
+
+    path = args.out_dir / "mixture2d_density_20x20.json"
+    fit(
+        make_target("mixture2d"),
+        ProductBasis.uniform(BasisFamily("hermite"), 20, 2),
+        UniformBox.centered(9.0, 2),
+        np.random.default_rng((args.seed, 1)),
+    ).density.save(path)
+    q = OfeDensity.load(path)
+    mean, cov = q.mean_and_cov()
+    lines += [
+        (path.name, digest(path.read_bytes())),
+        ("mixture2d_20x20_draws_10000",
+         digest(q.sample(np.random.default_rng((args.seed, 4)), 10_000).tobytes())),
+        ("mixture2d_20x20_moments", digest(mean.tobytes() + cov.tobytes())),
+    ]
+
+    q = OfeDensity.load(args.out_dir / "fit_sinh5d_density_4x4x4x3x3_B5760.json")
+    draws = q.sample(np.random.default_rng((args.seed, 5)), 50_000)
+    lines.append(("sinh5d_4x4x4x3x3_draws_50000", digest(draws.tobytes())))
+
+    for name, sha in lines:
+        print(name, sha)
+
+
+if __name__ == "__main__":
+    main()

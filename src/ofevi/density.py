@@ -29,11 +29,12 @@ functions' prefix integrals.  Every draw shares the first coordinate's S,
 so its CDF is tabulated once and searched with `np.searchsorted`; a
 conditional's differs per draw, and `_invert` bisects it from one GEMM per
 chunk of draws at every 128th grid point.  Both end in one linear step
-inside a grid cell (`_place`).  Each chunk draws its own uniforms, so the
-sampler's working memory beyond its samples is O(chunk).  A sampling call
-builds one CDF table per distinct (family, order) axis, without full-size
-copies of its values, and drops them when it returns: a density holds only
-its basis, coefficients and transform.
+inside a grid cell (`_place`).  Each chunk draws its own uniforms, and a
+transform maps each chunk's rows in place, so the sampler's working memory
+beyond its samples is O(chunk).  A sampling call builds one CDF table per
+distinct (family, order) axis, without full-size copies of its values, and
+drops them when it returns: a density holds only its basis, coefficients
+and transform.
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
@@ -466,12 +467,13 @@ class OfeDensity:
         ConfigError.  Draws go through in chunks of `_CHUNK_DRAWS`, every
         coordinate of a chunk before the next.  A chunk draws its (chunk, dim)
         uniforms when it starts, the next rows of one stream, so the draws are
-        those of a single (n, dim) call and working memory beyond the (n, dim)
-        samples is O(chunk).  Every draw shares the first coordinate's CDF,
-        and one `np.searchsorted` places a chunk's draws in it.  A chunk's
-        running block W starts as the coefficient tensor and takes in each
-        coordinate once it is drawn; coordinate d's density is
-        sum_p (W^T phi)_p^2 with span coefficients from
+        those of a single (n, dim) call.  A transform maps a chunk's rows in
+        place once its last coordinate is drawn, so working memory beyond the
+        (n, dim) samples is O(chunk) with a transform too.  Every draw shares
+        the first coordinate's CDF, and one `np.searchsorted` places a chunk's
+        draws in it.  A chunk's running block W starts as the coefficient
+        tensor and takes in each coordinate once it is drawn; coordinate d's
+        density is sum_p (W^T phi)_p^2 with span coefficients from
         `CdfTable.span_coefficients` and normalizer ||W||^2, and `_invert`
         searches its CDF.  A clamp happens when a uniform draw targets the
         sliver of mass the grid does not capture (at most the build
@@ -520,8 +522,8 @@ class OfeDensity:
                     tables[d].grid, tables[d].pair_prefix, gamma, uniforms[:, d] * traces
                 )
                 clamps[d] += c
-        if self.transform is not None:
-            out = self.transform.from_standard(out)
+            if self.transform is not None:
+                out[start:stop] = self.transform.from_standard(out[start:stop])
         return out, {"boundary_clamps": clamps}
 
     # -- serialization ------------------------------------------------------

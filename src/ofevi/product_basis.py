@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis1d import BasisFamily, basis_tables
-from .utils import as_batch
+from .utils import as_batch, as_integer
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class ProductBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
+        object.__setattr__(self, "orders", tuple(as_integer(k, "orders", 1) for k in self.orders))
         if len(self.families) != len(self.orders):
             raise ValueError("families and orders must have equal length")
         if not self.families:
@@ -48,54 +48,40 @@ class ProductBasis:
     def size(self) -> int:
         return math.prod(self.orders)
 
-    def tables(
-        self, z: np.ndarray, derivatives: bool = True
-    ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-        """Per-dimension value and derivative tables at points z of shape (n, D).
-
-        derivatives=False skips the derivative tables; each is then None.
-        """
+    def tables(self, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-dimension value and derivative tables at points z of shape (n, D)."""
         z = as_batch(z, self.dim)
         vals, grads = [], []
         for d, (fam, kd) in enumerate(zip(self.families, self.orders)):
-            v, g = basis_tables(fam, kd, z[:, d], derivatives)
+            v, g = basis_tables(fam, kd, z[:, d])
             vals.append(v)
             grads.append(g)
         return vals, grads
 
     def feature_matrix(self, z: np.ndarray) -> np.ndarray:
         """All K product-basis values at each point: shape (K, n)."""
-        vals, _ = self.tables(z, derivatives=False)
-        return _combine(vals)
+        return self.feature_gradients(z)[0]
 
     def feature_gradients(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Product values (K, n) and their gradients (K, n, D)."""
+        """Product values (K, n) and their gradients (K, n, D), a view of one (K, D, n) array."""
         vals, grads = self.tables(z)
-        feats = _combine(vals)
-        out = np.empty(feats.shape + (self.dim,))
+        n, last = vals[0].shape[1], self.orders[-1]
+        feats, out = np.empty((self.size, n)), np.empty((self.size, self.dim, n))
+        _combine(vals, feats.reshape(-1, last, n))
+        split = out.reshape(-1, last, self.dim, n)
         for d in range(self.dim):
-            parts = [grads[e] if e == d else vals[e] for e in range(self.dim)]
-            out[:, :, d] = _combine(parts)
-        return feats, out
+            _combine(vals[:d] + [grads[d]] + vals[d + 1 :], split[:, :, d, :])
+        return feats, out.transpose(0, 2, 1)
 
 
-def _combine(tables: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Row-major outer product of per-dimension tables, each (K_d, n) -> (K, n).
+def _combine(tables: list[np.ndarray], out: np.ndarray) -> None:
+    """Row-major outer product of per-dimension tables, each (K_d, n), written into `out`.
 
-    With `out`, an array of shape (K / K_D, K_D, n) such as a strided view
-    of a larger array, the last product is written into it (the single
-    table is copied when D = 1) and `out` is returned.  The multiplication
-    order is the same either way, so the values are the same bits.
+    `out` has shape (K / K_D, K_D, n), such as a strided view of a larger
+    array.  The product starts from a row of ones, which every factor
+    multiplies exactly, so one path serves every D.
     """
-    acc = tables[0]
-    for t in tables[1:-1]:
+    acc = np.ones((1, tables[0].shape[1]))
+    for t in tables[:-1]:
         acc = (acc[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
-    if len(tables) == 1:
-        if out is not None:
-            np.copyto(out, acc)
-            return out
-        return acc
-    last = tables[-1]
-    if out is None:
-        return (acc[:, None, :] * last[None, :, :]).reshape(-1, last.shape[1])
-    return np.multiply(acc[:, None, :], last[None, :, :], out=out)
+    np.multiply(acc[:, None, :], tables[-1][None, :, :], out=out)

@@ -7,9 +7,9 @@ pairwise prefix oracle integrates every product phi_k phi_l on the CDF
 table's grid directly, with no span.  The single-function product-basis
 evaluators are point-at-a-time references for the vectorized feature code,
 and `copying_moment_matrix` is the streamed assembly before it stopped
-copying the features, the bitwise reference for the copy-free one; both
-multiply through the estimator's own `_gram`, so the comparison is of the
-features alone.  `recurrence_tables` is the 1-D derivative code before
+copying the scaled features, the bitwise reference for the copy-free one;
+both multiply through the estimator's own `_gram`, so the comparison is of
+the features alone.  `recurrence_tables` is the 1-D derivative code before
 derivatives came from the derivative matrices: one hand-written recurrence
 per family, the reference for `derivative_matrix` times the values.
 `CountingScore` wraps a target and counts the points it scores.
@@ -129,8 +129,8 @@ def grad_product(basis: ProductBasis, i: int, z) -> np.ndarray:
 
 @_blas.pinned()
 def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -> np.ndarray:
-    """M assembled as the copying code did: each component's product formed and
-    then copied into u, and u scaled into a new array before one product per chunk.
+    """M assembled as the copying code did: each component's product written
+    into u, and u scaled into a new array before one product per chunk.
 
     BLAS is pinned to one thread, as in a fit: a threaded GEMM may round
     differently at some chunk widths, which would not be a difference of
@@ -140,10 +140,11 @@ def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -
         c = slice(start, start + chunk)
         vals, grads = basis.tables(z[c])
         u = np.empty((basis.size, basis.dim, vals[0].shape[1]))
+        split = u.reshape(-1, basis.orders[-1], basis.dim, vals[0].shape[1])
         for d in range(basis.dim):
             parts = list(vals)
             parts[d] = 2.0 * grads[d] - scores[c][:, d] * vals[d]
-            u[:, d, :] = _combine(parts)
+            _combine(parts, split[:, :, d, :])
         block = (u * np.sqrt(weights[c])).reshape(basis.size, -1)
         m += _gram(block)
     return m

@@ -192,9 +192,13 @@ GOOD_DENSITY = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * 2, (2, 2)), np.f
         # Such a transform would load and sample NaN.
         dict(GOOD_DENSITY, transform={"mean": [math.nan, 0.0], "chol": [[1.0, 0.0], [0.0, 1.0]]}),
         dict(GOOD_DENSITY, transform={"mean": [0.0, 0.0], "chol": [[math.inf, 0.0], [0.0, 1.0]]}),
+        # Truncated to whole orders, these would match the four coefficients.
+        dict(GOOD_DENSITY, orders=[2.5, 2]),
+        dict(GOOD_DENSITY, orders=[True, 4]),
     ],
     ids=["unknown-family", "coefficient-short", "upper-triangular-chol", "top-level-list",
-         "order-past-the-cap", "nan-transform-mean", "infinite-transform-chol"],
+         "order-past-the-cap", "nan-transform-mean", "infinite-transform-chol",
+         "fractional-order", "boolean-order"],
 )
 def test_a_malformed_density_file_exits_one(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"

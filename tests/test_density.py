@@ -563,13 +563,16 @@ def test_sampler_memory_does_not_grow_with_draws():
     # Beyond its (n, 2) samples, 16 bytes a draw, the sampler works a chunk
     # of draws at a time, uniforms included.  Every call builds its own CDF
     # tables, so their bytes are in both peaks and cancel in the difference.
-    # Drawing every uniform up front would add 16 bytes a draw: 5.8 MB here.
+    # Drawing every uniform up front would add 16 bytes a draw: 5.8 MB here,
+    # and so would mapping every sample through a transform at the end.
     basis = ProductBasis([BasisFamily(HERMITE)] * 2, (20, 20))
-    q = OfeDensity(basis, np.random.default_rng(32).normal(size=basis.size))
-    beyond = [
-        traced_peak(q.sample, np.random.default_rng(34), n) - 16 * n for n in (40_000, 400_000)
-    ]
-    assert abs(beyond[1] - beyond[0]) <= 2**19
+    coeffs = np.random.default_rng(32).normal(size=basis.size)
+    transform = StandardizingTransform(np.array([1.0, -2.0]), np.array([[2.0, 0.0], [0.5, 1.5]]))
+    for q in (OfeDensity(basis, coeffs), OfeDensity(basis, coeffs, transform)):
+        beyond = [
+            traced_peak(q.sample, np.random.default_rng(34), n) - 16 * n for n in (40_000, 400_000)
+        ]
+        assert abs(beyond[1] - beyond[0]) <= 2**19, q.transform
 
 
 @pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])

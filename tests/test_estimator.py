@@ -508,7 +508,7 @@ def test_copy_free_assembly_gives_the_copying_matrix_bit_for_bit():
     legendre_fourier = ProductBasis([BasisFamily(LEGENDRE), BasisFamily(FOURIER)], (5, 4))
     sinh5d, sinh5d_basis, z_5d, _ = sinh5d_batch(21, 5760)
     cases = [
-        (gaussian_1d, basis_1d(7), rng.normal(size=(2500, 1))),  # D = 1: a copied table
+        (gaussian_1d, basis_1d(7), rng.normal(size=(2500, 1))),  # D = 1: one table
         (gaussian_2d, legendre_fourier,
          np.column_stack([rng.uniform(-1.0, 1.0, 1500), rng.uniform(0.0, 2.0 * np.pi, 1500)])),
         (sinh5d, sinh5d_basis, z_5d),

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from ofevi import (
+    FOURIER,
     HERMITE,
+    LAGUERRE,
     LEGENDRE,
     BasisFamily,
     ProductBasis,
     basis_tables,
 )
+from ofevi.estimator import feature_vectors
+from ofevi.product_basis import _combine
 
 from oracles import eval_product, fd_gradient, gauss_panels, grad_product
 
@@ -99,3 +103,39 @@ def test_tables_shape_validation():
     for bad in (np.zeros(2), np.zeros(4), np.zeros((5, 3))):
         with pytest.raises(ValueError, match=r"expected a batch of shape \(n, 2\)"):
             b.tables(bad)
+
+
+# Points inside each family's support, away from its edges.
+SPANS = {HERMITE: (-3.0, 3.0), LEGENDRE: (-0.9, 0.9), FOURIER: (0.1, 6.1), LAGUERRE: (0.1, 9.0)}
+
+
+@pytest.mark.parametrize(
+    "kinds, orders",
+    [
+        ((HERMITE,), (7,)),
+        ((HERMITE, HERMITE), (4, 5)),
+        ((HERMITE, LEGENDRE, FOURIER), (3, 4, 5)),
+        ((LAGUERRE, LAGUERRE), (5, 3)),
+    ],
+    ids=["hermite-1d", "hermite-2d", "hermite-legendre-fourier", "laguerre-2d"],
+)
+def test_feature_gradients_are_the_fit_features_at_zero_score(kinds, orders):
+    # The fit builds u = 2 grad Phi - Phi s; at s = 0 that is twice the
+    # gradient, and halving it is exact.
+    basis = ProductBasis([BasisFamily(k) for k in kinds], orders)
+    rng = np.random.default_rng(40)
+    z = np.column_stack([rng.uniform(*SPANS[k], size=33) for k in kinds])
+    feats, grads = basis.feature_gradients(z)
+    assert feats.shape == (basis.size, 33) and grads.shape == (basis.size, 33, basis.dim)
+    assert np.array_equal(grads, feature_vectors(basis, z, np.zeros_like(z)) / 2)
+    assert np.array_equal(basis.feature_matrix(z), feats)
+
+
+def test_combine_writes_a_single_table_bit_for_bit():
+    # The product starts from a row of ones, and 1.0 * x is x: signed zeros,
+    # infinities, NaN and subnormals included.
+    table = basis_tables(BasisFamily(HERMITE), 5, np.linspace(-2.0, 2.0, 7))[0]
+    table[0, :5] = [-0.0, math.inf, -math.inf, math.nan, 5e-324]
+    out = np.empty((1,) + table.shape)
+    _combine([table], out)
+    assert out[0].tobytes() == table.tobytes()
