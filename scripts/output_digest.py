@@ -8,8 +8,11 @@ trees at the same seed and diffs the two listings:
 The outputs are the CSV and density files of six sweep configs (the
 benchmark's `sweep_mixture2d` and `fit_sinh5d` configs, written out here,
 and 1-D Hermite, 1-D Laguerre, 2-D Legendre and 2-D Fourier sweeps), then
-10k draws and the moments of a fitted 20x20 mixture2d density, and 50k
-draws of the standardized 5-D density.  The records JSON carries wall-clock
+10k draws and the moments of a fitted 20x20 mixture2d density, 50k draws
+of the standardized 5-D density, and, per family, the features and their
+gradients of the 1-D bases of every order 1 ... MAX_ORDER on a fixed grid
+(the value tables, the derivative tables and the order MAX_ORDER + 1 row
+that the cap's derivatives read).  The records JSON carries wall-clock
 timings, so it is left out.
 """
 
@@ -31,6 +34,7 @@ from ofevi import (
     run,
     write_outputs,
 )
+from ofevi.basis1d import MAX_ORDER
 
 CONFIGS = {
     "sweep_mixture2d": dict(
@@ -56,6 +60,14 @@ CONFIGS = {
         target="gaussian", target_params={"mean": [math.pi, 3.0], "cov": [[0.3, 0.1], [0.1, 0.4]]},
         family="fourier", orders=[[3, 3], [5, 5]], eval_samples=20_000, sample_probe=1_000,
     ),
+}
+
+# In-support grids, each ending in -0.0 so that the sign of every zero is pinned.
+TABLE_GRIDS = {
+    "hermite": np.append(np.linspace(-12.0, 12.0, 241), -0.0),
+    "legendre": np.append(np.linspace(-1.0, 1.0, 201), -0.0),
+    "fourier": np.append(np.linspace(0.0, 2.0 * math.pi, 201), -0.0),
+    "laguerre": np.append(np.linspace(0.0, 80.0, 201), -0.0),
 }
 
 
@@ -95,6 +107,13 @@ def main() -> None:
     q = OfeDensity.load(args.out_dir / "fit_sinh5d_density_4x4x4x3x3_B5760.json")
     draws = q.sample(np.random.default_rng((args.seed, 5)), 50_000)
     lines.append(("sinh5d_4x4x4x3x3_draws_50000", digest(draws.tobytes())))
+
+    for kind, grid in TABLE_GRIDS.items():
+        sha = hashlib.sha256()
+        for k in range(1, MAX_ORDER + 1):
+            feats, grads = ProductBasis([BasisFamily(kind)], (k,)).feature_gradients(grid[:, None])
+            sha.update(feats.tobytes() + grads.tobytes())
+        lines.append((f"{kind}_tables_1-{MAX_ORDER}", sha.hexdigest()))
 
     for name, sha in lines:
         print(name, sha)

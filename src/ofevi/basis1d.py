@@ -14,9 +14,9 @@ cos 2., sin 2., ...} on [0, 2*pi], and weighted Laguerre functions
 exp(-z/2) * L_k(z) on [0, inf).  A family is `BasisFamily(kind)` and
 `basis_tables` evaluates it.  One cap, `MAX_ORDER = 64`, holds for every
 family: the tables, quadrature, moments and sampling are checked at every
-order up to it.  Table builders compute values only: phi'_1..phi'_K lie in
-the span of phi_1..phi_{K+1}, so a derivative table is one exact (K, K+1)
-matrix per family (`derivative_matrix`) times the values one order up.
+order up to it.  A table holds values only: phi'_1..phi'_K lie in the span of
+phi_1..phi_{K+1}, so `ProductBasis.tables` forms a derivative table as one exact
+(K, K+1) matrix per family (`derivative_matrix`) times the values one order up.
 """
 
 from __future__ import annotations
@@ -71,23 +71,32 @@ class BasisFamily:
             raise SupportError(f"point outside {self.kind} support [{lo}, {hi}]")
 
 
+def _three_term(order, first, second, step):
+    """Rows p_0..p_{order-1} of the three-term recurrence p_k = (a_k p_{k-1} - b_k p_{k-2}) / c_k.
+
+    `step(k, scratch)` returns (a_k, b_k, c_k); the array a_k may be written into
+    `scratch`, which the b term then reuses, so each row is built in its own slot.
+    """
+    rows = np.empty((max(order, 2), second.shape[0]))
+    rows[0], rows[1] = first, second
+    scratch = np.empty(second.shape[0])
+    for k in range(2, order):
+        a, b, c = step(k, scratch)
+        row = rows[k]
+        np.multiply(a, rows[k - 1], out=row)
+        row -= np.multiply(b, rows[k - 2], out=scratch)
+        row /= c
+    return rows[:order]
+
+
 def _hermite_tables(order, z):
     # Normalized values carried through z*phi_k = sqrt(k)*phi_{k+1} + sqrt(k-1)*phi_{k-1}.
-    vals = np.empty((max(order, 2), z.shape[0]))
-    vals[0] = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * z * z)
-    vals[1] = z * vals[0]
-    for k in range(2, order):
-        vals[k] = (z * vals[k - 1] - math.sqrt(k - 1) * vals[k - 2]) / math.sqrt(k)
-    return vals[:order]
+    first = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * z * z)
+    return _three_term(order, first, z * first, lambda k, _: (z, math.sqrt(k - 1), math.sqrt(k)))
 
 
 def _legendre_tables(order, z):
-    p = np.empty((order, z.shape[0]))
-    p[0] = 1.0
-    if order >= 2:
-        p[1] = z
-    for k in range(2, order):
-        p[k] = ((2 * k - 1) * z * p[k - 1] - (k - 1) * p[k - 2]) / k
+    p = _three_term(order, 1.0, z, lambda k, s: (np.multiply(2 * k - 1, z, out=s), k - 1, k))
     p *= np.sqrt((2.0 * np.arange(1, order + 1) - 1.0) / 2.0)[:, None]
     return p
 
@@ -105,14 +114,9 @@ def _fourier_tables(order, z):
 def _laguerre_tables(order, z):
     # Standard Laguerre polynomials are orthonormal against exp(-z), so the
     # weighted functions exp(-z/2)*L_k(z) need no extra scale.
-    lag = np.empty((order, z.shape[0]))
-    lag[0] = 1.0
-    if order >= 2:
-        lag[1] = 1.0 - z
-    for k in range(2, order):
-        lag[k] = ((2 * k - 1 - z) * lag[k - 1] - (k - 1) * lag[k - 2]) / k
-    lag *= np.exp(-0.5 * z)
-    return lag
+    p = _three_term(order, 1.0, 1.0 - z, lambda k, s: (np.subtract(2 * k - 1, z, out=s), k - 1, k))
+    p *= np.exp(-0.5 * z)
+    return p
 
 
 _TABLE_BUILDERS = {
@@ -148,31 +152,23 @@ def derivative_matrix(family: BasisFamily, order: int) -> np.ndarray:
     return d
 
 
-def basis_tables(
-    family: BasisFamily, order: int, z, derivatives: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Values and derivatives of phi_1..phi_order at points z.
+def basis_tables(family: BasisFamily, order: int, z) -> np.ndarray:
+    """Values of phi_1..phi_order at points z.
 
     Parameters
     ----------
     family : BasisFamily
     order : int
-        Highest basis index to evaluate (inclusive, 1-based): at most MAX_ORDER,
-        or MAX_ORDER + 1, which the derivatives at the cap take in, for values only.
+        Highest basis index to evaluate (inclusive, 1-based): at most MAX_ORDER + 1,
+        the values one order up that the derivatives at the cap read.
     z : array_like, shape (n,)
-    derivatives : bool
-        False skips the derivatives, and grads is None; vals are the same
-        bits either way.
 
     Returns
     -------
-    vals, grads : ndarray, shape (order, n)
-        vals[k-1, i] = phi_k(z_i); grads = `derivative_matrix` @ (values one order up).
+    vals : ndarray, shape (order, n)
+        vals[k-1, i] = phi_k(z_i).
     """
-    family.check_order(order - 1 if order == MAX_ORDER + 1 and not derivatives else order)
+    family.check_order(order - 1 if order == MAX_ORDER + 1 else order)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     family.check_support(z)
-    if not derivatives:
-        return _TABLE_BUILDERS[family.kind](order, z), None
-    up = _TABLE_BUILDERS[family.kind](order + 1, z)
-    return up[:order], derivative_matrix(family, order) @ up
+    return _TABLE_BUILDERS[family.kind](order, z)

@@ -276,7 +276,7 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
     points = grid.shape[0]
     span_nodes, node_span = _span_rule(family, order)
     size = node_span.shape[0]
-    node_vals, _ = basis_tables(family, order, span_nodes, derivatives=False)
+    node_vals = basis_tables(family, order, span_nodes)
     vals = _span_values(family, size, grid)
     mid_vals = _span_values(family, size, nodes[:, 1:-1].reshape(-1)).reshape(size, points - 1, 5)
     cells = vals[:, :-1] * weights[:, 0]
@@ -328,7 +328,7 @@ class OfeDensity:
     """A normalized squared-expansion density with sampling and moments."""
 
     def __init__(self, basis: ProductBasis, coeffs: np.ndarray, transform=None):
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
+        coeffs = np.array(coeffs, dtype=float).reshape(-1)
         if coeffs.shape[0] != basis.size:
             raise ValueError(f"need {basis.size} coefficients, got {coeffs.shape[0]}")
         norm = float(np.linalg.norm(coeffs))
@@ -401,10 +401,7 @@ class OfeDensity:
         out = np.empty((len(terms), n))
         for start in range(0, n, _CHUNK_POINTS):
             stop = min(start + _CHUNK_POINTS, n)
-            tables = [
-                basis_tables(family, k + up[d], z[start:stop, d], derivatives=False)[0]
-                for d, (family, k) in axes
-            ]
+            tables = [basis_tables(family, k + up[d], z[start:stop, d]) for d, (family, k) in axes]
             for i, (w, shape) in enumerate(terms):
                 for table, rows in zip(tables, shape):
                     w = _contract_axis(w, table[:rows])
@@ -508,9 +505,7 @@ class OfeDensity:
             clamps[0] += c
             w = self.coeffs
             for d in range(1, ndim):
-                vals, _ = basis_tables(
-                    families[d - 1], orders[d - 1], out[start:stop, d - 1], derivatives=False
-                )
+                vals = basis_tables(families[d - 1], orders[d - 1], out[start:stop, d - 1])
                 w = _contract_axis(w, vals)
                 # One contiguous row per draw: einsum rounds the sums below by layout.
                 block = np.ascontiguousarray(w.T)

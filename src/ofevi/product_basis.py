@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis1d import BasisFamily, basis_tables
+from .basis1d import BasisFamily, basis_tables, derivative_matrix
 from .utils import as_batch, as_integer
 
 
@@ -49,13 +49,16 @@ class ProductBasis:
         return math.prod(self.orders)
 
     def tables(self, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-dimension value and derivative tables at points z of shape (n, D)."""
+        """Per-dimension values and derivatives, each (K_d, n), at points z of shape (n, D).
+
+        A derivative table is `derivative_matrix(f, K_d)` @ the values one order up.
+        """
         z = as_batch(z, self.dim)
         vals, grads = [], []
         for d, (fam, kd) in enumerate(zip(self.families, self.orders)):
-            v, g = basis_tables(fam, kd, z[:, d])
-            vals.append(v)
-            grads.append(g)
+            up = basis_tables(fam, kd + 1, z[:, d])
+            vals.append(up[:kd])
+            grads.append(derivative_matrix(fam, kd) @ up)
         return vals, grads
 
     def feature_matrix(self, z: np.ndarray) -> np.ndarray:

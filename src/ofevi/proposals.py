@@ -30,8 +30,8 @@ class UniformBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.atleast_1d(np.array(self.lo, dtype=float))
+        hi = np.atleast_1d(np.array(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -72,7 +72,7 @@ class IsotropicGaussian:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         if not np.all(np.isfinite(mean)):

@@ -32,8 +32,8 @@ class StandardizingTransform:
     inv_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        chol = np.atleast_2d(np.asarray(self.chol, dtype=float))
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        chol = np.atleast_2d(np.array(self.chol, dtype=float))
         if chol.shape != (mean.size, mean.size):
             raise TransformError("chol shape does not match mean")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(chol))):

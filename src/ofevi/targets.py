@@ -50,8 +50,8 @@ class Gaussian:
     _precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        cov = np.atleast_2d(np.array(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
         if not np.all(np.isfinite(mean)):
@@ -95,7 +95,7 @@ class GaussianMixture:
     """
 
     def __init__(self, weights, means, covs):
-        weights = np.asarray(weights, dtype=float)
+        weights = np.array(weights, dtype=float)
         # A NaN weight fails `>= 0`, and an infinite one fails the sum.
         if not np.all(weights >= 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be finite, nonnegative and sum to one")
@@ -175,8 +175,8 @@ class SinhArcsinh:
     """Sinh-arcsinh normal: a Gaussian warped per dimension by skew s and tail weight tau."""
 
     def __init__(self, s, tau, cov):
-        self.s = np.atleast_1d(np.asarray(s, dtype=float))
-        self.tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        self.s = np.atleast_1d(np.array(s, dtype=float))
+        self.tau = np.atleast_1d(np.array(tau, dtype=float))
         if not np.all(np.isfinite(self.s)):
             raise ValueError("s must be finite")
         # A NaN tau fails `> 0`.

@@ -160,7 +160,7 @@ def pairwise_prefix(family: BasisFamily, order: int):
     the table's own 7-point rule on the products, accumulated in grid order.
     """
     grid, nodes, weights = _composite_rule(family, order)
-    vals, _ = basis_tables(family, order, nodes.reshape(-1), derivatives=False)
+    vals = basis_tables(family, order, nodes.reshape(-1))
     v = vals.reshape(order, *nodes.shape).transpose(1, 2, 0)  # (cells, 7, order)
     upper, lower = np.triu_indices(order)
     doubled = np.where(upper == lower, 1.0, 2.0)

@@ -426,6 +426,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ("--family", "hermit"),
         ("--standardize", "--standardize-samples", "0"),
         ("--target-params", '{"bogus": 1}'),
+        ("--target-params", "{not json"),
+        ("--target-params", "[0.0, 1.0]"),
         ("--orders", "64,64,64"),
         ("--orders", "65"),
         ("--scale", "nan"),
@@ -540,11 +542,41 @@ def test_fit_flags_default_to_the_config_defaults():
     )
 
 
-def test_dimension_mismatch_is_a_config_error(capsys):
+def test_dimension_mismatch_is_a_config_error(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "fit", "--target", "mixture2d", "--orders", "3",
     )
     assert code == 1 and "dimension" in stderr
+    density, _ = fit_gaussian(tmp_path, capsys)
+    code, _, stderr = run_cli(capsys, "evaluate", "--density", str(density), "--target", "mixture2d")
+    assert code == 1 and "config error: density has dimension 1, target has 2" in stderr
+
+
+def test_a_fit_whose_cell_fails_exits_two(tmp_path, capsys, monkeypatch):
+    from ofevi import harness
+
+    def failing_fit(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigensolve did not converge")
+
+    monkeypatch.setattr(harness, "fit_from_batch", failing_fit)
+    out = tmp_path / "density.json"
+    code, stdout, stderr = run_cli(
+        capsys, "fit", "--target", "bimodal1d", "--orders", "3", "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr == "error: LinAlgError: eigensolve did not converge\n"
+
+
+def test_a_runtime_exception_inside_a_command_exits_two(tmp_path, capsys, monkeypatch):
+    density, _ = fit_gaussian(tmp_path, capsys)
+
+    def failing_moments(self):
+        raise FloatingPointError("overflow in the moments")
+
+    monkeypatch.setattr(OfeDensity, "mean_and_cov", failing_moments)
+    code, stdout, stderr = run_cli(capsys, "moments", "--density", str(density))
+    assert code == 2 and stdout == ""
+    assert stderr == "error: FloatingPointError: overflow in the moments\n"
 
 
 def test_help_exits_zero(capsys):

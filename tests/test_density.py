@@ -224,9 +224,9 @@ def test_the_score_reads_one_order_up_only_where_the_derivative_reaches_it(
     # Hermite and even-order Fourier derivatives reach phi_{k+1}; the others do not.
     requested = []
 
-    def recording(family, k, z, derivatives=True):
+    def recording(family, k, z):
         requested.append(k)
-        return basis_tables(family, k, z, derivatives)
+        return basis_tables(family, k, z)
 
     monkeypatch.setattr(density, "basis_tables", recording)
     q = OfeDensity(ProductBasis([BasisFamily(kind)], (order,)), np.ones(order))
@@ -259,7 +259,7 @@ def test_marginal_matches_numerical_integration():
     for x in np.linspace(-2.0, 2.0, 9):
         joint = q.density(np.column_stack([np.full(nodes.size, x), nodes]))
         direct = np.dot(weights, joint)
-        vals, _ = basis_tables(BasisFamily(HERMITE), 3, [x])
+        vals = basis_tables(BasisFamily(HERMITE), 3, [x])
         via_s = float(vals[:, 0] @ s @ vals[:, 0])
         assert via_s == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -745,9 +745,9 @@ def test_expansion_builds_no_derivative_table(monkeypatch):
     # order up, and no derivative table.
     asked = []
 
-    def recording(family, order, z, derivatives=True):
-        asked.append((order, derivatives))
-        return basis_tables(family, order, z, derivatives)
+    def recording(family, order, z):
+        asked.append(order)
+        return basis_tables(family, order, z)
 
     monkeypatch.setattr(density, "basis_tables", recording)
     monkeypatch.setattr(product_basis, "basis_tables", recording)
@@ -755,9 +755,9 @@ def test_expansion_builds_no_derivative_table(monkeypatch):
     z = np.random.default_rng(6).normal(size=(10, 2))
     q.expansion(z)
     q.log_density(z)
-    assert asked == [(3, False), (4, False)] * 2
+    assert asked == [3, 4] * 2
     q.score(z)
-    assert asked[4:] == [(4, False), (5, False)]
+    assert asked[4:] == [4, 5]
 
 
 def test_sample_count_validation():

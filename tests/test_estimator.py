@@ -57,7 +57,7 @@ def test_feature_value_example():
     z = np.array([[1.0]])
     u = feature_vectors(basis, z, -z)
     # u_2(1) = 2 phi'_2(1) + phi_2(1) = 2 phi_1(1)
-    phi_1 = basis_tables(BasisFamily(HERMITE), 1, [1.0])[0][0, 0]
+    phi_1 = basis_tables(BasisFamily(HERMITE), 1, [1.0])[0, 0]
     assert u[1, 0, 0] == pytest.approx(2.0 * phi_1, rel=1e-13)
     assert u[1, 0, 0] == pytest.approx(0.9838, abs=5e-5)
 
@@ -284,6 +284,14 @@ def test_small_batch_warns_about_rank_deficiency():
             standard_gaussian(), basis_1d(6), UniformBox.centered(6.0, 1),
             np.random.default_rng(11), n_samples=4,
         )
+
+
+def test_a_fit_refuses_an_eigenpair_past_the_residual_bound(monkeypatch):
+    # The eigensolver hands back a unit vector that is no eigenvector of M.
+    monkeypatch.setattr(estimator, "min_eigenpair", lambda m: (0.0, np.eye(m.shape[0])[-1]))
+    z = np.random.default_rng(13).uniform(-3.0, 3.0, size=(50, 1))
+    with pytest.raises(RuntimeError, match="eigenpair residual .* exceeds"):
+        fit_from_batch(standard_gaussian(), basis_1d(3), z, np.ones(50))
 
 
 def test_zero_proposal_density_raises():

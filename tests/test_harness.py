@@ -124,6 +124,19 @@ def test_fisher_with_every_point_a_pole_is_nan():
     assert math.isnan(val) and math.isnan(se)
 
 
+def test_fisher_excludes_the_poles_and_averages_the_kept_points():
+    # f underflows to zero near z = 100: two of five points are poles of q.
+    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)], (3,)), np.array([0.6, 0.0, 0.8]))
+    z = np.array([[0.5], [100.0], [-1.0], [100.5], [2.0]])
+    target = Gaussian(np.zeros(1), 2.0 * np.eye(1))
+    with pytest.warns(UserWarning, match="2 of 5 reference points are poles of q; excluded"):
+        val, se, excluded = fisher(target, q, z)
+    assert excluded == 2
+    kept = z[[0, 2, 4]]
+    assert (val, se) == fisher(target, q, kept)[:2]
+    assert math.isfinite(val) and math.isfinite(se)
+
+
 def test_fisher_divergence_validates_input():
     target = Gaussian(np.zeros(1), np.eye(1))
     with pytest.raises(ValueError):
@@ -386,6 +399,22 @@ def test_run_records_cell_failures_and_continues(monkeypatch):
     assert records[1].kl is None
 
 
+def test_an_unexpected_evaluation_error_fails_only_its_cell(monkeypatch):
+    kl = harness.kl_from_samples
+
+    def failing_kl(z, log_p, q):
+        if q.basis.size == 9:
+            raise FloatingPointError("overflow in log q")
+        return kl(z, log_p, q)
+
+    monkeypatch.setattr(harness, "kl_from_samples", failing_kl)
+    records, densities = run(small_config())
+    assert records[0].error is None and densities[0] is not None
+    assert math.isfinite(records[0].kl) and math.isfinite(records[0].fisher_div)
+    assert records[1].error == "FloatingPointError: overflow in log q"
+    assert densities[1] is None
+
+
 def test_a_failed_sampling_probe_keeps_the_fit_metrics(monkeypatch):
     config = ExperimentConfig(
         target="bimodal1d", orders=((20,), (26,)), seed=0, proposal_scale=9.0,
@@ -554,6 +583,17 @@ def test_write_outputs_creates_all_files(tmp_path):
     payload = json.loads((tmp_path / "demo_records.json").read_text())
     assert len(payload) == 2
     assert payload[0]["target"] == "mixture2d"
+
+
+def test_write_outputs_skips_a_failed_cells_density_and_keeps_its_rows(monkeypatch, tmp_path):
+    fail_fits_of_size(monkeypatch, 4)
+    cfg = small_config(out_prefix=str(tmp_path / "demo"))
+    paths = write_outputs(cfg, *run(cfg))
+    assert {p.name for p in paths} == {
+        "demo_metrics.csv", "demo_records.json", "demo_density_3x3_B400.json",
+    }
+    rows = (tmp_path / "demo_metrics.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[3] for row in rows} == {"2x2", "3x3"}
 
 
 def test_cells_of_equal_size_write_separate_density_files(tmp_path):

@@ -11,9 +11,11 @@ from ofevi import (
     HERMITE,
     BasisFamily,
     Gaussian,
+    GaussianMixture,
     IsotropicGaussian,
     OfeDensity,
     ProductBasis,
+    SinhArcsinh,
     StandardizedTarget,
     StandardizingTransform,
     UniformBox,
@@ -110,3 +112,53 @@ def test_every_evaluator_takes_an_n_by_d_batch_and_refuses_a_point(owner, method
         evaluate(point)
     out = evaluate(point[None])
     assert isinstance(out, np.ndarray) and out.shape[0] == 1
+
+
+_Z = np.array([[0.3, -0.2], [1.1, 0.4]])
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+# (constructor, its array arguments, new contents written into them afterwards, outputs)
+COPIED_ARGUMENTS = {
+    "OfeDensity": (
+        lambda a: OfeDensity(ProductBasis([BasisFamily(HERMITE)], (3,)), a),
+        [[1.0, 0.0, 0.0]], [[0.0, 3.0, 0.0]],
+        lambda q: [q.coeffs, q.log_density(_Z[:, :1])],
+    ),
+    "StandardizingTransform": (
+        StandardizingTransform, [[0.0], [[1.0]]], [[1.0], [[4.0]]],
+        lambda t: [t.mean, t.chol, t.to_standard(t.from_standard([[1.0]]))],
+    ),
+    "Gaussian": (
+        Gaussian, [[0.0, 0.0], _EYE], [[1.0, 1.0], [[4.0, 0.0], [0.0, 4.0]]],
+        lambda g: [g.mean, g.cov, g.log_density(_Z), g.score(_Z)],
+    ),
+    "GaussianMixture": (
+        lambda w: GaussianMixture(w, [[-1.0, 0.0], [1.0, 0.0]], [_EYE, _EYE]),
+        [[0.3, 0.7]], [[1.0, 0.0]],
+        lambda m: [m.weights, m.sample(np.random.default_rng(0), 20)],
+    ),
+    "SinhArcsinh": (
+        lambda s, tau: SinhArcsinh(s, tau, _EYE), [[0.2, 0.0], [1.0, 0.8]], [[1.0, 1.0], [2.0, 2.0]],
+        lambda t: [t.s, t.tau, t.log_density(_Z), t.score(_Z)],
+    ),
+    "UniformBox": (
+        UniformBox, [[-1.0, -1.0], [1.0, 1.0]], [[-5.0, -5.0], [5.0, 5.0]],
+        lambda b: [b.lo, b.hi, b.density(_Z), b.sample(np.random.default_rng(0), 5)],
+    ),
+    "IsotropicGaussian": (
+        lambda mean: IsotropicGaussian(mean, 2.0), [[0.0, 0.0]], [[3.0, 3.0]],
+        lambda g: [g.mean, g.density(_Z), g.sample(np.random.default_rng(0), 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COPIED_ARGUMENTS)
+def test_a_constructor_keeps_its_own_copies_of_its_arrays(name):
+    # Cached factors (a Cholesky inverse, log weights) would go stale if the
+    # caller's array changed under them.
+    make, args, edits, outputs = COPIED_ARGUMENTS[name]
+    arrays = [np.array(a) for a in args]
+    obj = make(*arrays)
+    before = [np.copy(out) for out in outputs(obj)]
+    for array, new in zip(arrays, edits):
+        array[...] = new
+    assert [out.tobytes() for out in outputs(obj)] == [out.tobytes() for out in before]

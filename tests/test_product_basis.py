@@ -24,7 +24,7 @@ def test_feature_rows_are_in_numpy_c_order():
     b = ProductBasis([BasisFamily(HERMITE), BasisFamily(LEGENDRE)], (3, 4))
     z = np.array([[0.5, 0.2], [-1.0, -0.7]])
     feats = b.feature_matrix(z)
-    vals = [basis_tables(f, k, z[:, d])[0] for d, (f, k) in enumerate(zip(b.families, b.orders))]
+    vals = [basis_tables(f, k, z[:, d]) for d, (f, k) in enumerate(zip(b.families, b.orders))]
     for m in np.ndindex(*b.orders):
         row = np.ravel_multi_index(m, b.orders)
         assert np.array_equal(feats[row], vals[0][m[0]] * vals[1][m[1]])
@@ -53,7 +53,7 @@ def test_product_value_is_product_of_factors():
     for _ in range(20):
         m = tuple(int(rng.integers(0, k)) for k in b3.orders)
         z = rng.normal(size=3)
-        factors = (basis_tables(fam, k, [zd])[0][md, 0] for md, k, zd in zip(m, b3.orders, z))
+        factors = (basis_tables(fam, k, [zd])[md, 0] for md, k, zd in zip(m, b3.orders, z))
         row = np.ravel_multi_index(m, b3.orders)
         assert eval_product(b3, row, z) == pytest.approx(math.prod(factors), rel=1e-13)
 
@@ -72,7 +72,7 @@ def test_one_dimensional_product_reduces_to_family():
     b = ProductBasis([BasisFamily(HERMITE)], (6,))
     z = np.array([[0.4], [-1.3]])
     feats = b.feature_matrix(z)
-    vals, _ = basis_tables(BasisFamily(HERMITE), 6, [0.4])
+    vals = basis_tables(BasisFamily(HERMITE), 6, [0.4])
     assert np.array_equal(feats[:, 0], vals[:, 0])
 
 
@@ -134,7 +134,7 @@ def test_feature_gradients_are_the_fit_features_at_zero_score(kinds, orders):
 def test_combine_writes_a_single_table_bit_for_bit():
     # The product starts from a row of ones, and 1.0 * x is x: signed zeros,
     # infinities, NaN and subnormals included.
-    table = basis_tables(BasisFamily(HERMITE), 5, np.linspace(-2.0, 2.0, 7))[0]
+    table = basis_tables(BasisFamily(HERMITE), 5, np.linspace(-2.0, 2.0, 7))
     table[0, :5] = [-0.0, math.inf, -math.inf, math.nan, 5e-324]
     out = np.empty((1,) + table.shape)
     _combine([table], out)
