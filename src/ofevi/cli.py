@@ -69,6 +69,7 @@ def _cmd_fit(args) -> int:
         q.save(args.out)
     summary = {
         "lambda_min": result.eigenvalue,
+        "lambda_2": result.lambda_2,
         "residual": result.residual,
         "K": record.K,
         "B": record.B,

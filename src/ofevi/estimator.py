@@ -9,9 +9,11 @@ alpha^T M alpha with
     w_b = 1 / pi(z_b),
 
 where z_b are draws from the proposal pi.  Minimizing over unit alpha is a
-minimum-eigenvalue problem, so the fit is a single dense symmetric
-eigensolve (LAPACK, through numpy) with no iterative optimization over the
-variational parameters.
+minimum-eigenvalue problem, so alpha comes from one symmetric eigensolve,
+with no iterative gradient optimization over the variational parameters.
+The eigensolve (`min_eigenpair`) seeks only the lowest pairs: block inverse
+iteration from one Cholesky factor of M, with the full dense `eigh` as its
+fallback.
 
 The batch is streamed in fixed-order chunks of `chunk_draws(D)` samples,
 at most `CHUNK_COLUMNS` feature columns (draws times D) each.  Each chunk
@@ -175,32 +177,113 @@ def _gram(block: np.ndarray) -> np.ndarray:
     return m
 
 
-def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a symmetric matrix, with a fixed sign convention.
+# Block inverse iteration in `min_eigenpair`: the shift added to M's
+# diagonal before it is factored, as a share of tr M; the residual at which
+# the lowest Ritz pair is taken, as a share of ||M||_F (a fit accepts 1e-8);
+# the block width; and the steps after which the dense solve takes over.
+# At seeds 1-3 the fits of the benchmark's mixture2d sweep took 3 to 7
+# steps, its standardized 5-D fits 10 to 25 and 46x46 mixture2d fits 2; the
+# Gram matrix of a (K, 2K) Gaussian factor takes several hundred.
+_SHIFT = 1e-13
+_RESIDUAL = 1e-12
+_BLOCK = 4
+_MAX_STEPS = 64
 
-    One full dense LAPACK solve (`np.linalg.eigh`, eigenvalues ascending),
-    at every size the memory bound admits; it costs 2-3x a solve for the
-    lowest pair only.  The eigenvector is flipped so its largest-magnitude
-    entry (first such, on ties) is nonnegative.
+# Rows at or below which `_invert_lower` inverts a block by LU.
+_LEAF_ROWS = 32
+
+
+def _invert_lower(l: np.ndarray) -> None:
+    """Overwrite a nonsingular lower-triangular l with its inverse, in place.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: the two
+    diagonal blocks are inverted in place by the same split and the corner
+    by two GEMMs, so only quarter-size temporaries are made.  A block of at
+    most `_LEAF_ROWS` rows is inverted by LU (`np.linalg.inv`; numpy has no
+    triangular solve), whose rounding above the diagonal `np.tril` clears.
     """
-    vals, vecs = np.linalg.eigh(m)
-    alpha = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    k = l.shape[0]
+    if k <= _LEAF_ROWS:
+        l[:] = np.tril(np.linalg.inv(l))
+        return
+    r = k // 2
+    _invert_lower(l[:r, :r])
+    _invert_lower(l[r:, r:])
+    l[r:, :r] = -(l[r:, r:] @ (l[r:, :r] @ l[:r, :r]))
+
+
+def _lowest_ritz_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ritz values (ascending) and the lowest Ritz vector of m, or None if the iteration fails.
+
+    L is the Cholesky factor of m + tau I, tau = `_SHIFT` tr m, so
+    L^-T L^-1 = (m + tau I)^-1.  A block of `_BLOCK` columns (all K when
+    K is smaller) starts from a fixed seed; each step applies L^-1 and then
+    L^-T, orthonormalizes by QR and takes the Rayleigh-Ritz pairs of m
+    itself on the block.  It stops when the lowest pair's residual is at
+    most `_RESIDUAL` ||m||_F.  None when m + tau I has no Cholesky factor
+    (m is not positive semidefinite, or is zero) or after `_MAX_STEPS`
+    steps.  The only K x K arrays besides m are the copy that L is built
+    from and L itself, inverted in place.
+    """
+    k = m.shape[0]
+    l = m.copy()
+    l.flat[:: k + 1] += _SHIFT * np.trace(m)
+    try:
+        l = np.linalg.cholesky(l)
+    except np.linalg.LinAlgError:
+        return None
+    _invert_lower(l)
+    x = np.random.default_rng(0).standard_normal((k, min(_BLOCK, k)))
+    bound = _RESIDUAL * np.linalg.norm(m)
+    for _ in range(_MAX_STEPS):
+        q = np.linalg.qr(l.T @ (l @ x))[0]
+        mq = m @ q
+        theta, v = np.linalg.eigh(q.T @ mq)
+        x = q @ v
+        if np.linalg.norm(mq @ v[:, 0] - theta[0] * x[:, 0]) <= bound:
+            return theta, x[:, 0]
+    return None
+
+
+@_blas.pinned()
+def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, float | None]:
+    """Lowest eigenvalue of a symmetric m, its eigenvector and the second-lowest eigenvalue.
+
+    Block inverse iteration (`_lowest_ritz_pair`) gives the pair and, as
+    the second Ritz value of its block, an upper bound on the second
+    eigenvalue that is tight when it lies close to the lowest.  When that
+    iteration fails, the full dense solve `np.linalg.eigh` gives all three.
+    With K at most the block width the block spans the whole space, so
+    one step is exact.  The second eigenvalue is None when K = 1.  The
+    eigenvector is flipped so its largest-magnitude entry (first such, on
+    ties) is nonnegative.  Runs with BLAS pinned to one thread, also when
+    called outside a fit.
+    """
+    ritz = _lowest_ritz_pair(m)
+    if ritz is None:
+        vals, vecs = np.linalg.eigh(m)
+        ritz = vals, vecs[:, 0]
+    vals, vec = ritz
+    alpha = vec / np.linalg.norm(vec)
     lead = int(np.argmax(np.abs(alpha)))
     if alpha[lead] < 0.0:
         alpha = -alpha
-    return float(vals[0]), alpha
+    return float(vals[0]), alpha, float(vals[1]) if vals.size > 1 else None
 
 
 @dataclass(frozen=True)
 class FitResult:
     """A fitted density with its M, and the kept draws, weights and finite scores of M.
 
+    eigenvalue is M's lowest eigenvalue, and lambda_2 the second lowest as
+    `min_eigenpair` gives it (None when K = 1).
     largest_array_bytes is `largest_array_bytes` of the basis: the bytes of M or of one
     chunk's features, whichever is larger.
     """
 
     density: OfeDensity
     eigenvalue: float
+    lambda_2: float | None
     residual: float
     moment_matrix: np.ndarray
     samples: np.ndarray
@@ -327,7 +410,7 @@ def fit_from_batch(
                 if rows is not None:
                     m[np.ix_(rows, rows)] = earlier.moment_matrix
         t2 = time.perf_counter()
-        lam, alpha = min_eigenpair(m)
+        lam, alpha, lambda_2 = min_eigenpair(m)
         t3 = time.perf_counter()
         residual = float(np.linalg.norm(m @ alpha - lam * alpha))
         bound = residual_tol * np.linalg.norm(m, "fro")
@@ -338,6 +421,7 @@ def fit_from_batch(
     return FitResult(
         density=OfeDensity(basis, alpha),
         eigenvalue=lam,
+        lambda_2=lambda_2,
         residual=residual,
         moment_matrix=m,
         samples=z,

@@ -207,6 +207,7 @@ class RunRecord:
     seed: int
     standardize: bool
     lambda_min: float | None = None
+    lambda_2: float | None = None
     residual: float | None = None
     kl: float | None = None
     kl_se: float | None = None
@@ -413,6 +414,7 @@ def _run_cell(config, record, result, q, reference, bi, ki):
         record,
         **fields,
         lambda_min=result.eigenvalue,
+        lambda_2=result.lambda_2,
         residual=result.residual,
         rejected=result.rejected,
         tail_clips=tail_clips,

@@ -119,13 +119,19 @@ def test_the_pin_finds_every_openblas_a_fit_loads():
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
     # K = 300 splits at row 87; unpinned, two threads change M's last bits.
+    # The second case is the eigensolve of an M of rank K on 150 draws,
+    # which block inverse iteration solves; unpinned, two threads change
+    # alpha's last bits.
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from ofevi import assemble_moment_matrix\n"
+        "from ofevi import assemble_moment_matrix, min_eigenpair\n"
         "rng = np.random.default_rng(5)\n"
         "m = assemble_moment_matrix(rng.normal(size=(300, 512, 2)), rng.uniform(0.5, 2.0, 512))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+        "m = assemble_moment_matrix(rng.normal(size=(300, 150, 2)), rng.uniform(0.5, 2.0, 150))\n"
+        "lam, alpha, lambda_2 = min_eigenpair(m)\n"
+        "print(hashlib.sha256(np.array([lam, lambda_2]).tobytes() + alpha.tobytes()).hexdigest())\n"
     )
     digests = []
     for threads in ("1", "2"):
@@ -136,7 +142,8 @@ def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2
     assert digests[0] == digests[1]
 
 

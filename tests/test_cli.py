@@ -45,6 +45,7 @@ def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
     out, summary = fit_gaussian(tmp_path, capsys)
     assert out.exists()
     assert summary["lambda_min"] == 0.0
+    assert summary["lambda_2"] is None
     assert summary["K"] == 1 and summary["B"] == 500
     assert summary["blas_threads"] == (1 if _blas._libraries() else None)
     q = OfeDensity.load(out)
@@ -53,6 +54,7 @@ def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
 
 def test_fit_summary_reports_the_cost_of_the_fit(tmp_path, capsys):
     _, summary = fit_gaussian(tmp_path, capsys, orders="3")
+    assert summary["lambda_2"] > summary["lambda_min"]
     assert set(summary["timings_ms"]) == {"score_eval", "assemble", "eigensolve"}
     assert all(t >= 0.0 for t in summary["timings_ms"].values())
     assert summary["largest_array_bytes"] == largest_array_bytes(3, 1)

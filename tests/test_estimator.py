@@ -150,13 +150,14 @@ def test_doubling_the_batch_doubles_the_matrix_exactly():
 # -- eigensolve ------------------------------------------------------------------
 
 def test_min_eigenpair_diagonal_example():
-    lam, alpha = min_eigenpair(np.diag([3.0, 1.0, 2.0]))
+    lam, alpha, lambda_2 = min_eigenpair(np.diag([3.0, 1.0, 2.0]))
     assert lam == pytest.approx(1.0, abs=1e-14)
+    assert lambda_2 == pytest.approx(2.0, abs=1e-14)
     assert np.allclose(alpha, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_min_eigenpair_identity_matrix():
-    lam, alpha = min_eigenpair(np.eye(3))
+    lam, alpha, _ = min_eigenpair(np.eye(3))
     assert lam == pytest.approx(1.0, rel=1e-14)
     assert np.linalg.norm(alpha) == pytest.approx(1.0, rel=1e-14)
     assert np.allclose(np.eye(3) @ alpha, lam * alpha, atol=1e-14)
@@ -166,7 +167,7 @@ def test_min_eigenpair_matches_dense_oracle():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(12, 12))
     m = a @ a.T
-    lam, alpha = min_eigenpair(m)
+    lam, alpha, _ = min_eigenpair(m)
     vals, vecs = np.linalg.eigh(m)
     assert lam == pytest.approx(vals[0], rel=1e-10, abs=1e-12)
     ref = vecs[:, 0]
@@ -185,7 +186,7 @@ def test_min_eigenpair_above_two_thousand_functions():
     d[700] = 0.5
     hd = d[:, None] * (np.eye(k) - 2.0 * np.outer(v, v))
     m = hd - 2.0 * np.outer(v, v @ hd)
-    lam, alpha = min_eigenpair(m)
+    lam, alpha, _ = min_eigenpair(m)
     known = -2.0 * v[700] * v
     known[700] += 1.0
     vals, vecs = np.linalg.eigh(m)
@@ -194,25 +195,77 @@ def test_min_eigenpair_above_two_thousand_functions():
         assert min(np.linalg.norm(alpha - ref), np.linalg.norm(alpha + ref)) < 1e-10
 
 
-@pytest.mark.parametrize("k", [25, 243, 576])
-def test_min_eigenpair_matches_the_lowest_pair_only_solve(k):
-    rng = np.random.default_rng(k)
-    a = rng.normal(size=(k, 2 * k))
-    m = a @ a.T
-    lam, alpha = min_eigenpair(m)
-    vals, vecs = scipy_linalg.eigh(m, subset_by_index=(0, 0))
-    ref = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    ref *= np.sign(ref[np.argmax(np.abs(ref))])
-    assert lam == pytest.approx(vals[0], abs=1e-12 * np.linalg.norm(m, 2))
-    assert np.max(np.abs(alpha - ref)) < 1e-9
+def _wishart(k, cols, seed):
+    a = np.random.default_rng(seed).normal(size=(k, cols))
+    return a @ a.T
+
+
+def _lowest_four_within(spread, k, seed):
+    # PSD, lambda_max near 1, the four lowest eigenvalues in [0, spread].
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.1, 1.0, size=k)
+    vals[:4] = spread * np.array([0.0, 0.3, 0.6, 0.9])
+    q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    return (q * vals) @ q.T
+
+
+LOWEST_PAIR_CASES = {
+    # Wishart: the lowest eigenvalues of a (K, 2K) factor's Gram matrix are
+    # close in ratio, so the block iteration converges slowly: at K = 25
+    # within the step cap, at 243 and 576 past it, where the dense solve runs.
+    "25": lambda: _wishart(25, 50, 25),
+    "243": lambda: _wishart(243, 486, 243),
+    "576": lambda: _wishart(576, 1152, 576),
+    # Indefinite: no Cholesky factor, so the dense solve runs.
+    "indefinite": lambda: _wishart(40, 40, 3) - 20.0 * np.eye(40),
+    # A near-null cluster of four, as in the largest 2-D fits: alpha is any
+    # vector of the cluster, so only its residual and lambda are checked.
+    "cluster": lambda: _lowest_four_within(1e-10, 200, 4),
+    # K at most the block width: the block spans the whole space.
+    "4": lambda: _wishart(4, 6, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(LOWEST_PAIR_CASES))
+def test_min_eigenpair_matches_the_lowest_pair_only_solve(case):
+    m = LOWEST_PAIR_CASES[case]()
+    lam, alpha, lambda_2 = min_eigenpair(m)
+    vals, vecs = scipy_linalg.eigh(m, subset_by_index=(0, 1))
+    norm = np.linalg.norm(m, 2)
+    assert lam == pytest.approx(vals[0], abs=1e-12 * norm)
+    assert lambda_2 == pytest.approx(vals[1], abs=1e-12 * norm)
+    # Within the bound fit_from_batch applies to every eigenpair.
+    assert np.linalg.norm(m @ alpha - lam * alpha) <= 1e-8 * np.linalg.norm(m)
+    assert np.linalg.norm(alpha) == pytest.approx(1.0, rel=1e-14)
     assert alpha[np.argmax(np.abs(alpha))] > 0.0
+    if case != "cluster":
+        ref = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        ref *= np.sign(ref[np.argmax(np.abs(ref))])
+        assert np.max(np.abs(alpha - ref)) < 1e-9
+
+
+def test_min_eigenpair_runs_no_dense_solve_on_a_well_separated_matrix(monkeypatch):
+    # A square factor's Wishart matrix has its lowest eigenvalues far apart
+    # in ratio, so the block iteration converges and eigh sees only blocks.
+    k = 576
+    m = _wishart(k, k, 7)
+    shapes, eigh = [], np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    lam, alpha, _ = min_eigenpair(m)
+    assert shapes and (k, k) not in shapes
+    assert np.linalg.norm(m @ alpha - lam * alpha) <= 1e-12 * np.linalg.norm(m)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_eigenvector_sign_convention(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(6, 6))
-    _, alpha = min_eigenpair(a + a.T)
+    _, alpha, _ = min_eigenpair(a + a.T)
     lead = int(np.argmax(np.abs(alpha)))
     assert alpha[lead] >= 0.0
 
@@ -225,6 +278,7 @@ def test_gaussian_fit_is_exact_at_order_one():
         np.random.default_rng(7), n_samples=100,
     )
     assert result.eigenvalue == 0.0
+    assert result.lambda_2 is None
     assert np.array_equal(result.moment_matrix, np.zeros((1, 1)))
     assert np.array_equal(result.density.coeffs, [1.0])
     assert result.rejected == 0
@@ -252,7 +306,10 @@ def test_fit_minimizes_the_quadratic_form():
         UniformBox.centered(6.0, 2), np.random.default_rng(9), n_samples=2000,
     )
     m, alpha = result.moment_matrix, result.density.coeffs
-    assert np.min(np.linalg.eigvalsh(m)) >= -1e-10 * np.linalg.norm(m, 2)
+    vals = np.linalg.eigvalsh(m)
+    assert np.min(vals) >= -1e-10 * np.linalg.norm(m, 2)
+    # lambda_2 is the block's second Ritz value: an upper bound on vals[1].
+    assert vals[1] - 1e-12 * vals[-1] <= result.lambda_2 <= vals[-1]
     value = alpha @ m @ alpha
     rng = np.random.default_rng(10)
     for _ in range(200):
@@ -288,7 +345,7 @@ def test_small_batch_warns_about_rank_deficiency():
 
 def test_a_fit_refuses_an_eigenpair_past_the_residual_bound(monkeypatch):
     # The eigensolver hands back a unit vector that is no eigenvector of M.
-    monkeypatch.setattr(estimator, "min_eigenpair", lambda m: (0.0, np.eye(m.shape[0])[-1]))
+    monkeypatch.setattr(estimator, "min_eigenpair", lambda m: (0.0, np.eye(m.shape[0])[-1], 1.0))
     z = np.random.default_rng(13).uniform(-3.0, 3.0, size=(50, 1))
     with pytest.raises(RuntimeError, match="eigenpair residual .* exceeds"):
         fit_from_batch(standard_gaussian(), basis_1d(3), z, np.ones(50))

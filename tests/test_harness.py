@@ -522,10 +522,13 @@ def test_records_round_trip_through_json():
     records, _ = run(small_config())
     back = records_from_json(records_to_json(records))
     assert back == list(records)
-    # The bytes of a fit's largest array are in the JSON, not among the CSV's metrics.
+    # The bytes of a fit's largest array and lambda_2 are in the JSON, not
+    # among the CSV's metrics.
     payload = json.loads(records_to_json(records))
     assert [p["largest_array_bytes"] for p in payload] == [largest_array_bytes(r.K, 2) for r in records]
+    assert all(p["lambda_2"] > p["lambda_min"] for p in payload)
     assert "largest_array_bytes" not in records_to_csv(records)
+    assert "lambda_2" not in records_to_csv(records)
 
 
 def test_records_json_writes_a_non_finite_metric_as_null_and_the_csv_keeps_nan():
