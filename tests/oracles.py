@@ -1,8 +1,8 @@
 """Independent oracles and quadrature utilities shared by the tests.
 
-The closed-form CDF oracle below never touches the package's recurrences:
-it expands the squared Hermite-function series into a polynomial times the
-standard normal density and integrates monomial moments exactly.  The
+The Hermite CDF oracle below never touches the package's recurrences: it
+integrates the squared series, evaluated by `recurrence_tables`, with
+Gauss-Legendre panels, which stays accurate at every order up to 64.  The
 pairwise prefix oracle integrates every product phi_k phi_l on the CDF
 table's grid directly, with no span.  The single-function product-basis
 evaluators are point-at-a-time references for the vectorized feature code,
@@ -21,7 +21,6 @@ import math
 import tracemalloc
 
 import numpy as np
-from scipy import special
 
 from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
 from ofevi import _blas
@@ -67,36 +66,35 @@ def gauss_panels(lo, hi, panels=24, order=24):
     return nodes, weights
 
 
-def gaussian_moment_integrals(x, top):
-    """I_m(x) = integral of t^m N(t) dt over (-inf, x] for m = 0..top.
-
-    Uses I_0 = Phi(x), I_1 = -N(x), and the integration-by-parts recurrence
-    I_m = -x^{m-1} N(x) + (m-1) I_{m-2}.
-    """
-    x = np.asarray(x, dtype=float)
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    out = np.empty((top + 1,) + x.shape)
-    out[0] = special.ndtr(x)
-    if top >= 1:
-        out[1] = -pdf
-    for m in range(2, top + 1):
-        out[m] = -(x ** (m - 1)) * pdf + (m - 1) * out[m - 2]
-    return out
-
-
 def hermite_expansion_cdf(alpha, x):
-    """Exact CDF of q(z) = (sum_k alpha_k phi_k(z))^2, Hermite family.
+    """CDF of q(z) = (sum_k alpha_k phi_k(z))^2, Hermite family, by Gauss-Legendre panels.
 
-    phi_k(z) = He_{k-1}(z) / sqrt((k-1)!) * sqrt(N(z)) with He the
-    probabilist's Hermite polynomials, so q is a polynomial times N(z).
+    The CDF at x is the sum of the whole panels of width 0.1 on [-40, 40]
+    below x, plus one 20-node rule on the rest of x's panel.  q is below
+    1e-300 past |z| = 40 at every order up to 64.  A monomial expansion of
+    the series (He_k as powers of z, squared, against Gaussian moments)
+    cancels digits as the order rises: on random unit coefficients it is
+    1e-9 off at order 20 and worse than 1 at order 40.
     """
     alpha = np.asarray(alpha, dtype=float)
-    k = alpha.size
-    herm = alpha / np.array([math.sqrt(math.factorial(m)) for m in range(k)])
-    poly = np.polynomial.hermite_e.herme2poly(herm)
-    squared = np.polynomial.polynomial.polymul(poly, poly)
-    moments = gaussian_moment_integrals(x, squared.size - 1)
-    return np.tensordot(squared, moments, axes=(0, 0))
+    x = np.asarray(x, dtype=float)
+    flat = np.clip(x.reshape(-1), -40.0, 40.0)
+    edges = np.linspace(-40.0, 40.0, 801)
+    t, w = np.polynomial.legendre.leggauss(20)
+
+    def integrals(lo, hi):
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * t
+        out = np.empty(lo.shape[0])
+        for start in range(0, lo.shape[0], 1024):
+            c = slice(start, start + 1024)
+            f = alpha @ recurrence_tables(BasisFamily(HERMITE), alpha.size, nodes[c].reshape(-1))[0]
+            out[c] = (f * f).reshape(-1, t.shape[0]) @ w * half[c]
+        return out
+
+    below = np.concatenate([[0.0], np.cumsum(integrals(edges[:-1], edges[1:]))])
+    panel = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, edges.shape[0] - 2)
+    return (below[panel] + integrals(edges[panel], flat)).reshape(x.shape)
 
 
 def hermite_expansion_pdf(alpha, x):
