@@ -9,11 +9,13 @@ The outputs are the CSV and density files of six sweep configs (the
 benchmark's `sweep_mixture2d` and `fit_sinh5d` configs, written out here,
 and 1-D Hermite, 1-D Laguerre, 2-D Legendre and 2-D Fourier sweeps), then
 10k draws and the moments of a fitted 20x20 mixture2d density, 50k draws
-of the standardized 5-D density, and, per family, the features and their
-gradients of the 1-D bases of every order 1 ... MAX_ORDER on a fixed grid
-(the value tables, the derivative tables and the order MAX_ORDER + 1 row
-that the cap's derivatives read).  The records JSON carries wall-clock
-timings, so it is left out.
+of the standardized 5-D density, 10k draws each from an order-40 1-D
+Legendre and an order-40 1-D Laguerre density (their CDF tables differ
+from the Hermite ones in grid and in closed form), and, per family, the
+features and their gradients of the 1-D bases of every order
+1 ... MAX_ORDER on a fixed grid (the value tables, the derivative tables
+and the order MAX_ORDER + 1 row that the cap's derivatives read).  The
+records JSON carries wall-clock timings, so it is left out.
 """
 
 import argparse
@@ -107,6 +109,11 @@ def main() -> None:
     q = OfeDensity.load(args.out_dir / "fit_sinh5d_density_4x4x4x3x3_B5760.json")
     draws = q.sample(np.random.default_rng((args.seed, 5)), 50_000)
     lines.append(("sinh5d_4x4x4x3x3_draws_50000", digest(draws.tobytes())))
+
+    for kind, stream in (("legendre", 6), ("laguerre", 7)):
+        rng = np.random.default_rng((args.seed, stream))
+        q = OfeDensity(ProductBasis([BasisFamily(kind)], (40,)), rng.standard_normal(40))
+        lines.append((f"{kind}40_draws_10000", digest(q.sample(rng, 10_000).tobytes())))
 
     for kind, grid in TABLE_GRIDS.items():
         sha = hashlib.sha256()

@@ -42,12 +42,10 @@ First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
 x^2 phi_a phi_b, each exact from the family's own Gauss rule.
 
-The CDF tables' prefix integrals come from one composite 7-point
-Gauss-Lobatto rule on a grid sized from the family and the order, so
-sampling holds at every order up to basis1d.MAX_ORDER.  The grid has 1001
-points, 4001 on the Laguerre half line.  With the cubic step a Hermite
-draw's CDF misses its uniform by about 2e-8 at order 20 and 1e-6 at
-order 64, where linear interpolation on a 4001-point grid missed by 1e-5.
+The CDF tables' prefix integrals are exact, in closed form (DLMF 18.9), so
+the grid, 1001 points in every family, only serves the cubic step and is
+graded where the basis crowds its zeros.  A draw's CDF misses its uniform
+by about 5e-8 at order 20 and by under 1e-6 at order 64, in every family.
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ _CHUNK_POINTS = 8192
 # gives every draw's CDF; a draw's bisection starts inside the node cell
 # holding its target, so it takes log2((points - 1) / _COARSE_CELLS) steps.
 _COARSE_CELLS = 32
-# Grid points whose span values a table build holds in the builder's
-# (M, points) layout at once, before they go into the table's rows.
+# Grid points whose span values and integrals a table build holds in the
+# builder's (M, points) layout at once, before they go into the table's rows.
 _BUILD_POINTS = 256
 
 
@@ -120,10 +118,10 @@ def _invert(table, gamma, targets) -> tuple[np.ndarray, int]:
     node_cdf = gamma @ rows[nodes].T
     # Start from the last node at or below the target (node 0 at the least),
     # so the bracket keeps cdf(lo) <= target < cdf(hi) even where rounding
-    # makes the CDF dip.
-    below = node_cdf[:, :-1] <= targets[:, None]
-    below[:, 0] = True
-    cell = nodes.shape[0] - 2 - np.argmax(below[:, ::-1], axis=1)
+    # makes the CDF dip.  below runs from the last node down: argmax reads it contiguously.
+    below = node_cdf[:, -2::-1] <= targets[:, None]
+    below[:, -1] = True
+    cell = nodes.shape[0] - 2 - np.argmax(below, axis=1)
     each = np.arange(targets.shape[0])
     lo, hi = nodes[cell], nodes[cell + 1]
     c_lo, c_hi = node_cdf[each, cell], node_cdf[each, cell + 1]
@@ -187,52 +185,27 @@ def _place(grid, targets, top, lo, hi, cdf, dens) -> tuple[np.ndarray, int]:
     return np.where(clamped, grid[-1], grid[lo] + t * h), int(np.count_nonzero(clamped))
 
 
-def default_grid_spec(family: BasisFamily, order: int) -> tuple[float, float, int]:
-    """Quadrature grid (lo, hi, points) that holds the order-`order` mass.
+def cdf_grid(family: BasisFamily, order: int) -> np.ndarray:
+    """The 1001 points of the order-`order` CDF table, graded where the basis crowds its zeros.
 
-    Bounded supports use the whole support.  On unbounded domains high orders
-    spread mass outward: phi_order oscillates out to about sqrt(4 * order + 2)
-    on the Hermite line and 4 * order on the Laguerre half line, and the grid
-    reaches past that (never less than 12 and 60).  The mass check in
-    `build_cdf_table` catches a grid that is too narrow.  With `_place`'s
-    cubic step, 1001 points hold the Hermite, Legendre and Fourier prefix
-    integrals to within 4e-12 of a 4001-point grid at every order.  The
-    Laguerre half line keeps 4001: at 1001 points the mass check fails from
-    order 44, at 2001 points at order 64.
+    Chebyshev points on [-1, 1], quadratic spacing on the Laguerre [0, hi],
+    uniform elsewhere.  phi_order oscillates out to about sqrt(4 * order + 2)
+    on the Hermite line and 4 * order on the Laguerre half line, and the
+    grid reaches past that; `build_cdf_table`'s mass check catches a grid
+    that is too narrow.
     """
     if family.kind == HERMITE:
         half = max(12.0, math.sqrt(4.0 * order + 2.0) + 2.0)
-        return (-half, half, 1001)
-    lo, hi = family.support
-    if family.kind == LAGUERRE:
-        return (lo, max(60.0, 4.0 * order + 10.0 * np.sqrt(order) + 20.0), 4001)
-    return (lo, hi, 1001)
+        return np.linspace(-half, half, 1001)
+    if family.kind == FOURIER:
+        return np.linspace(0.0, 2.0 * math.pi, 1001)
+    s = np.linspace(0.0, 1.0, 1001)
+    if family.kind == LEGENDRE:
+        return -np.cos(math.pi * s)
+    return max(60.0, 4.0 * order + 10.0 * math.sqrt(order) + 20.0) * s * s
 
 
-# 7-point Gauss-Lobatto rule on [-1, 1], exact for polynomials of degree 11
-# (Simpson's rule is its 3-point case).  Its end nodes are the cell edges, so
-# the composite rule on a grid needs the basis on the grid and at 5 interior
-# nodes per cell.
-_OUTER, _INNER = (math.sqrt((5.0 + s * 2.0 * math.sqrt(5.0 / 3.0)) / 11.0) for s in (1, -1))
-_LOBATTO_NODES = np.array([-1.0, -_OUTER, -_INNER, 0.0, _INNER, _OUTER, 1.0])
-_R15 = 21.0 * math.sqrt(15.0)
-_LOBATTO_WEIGHTS = np.array(
-    [50.0, 372.0 - _R15, 372.0 + _R15, 512.0, 372.0 + _R15, 372.0 - _R15, 50.0]
-) / 1050.0
 _MASS_TOL = 1e-6
-
-
-def _composite_rule(family: BasisFamily, order: int):
-    """The family's grid and the nodes and weights of the rule on its cells.
-
-    Returns grid (points,), nodes and weights (points - 1, 7); row c holds
-    grid[c], the 5 interior nodes of cell c, and grid[c + 1].
-    """
-    grid = np.linspace(*default_grid_spec(family, order))
-    half = 0.5 * np.diff(grid)[:, None]
-    nodes = 0.5 * (grid[:-1] + grid[1:])[:, None] + half * _LOBATTO_NODES
-    nodes[:, 0], nodes[:, -1] = grid[:-1], grid[1:]
-    return grid, nodes, half * _LOBATTO_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -243,11 +216,11 @@ class CdfTable:
     M orthonormal functions g_1..g_M (see `_span_values`), so a conditional
     density sum_kl S_kl phi_k phi_l is sum_m gamma_m g_m and its CDF is
     pair_prefix[g] @ gamma.  vals holds the g_m on the grid, shape
-    (points, M), so the density at grid[g] is vals[g] @ gamma, and mid_vals
-    at the 5 interior Gauss-Lobatto nodes of each cell, shape
-    (M, points - 1, 5).  pair_prefix, shape (points, M), holds in column m
-    of row g the integral of g_m from the grid's lower end up to grid[g]:
-    each grid point's block is one contiguous row, in both tables.
+    (points, M), so the density at grid[g] is vals[g] @ gamma.
+    pair_prefix, shape (points, M), holds in column m of row g the exact
+    integral of g_m from the grid's lower end up to grid[g]: each grid
+    point's block is one contiguous row, in both tables.  mid_vals is
+    zero-size; it stays only because the benchmark's tracer sums its bytes.
 
     node_vals (order, M) holds phi_k at the M nodes of the span's Gauss
     rule and node_span (M, M) the weighted g_m there, so gamma is
@@ -318,35 +291,61 @@ def _span_rule(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, (span / np.sum(span * span, axis=0)).T
 
 
-def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
-    """Prefix integrals of the span functions on `default_grid_spec(family, order)`.
+def _span_rows(family: BasisFamily, t: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
+    """Write g_1..g_M at the points t into vals (M, n), and their integrals up to t into out.
 
-    Each cell's integrals are the 7-point rule on its rows of span values,
-    accumulated in grid order.  The grid's span values go into their rows
-    `_BUILD_POINTS` points at a time, the interior ones are scaled in place
-    and the cell sums accumulate in place, so no full-size copy of the
-    table is made.
+    The integrals are in closed form (DLMF 18.9), from -inf on the Hermite line.
+    """
+    span = _span_values(family, vals.shape[0] + 1, t)
+    vals[...] = span[:-1]
+    if family.kind == HERMITE:
+        # psi_j = g_{j+1}: G_0 = pi^(1/4) sqrt(2) Phi(t), G_1 = -sqrt(2) psi_0 and
+        # G_{j+1} = sqrt(j / (j + 1)) G_{j-1} - sqrt(2 / (j + 1)) psi_j.
+        out[0] = [math.erfc(-x / math.sqrt(2.0)) * math.pi**0.25 / math.sqrt(2.0) for x in t]
+        out[1:2] = -math.sqrt(2.0) * span[0]
+        for j in range(1, out.shape[0] - 1):
+            span[j] *= math.sqrt(2.0 / (j + 1))
+            np.subtract(math.sqrt(j / (j + 1)) * out[j - 1], span[j], out=out[j + 1])
+    elif family.kind == LAGUERRE:
+        # g_{n+1}(t) = sqrt(2) l_n(2 t), with l_n(y) = exp(-y / 2) L_n(y) integrating to
+        # I_0 = 2 (1 - exp(-y / 2)) and I_{n+1} = 2 (l_n - l_{n+1}) - I_n: G_n = I_n / sqrt(2).
+        np.subtract(math.sqrt(2.0), span[0], out=out[0])
+        for n in range(out.shape[0] - 1):
+            np.subtract(span[n] - span[n + 1], out[n], out=out[n + 1])
+    elif family.kind == LEGENDRE:
+        # span m as P_m, which integrates to (P_{m+1} - P_{m-1}) / (2 m + 1), and P_0 to P_1 + P_0.
+        span *= np.sqrt(2.0 / (2.0 * np.arange(span.shape[0]) + 1.0))[:, None]
+        np.add(span[1], span[0], out=out[0])
+        np.subtract(span[2:], span[:-2], out=out[1:])
+        out /= np.sqrt(4.0 * np.arange(out.shape[0]) + 2.0)[:, None]
+    else:
+        # t / sqrt(2 pi), then sin(m t) / (m sqrt(pi)) and (1 - cos(m t)) / (m sqrt(pi)).
+        np.multiply(t, (2.0 * math.pi) ** -0.5, out=out[0])
+        for m in range(1, out.shape[0] // 2 + 1):
+            np.divide(span[2 * m], m, out=out[2 * m - 1])
+            np.divide(math.pi**-0.5 - span[2 * m - 1], m, out=out[2 * m])
+
+
+def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
+    """Closed-form prefix integrals of the span functions on `cdf_grid(family, order)`.
+
+    The grid's span values and their integrals (`_span_rows`) go into
+    their rows `_BUILD_POINTS` points at a time, so no full-size copy of
+    the table is made.
     Raises TableBuildError when the pairwise integrals at the grid's upper
     end, read through the span, are farther than 1e-6 from the identity,
-    i.e. the grid misses mass of some basis product.
+    i.e. the grid leaves out more mass of some basis product than that.
     """
-    grid, nodes, weights = _composite_rule(family, order)
-    points = grid.shape[0]
+    grid = cdf_grid(family, order)
     span_nodes, node_span = _span_rule(family, order)
     size = node_span.shape[0]
     node_vals = basis_tables(family, order, span_nodes)
-    vals = np.empty((points, size))
-    for start in range(0, points, _BUILD_POINTS):
-        vals[start : start + _BUILD_POINTS] = _span_values(
-            family, size, grid[start : start + _BUILD_POINTS]
-        ).T
-    mid_vals = _span_values(family, size, nodes[:, 1:-1].reshape(-1)).reshape(size, points - 1, 5)
-    cells = np.einsum("mci,ci->cm", mid_vals, weights[:, 1:-1])
-    cells += vals[:-1] * weights[:, :1]
-    cells += vals[1:] * weights[:, -1:]
-    prefix = np.empty((points, size))
-    prefix[0] = 0.0
-    np.cumsum(cells, axis=0, out=prefix[1:])
+    vals, prefix = np.empty((grid.size, size)), np.empty((grid.size, size))
+    for start in range(0, grid.size, _BUILD_POINTS):
+        block = slice(start, start + _BUILD_POINTS)
+        _span_rows(family, grid[block], vals[block].T, prefix[block].T)
+    # Rows from grid[0]; subtracting prefix[0] itself would copy the table (the two overlap).
+    prefix -= prefix[0].copy()
 
     total = (node_vals * (node_span @ prefix[-1])) @ node_vals.T
     err = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(order)))))
@@ -355,7 +354,7 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
             f"grid [{grid[0]}, {grid[-1]}] captures the order-{order} {family.kind} mass "
             f"only to {err:.2e} (tolerance {_MASS_TOL:.0e}); widen the grid"
         )
-    return CdfTable(grid, vals, mid_vals, prefix, node_vals, node_span)
+    return CdfTable(grid, vals, np.empty(0), prefix, node_vals, node_span)
 
 
 def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 """Independent oracles and quadrature utilities shared by the tests.
 
-The Hermite CDF oracle below never touches the package's recurrences: it
-integrates the squared series, evaluated by `recurrence_tables`, with
-Gauss-Legendre panels, which stays accurate at every order up to 64.  The
-pairwise prefix oracle integrates every product phi_k phi_l on the CDF
-table's grid directly, with no span.  The single-function product-basis
+The CDF oracle below never touches the package's recurrences or its
+closed-form prefix integrals: it integrates the squared series, evaluated by
+`recurrence_tables`, with Gauss-Legendre panels, which stays accurate at
+every order up to 64 on the Hermite line, on [-1, 1] and on the Laguerre
+half line.  The pairwise prefix oracle integrates every product
+phi_k phi_l on the CDF table's grid directly, by Gauss-Legendre on each
+cell, with no span.  The single-function product-basis
 evaluators are point-at-a-time references for the vectorized feature code,
 and `copying_moment_matrix` is the streamed assembly before it stopped
 copying the scaled features, the bitwise reference for the copy-free one;
@@ -24,7 +26,7 @@ import numpy as np
 
 from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
 from ofevi import _blas
-from ofevi.density import _composite_rule
+from ofevi.density import cdf_grid
 from ofevi.estimator import _gram
 from ofevi.product_basis import _combine
 
@@ -66,20 +68,31 @@ def gauss_panels(lo, hi, panels=24, order=24):
     return nodes, weights
 
 
-def hermite_expansion_cdf(alpha, x):
-    """CDF of q(z) = (sum_k alpha_k phi_k(z))^2, Hermite family, by Gauss-Legendre panels.
+# Panel edges of `expansion_cdf`: q is below 1e-300 past |z| = 40 on the
+# Hermite line and past z = 600 on the Laguerre half line at every order up
+# to 64.  The Legendre and Laguerre panels crowd where the basis crowds its
+# zeros, next to the ends of the support.
+_CDF_PANELS = {
+    HERMITE: np.linspace(-40.0, 40.0, 801),
+    LEGENDRE: -np.cos(np.linspace(0.0, math.pi, 2001)),
+    LAGUERRE: 600.0 * np.linspace(0.0, 1.0, 4001) ** 2,
+}
 
-    The CDF at x is the sum of the whole panels of width 0.1 on [-40, 40]
-    below x, plus one 20-node rule on the rest of x's panel.  q is below
-    1e-300 past |z| = 40 at every order up to 64.  A monomial expansion of
-    the series (He_k as powers of z, squared, against Gaussian moments)
-    cancels digits as the order rises: on random unit coefficients it is
-    1e-9 off at order 20 and worse than 1 at order 40.
+
+def expansion_cdf(kind, alpha, x):
+    """CDF of q(z) = (sum_k alpha_k phi_k(z))^2 by Gauss-Legendre panels.
+
+    The CDF at x is the sum of the whole panels below x, plus one 20-node
+    rule on the rest of x's panel; the Hermite panels are 0.1 wide on
+    [-40, 40].  The series is evaluated by `recurrence_tables`.  A monomial
+    expansion of a Hermite series (He_k as powers of z, squared, against
+    Gaussian moments) cancels digits as the order rises: on random unit
+    coefficients it is 1e-9 off at order 20 and worse than 1 at order 40.
     """
     alpha = np.asarray(alpha, dtype=float)
     x = np.asarray(x, dtype=float)
-    flat = np.clip(x.reshape(-1), -40.0, 40.0)
-    edges = np.linspace(-40.0, 40.0, 801)
+    edges = _CDF_PANELS[kind]
+    flat = np.clip(x.reshape(-1), edges[0], edges[-1])
     t, w = np.polynomial.legendre.leggauss(20)
 
     def integrals(lo, hi):
@@ -88,7 +101,7 @@ def hermite_expansion_cdf(alpha, x):
         out = np.empty(lo.shape[0])
         for start in range(0, lo.shape[0], 1024):
             c = slice(start, start + 1024)
-            f = alpha @ recurrence_tables(BasisFamily(HERMITE), alpha.size, nodes[c].reshape(-1))[0]
+            f = alpha @ recurrence_tables(BasisFamily(kind), alpha.size, nodes[c].reshape(-1))[0]
             out[c] = (f * f).reshape(-1, t.shape[0]) @ w * half[c]
         return out
 
@@ -155,11 +168,15 @@ def pairwise_prefix(family: BasisFamily, order: int):
     column j holds the pair (k, l) = np.triu_indices(order)[.][j], doubled
     when k != l, so the CDF of sum_kl S_kl phi_k phi_l is
     prefix @ S[np.triu_indices(order)].  Each cell's (order, order) block is
-    the table's own 7-point rule on the products, accumulated in grid order.
+    a 10-point Gauss-Legendre rule on the products, accumulated in grid order.
     """
-    grid, nodes, weights = _composite_rule(family, order)
+    grid = cdf_grid(family, order)
+    t, w = np.polynomial.legendre.leggauss(10)
+    half = 0.5 * np.diff(grid)[:, None]
+    nodes = 0.5 * (grid[:-1] + grid[1:])[:, None] + half * t
+    weights = half * w
     vals = basis_tables(family, order, nodes.reshape(-1))
-    v = vals.reshape(order, *nodes.shape).transpose(1, 2, 0)  # (cells, 7, order)
+    v = vals.reshape(order, *nodes.shape).transpose(1, 2, 0)  # (cells, 10, order)
     upper, lower = np.triu_indices(order)
     doubled = np.where(upper == lower, 1.0, 2.0)
     prefix = np.zeros((grid.shape[0], upper.shape[0]))

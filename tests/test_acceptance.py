@@ -35,7 +35,7 @@ from ofevi import (
 )
 from ofevi.harness import kl_from_samples
 
-from oracles import CountingScore, fd_gradient, gauss_panels, hermite_expansion_cdf, random_unit
+from oracles import CountingScore, expansion_cdf, fd_gradient, gauss_panels, random_unit
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -199,7 +199,7 @@ def test_criterion_07_sampler_agrees_with_the_density():
     q1 = OfeDensity(basis_nd(1, 6), alpha)
     z = np.sort(q1.sample(np.random.default_rng(77), 100_000)[:, 0])
     emp_hi = np.arange(1, z.size + 1) / z.size
-    cdf = hermite_expansion_cdf(q1.coeffs, z)
+    cdf = expansion_cdf(HERMITE, q1.coeffs, z)
     ks = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(emp_hi - 1.0 / z.size - cdf)))
 
     beta = np.random.default_rng(8).standard_normal(9)

@@ -22,12 +22,12 @@ from ofevi import (
     build_cdf_table,
 )
 from ofevi import density, product_basis
-from ofevi.density import _CHUNK_POINTS, default_grid_spec
+from ofevi.density import _CHUNK_POINTS, cdf_grid
 
 from oracles import (
+    expansion_cdf,
     fd_gradient,
     gauss_panels,
-    hermite_expansion_cdf,
     hermite_expansion_pdf,
     pairwise_prefix,
     random_unit,
@@ -402,11 +402,11 @@ def test_cdf_table_cross_terms_and_bounds():
     last = plain[-1].reshape(8, 8)
     assert abs(last[0, 1]) < 1e-8
     assert np.max(np.abs(plain)) <= 1.0 + 1e-9
-    assert np.allclose(last, np.eye(8), atol=1e-6)
+    assert np.allclose(last, np.eye(8), atol=1e-12)
 
     alpha = random_unit(np.random.default_rng(3), 8)
     cdf = table.pair_prefix @ table.span_coefficients(alpha[None, :, None])[0]
-    assert np.max(np.abs(cdf - hermite_expansion_cdf(alpha, table.grid))) < 1e-9
+    assert np.max(np.abs(cdf - expansion_cdf(HERMITE, alpha, table.grid))) < 1e-9
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 11, 20, 26, 40, 64])
@@ -429,19 +429,30 @@ def test_span_cdf_matches_the_pairwise_prefix_integrals(kind, order):
 
 
 def test_cdf_table_rejects_a_grid_that_misses_mass(monkeypatch):
-    monkeypatch.setattr(density, "default_grid_spec", lambda family, order: (-3.0, 3.0, 601))
+    monkeypatch.setattr(density, "cdf_grid", lambda family, order: np.linspace(-3.0, 3.0, 601))
     with pytest.raises(TableBuildError, match="widen"):
         build_cdf_table(BasisFamily(HERMITE), 6)
 
 
-def test_default_grid_specs():
-    assert default_grid_spec(BasisFamily(HERMITE), 8) == (-12.0, 12.0, 1001)
+def test_cdf_grids():
+    # 1001 points in every family: uniform on the Hermite line and on the
+    # Fourier circle, Chebyshev points on [-1, 1] and quadratic spacing on
+    # the Laguerre half line, each reaching the ends of its range exactly.
+    s = np.linspace(0.0, 1.0, 1001)
     half = math.sqrt(258.0) + 2.0
-    assert default_grid_spec(BasisFamily(HERMITE), 64) == (-half, half, 1001)
-    assert default_grid_spec(BasisFamily(LEGENDRE), 8) == (-1.0, 1.0, 1001)
-    assert default_grid_spec(BasisFamily(FOURIER), 8) == (0.0, 2.0 * math.pi, 1001)
     hi = 4.0 * 64 + 10.0 * math.sqrt(64) + 20.0
-    assert default_grid_spec(BasisFamily(LAGUERRE), 64) == (0.0, hi, 4001)
+    expected = {
+        (HERMITE, 8): np.linspace(-12.0, 12.0, 1001),
+        (HERMITE, 64): np.linspace(-half, half, 1001),
+        (FOURIER, 8): np.linspace(0.0, 2.0 * math.pi, 1001),
+        (LEGENDRE, 8): -np.cos(math.pi * s),
+        (LAGUERRE, 1): 60.0 * s * s,
+        (LAGUERRE, 64): hi * s * s,
+    }
+    for (kind, order), grid in expected.items():
+        got = cdf_grid(BasisFamily(kind), order)
+        assert np.array_equal(got, grid), (kind, order)
+        assert np.all(np.diff(got) > 0.0)
 
 
 _ORACLE_RANGES = {
@@ -486,32 +497,38 @@ def test_sampling_matches_the_exact_cdf():
     z = q.sample(np.random.default_rng(13), 20_000)[:, 0]
     grid = np.sort(z)
     emp = np.arange(1, grid.size + 1) / grid.size
-    ks = np.max(np.abs(emp - hermite_expansion_cdf(alpha, grid)))
+    ks = np.max(np.abs(emp - expansion_cdf(HERMITE, alpha, grid)))
     assert ks < 0.012  # 1.36 / sqrt(n) is the 5% point at n = 20k
 
 
 @pytest.mark.parametrize(
-    "orders, bound",
-    [((8,), 1e-7), ((8, 6), 1e-7), ((20,), 1e-6), ((40,), 1e-6), ((64,), 1e-6)],
-    ids=["1d", "2d-separable", "1d-20", "1d-40", "1d-64"],
+    "kind, orders, bound",
+    [(HERMITE, (8,), 1e-7), (HERMITE, (8, 6), 1e-7), (HERMITE, (20,), 1e-6),
+     (HERMITE, (40,), 1e-6), (HERMITE, (64,), 1e-6),
+     (LEGENDRE, (20, 20), 1e-6), (LEGENDRE, (40, 40), 1e-6), (LEGENDRE, (64, 64), 1e-6),
+     (LAGUERRE, (20, 20), 1e-6), (LAGUERRE, (40, 40), 1e-6), (LAGUERRE, (64, 64), 3e-6)],
+    ids=["1d", "2d-separable", "1d-20", "1d-40", "1d-64", "legendre-20", "legendre-40",
+         "legendre-64", "laguerre-20", "laguerre-40", "laguerre-64"],
 )
-def test_inversion_hits_the_exact_cdf_draw_by_draw(orders, bound):
+def test_inversion_hits_the_exact_cdf_draw_by_draw(kind, orders, bound):
     # Each draw's coordinate d must sit where the CDF of its factor equals
     # the uniform it was inverted from; in a separable density every
     # conditional is that factor, so this checks the first coordinate and
     # the conditionals alike.  The cubic step's miss grows with the order as
-    # the density oscillates faster across a grid cell: 8e-7 at order 64.
+    # the density oscillates faster across a grid cell: 8e-7 at Hermite
+    # order 64.  Legendre zeros crowd both ends of [-1, 1] and Laguerre
+    # zeros crowd 0, where draws on a uniform grid missed by up to 1e-2.
     rng = np.random.default_rng(24)
     factors = [random_unit(rng, k) for k in orders]
     coeffs = factors[0]
     for f in factors[1:]:
         coeffs = np.kron(coeffs, f)
-    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * len(orders), orders), coeffs)
-    n, seed = 5_000, 25
+    q = OfeDensity(ProductBasis([BasisFamily(kind)] * len(orders), orders), coeffs)
+    n, seed = 20_000, 25
     x = q.sample(np.random.default_rng(seed), n)
     u = np.random.default_rng(seed).random((n, len(orders)))
     for d, f in enumerate(factors):
-        assert np.max(np.abs(hermite_expansion_cdf(f, x[:, d]) - u[:, d])) < bound
+        assert np.max(np.abs(expansion_cdf(kind, f, x[:, d]) - u[:, d])) < bound
 
 
 _LINE_RANGES = {
@@ -599,8 +616,8 @@ def test_sampling_holds_little_beyond_its_samples():
 
 @pytest.mark.parametrize("kind", [HERMITE, LEGENDRE, FOURIER, LAGUERRE])
 def test_cdf_table_builds_without_full_size_copies(kind):
-    # A scaled copy of the (M, points - 1, 5) interior values alone would
-    # take 5/7 of the table again.
+    # vals and pair_prefix are the table's bulk, each (points, M); a copy of
+    # either would take half the table again.  `mid_vals` is zero-size.
     table = build_cdf_table(BasisFamily(kind), 64)
     fields = (table.grid, table.vals, table.mid_vals, table.pair_prefix,
               table.node_vals, table.node_span)

@@ -43,7 +43,8 @@ REMOVED = {
             "fisher_divergence_empirical", "ScoreCache", "pull_density"),
     ofevi.harness: ("fisher_divergence_empirical", "_integer"),
     ofevi.estimator: ("ScoreCache",),
-    ofevi.density: ("_packed_positions",),
+    ofevi.density: ("_packed_positions", "_composite_rule", "_LOBATTO_NODES", "_LOBATTO_WEIGHTS",
+                    "default_grid_spec"),
     ofevi.standardize: ("pull_density",),
     ofevi.basis1d: ("hermite", "legendre", "fourier", "laguerre",
                     "eval_basis", "eval_basis_grad", "recurrence_z_phi",
