@@ -1,11 +1,14 @@
-"""Pins the OpenBLAS that numpy bundles to one thread.
+"""Pins the OpenBLAS that numpy bundles to a fixed thread count.
 
 ofevi runs all its linear algebra through numpy, whose wheel ships its own
 OpenBLAS with its own thread pool.  A matrix product or eigensolve may sum
 in a different order at a different thread count, so a fit's last bits, and
 with them the CSV and density bytes, would depend on
-`OPENBLAS_NUM_THREADS`.  `pinned` sets every copy it finds to one thread
-for the length of a call and restores their previous counts afterwards.
+`OPENBLAS_NUM_THREADS`.  `pinned` sets every copy it finds to a fixed
+count, one unless it is given another, for the length of a call and
+restores their previous counts afterwards.  OpenBLAS splits a product by
+that count alone, not by the CPUs it finds, so a pinned product has the
+same bits on any machine.
 The library is looked up on the first pin, not at import, through the
 thread setters it exports.  A build without them (MKL, Accelerate, a
 system OpenBLAS) is left as it is.
@@ -48,19 +51,19 @@ def _libraries() -> list[tuple]:
 
 
 @contextmanager
-def pinned():
-    """Run the block with every bundled OpenBLAS at one thread.
+def pinned(count: int = 1):
+    """Run the block with every bundled OpenBLAS at `count` threads.
 
-    Yields the thread count the block runs at: 1, or None when no OpenBLAS
-    setter was found and nothing was changed.  The previous counts are
-    restored on exit, also when the block raises, so nested pins restore
-    the outer one's count.  The counts are process-wide: pins on two
-    Python threads at once do not keep each other's block at one thread.
+    Yields the thread count the block runs at: `count`, or None when no
+    OpenBLAS setter was found and nothing was changed.  The previous counts
+    are restored on exit, also when the block raises, so nested pins
+    restore the outer one's count.  The counts are process-wide: pins on
+    two Python threads at once do not keep each other's block at its count.
     """
     libs = _libraries()
     previous = [get() for _, get in libs]
     for set_threads, _ in libs:
-        set_threads(1)
+        set_threads(count)
     try:
         yield max(get() for _, get in libs) if libs else None
     finally:

@@ -25,9 +25,8 @@ The features are made without a copy: each component's last outer
 product is written straight into u, u is scaled by sqrt(w) in place, and
 the matrix products read views of it, so a fit holds one feature array,
 a buffer that every chunk writes into.
-The Gram matrix is three fixed blocks split at row K(1 - 1/sqrt(2)), one
-BLAS call each, on two Python threads (`_gram`), so a chunk uses two cores
-while BLAS stays pinned to one thread.
+The Gram matrix is one SYRK with BLAS pinned to two threads (`_gram`), so
+a chunk uses two cores while its bits depend on that fixed count alone.
 `largest_array_bytes` gives the larger of the two terms, and a config whose
 bases would pass `MAX_ARRAY_BYTES` (1 GiB) is refused before any draw.
 Matrix products of different shapes need not round alike, so fits of
@@ -36,14 +35,13 @@ it: a fit handed an `earlier` fit of the batch reuses its kept draws and
 scores, and a basis nested in the earlier one takes its block of that M,
 while a basis containing it gets that M copied into its own.  The nested
 blocks are then bit-identical whatever the BLAS kernels do.  A fit runs
-with BLAS pinned to one thread (`_blas.pinned`), so its result does not
-depend on the thread count either.
+with BLAS pinned to one thread (`_blas.pinned`), and `_gram` to two, so
+its result does not depend on the thread count either.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -128,53 +126,23 @@ def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     pairs of u are then flattened component-major, which for
     `feature_vectors` output is a view of its (K, D, B) base, so no copy of
     the features is made, and `_gram` multiplies that view by its
-    transpose.  Runs with BLAS pinned to one thread, also when called
-    outside a fit.  `fit_from_batch` calls this once per chunk of its batch.
+    transpose.  Runs with BLAS pinned, also when called outside a fit.
+    `fit_from_batch` calls this once per chunk of its batch.
     """
     u *= np.sqrt(np.asarray(weights, dtype=float))[:, None]
     return _gram(u.transpose(0, 2, 1).reshape(u.shape[0], -1))
 
 
-# Where `_gram` splits the rows of a (K, n) block: at K * _SPLIT the bottom
-# SYRK and the top SYRK plus the GEMM beside it take equal flops.
-_SPLIT = 1.0 - 1.0 / math.sqrt(2.0)
-
-
 def _gram(block: np.ndarray) -> np.ndarray:
-    """block @ block.T as three fixed blocks on two threads, exactly symmetric.
+    """block @ block.T with BLAS pinned to two threads, exactly symmetric.
 
-    With r = int(K * _SPLIT), a helper thread writes the bottom SYRK
-    m[r:, r:] while this one writes the top SYRK m[:r, :r] and the GEMM
-    m[:r, r:], whose transpose then fills m[r:, :r]; numpy mirrors each
-    SYRK's upper triangle.  The split depends on K alone and each block is
-    one BLAS call writing into m (`out=`), so under the one-thread pin m
-    has the same bits whatever the CPU count or the scheduling.  The helper
-    runs only `np.matmul`, which releases the GIL.  It is joined even when
-    this thread's part raises, and its own exception is raised here.
+    Numpy runs the product as one SYRK and copies its upper triangle into
+    the lower one.  OpenBLAS splits it by the pinned count alone, so the
+    result has the same bits whatever the CPU count or
+    `OPENBLAS_NUM_THREADS`, and the caller's counts are restored on return.
     """
-    k = block.shape[0]
-    r = int(k * _SPLIT)
-    m = np.empty((k, k))
-    top, bottom = block[:r], block[r:]
-    failed = []
-
-    def bottom_syrk():
-        try:
-            np.matmul(bottom, bottom.T, out=m[r:, r:])
-        except BaseException as exc:
-            failed.append(exc)
-
-    helper = threading.Thread(target=bottom_syrk)
-    helper.start()
-    try:
-        np.matmul(top, top.T, out=m[:r, :r])
-        np.matmul(top, bottom.T, out=m[:r, r:])
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
-    m[r:, :r] = m[:r, r:].T
-    return m
+    with _blas.pinned(2):
+        return block @ block.T
 
 
 # Block inverse iteration in `min_eigenpair`: the shift added to M's

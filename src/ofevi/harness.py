@@ -240,6 +240,24 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 # Metrics.
 
+def _kept_mean(keep: np.ndarray, reason: str, values) -> tuple[float, float, int]:
+    """Mean and standard error of `values` over the reference points `keep` marks.
+
+    `values` maps an index of the kept points (`keep` itself, or a full
+    slice when every point is kept) to one value per kept point.  Points
+    not kept are counted and reported with a warning; when none is kept,
+    `values` is not called and the mean and SE are NaN.
+    """
+    excluded = int(keep.size - np.count_nonzero(keep))
+    if excluded:
+        warnings.warn(f"{excluded} of {keep.size} reference points {reason}", stacklevel=3)
+        if excluded == keep.size:
+            return float("nan"), float("nan"), excluded
+    x = values(keep if excluded else slice(None))
+    se = float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else float("nan")
+    return float(np.mean(x)), se, excluded
+
+
 def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, int]:
     """KL(p || q) from precomputed target samples and log densities.
 
@@ -247,39 +265,20 @@ def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, 
     excluded from the average, counted, and reported with a warning.
     """
     diff = log_p - q.log_density(z)
-    keep = np.isfinite(diff)
-    excluded = int(diff.size - np.count_nonzero(keep))
-    if excluded:
-        warnings.warn(
-            f"{excluded} of {diff.size} reference points hit zeros of q; excluded from KL",
-            stacklevel=2,
-        )
-    if not np.any(keep):
-        return float("nan"), float("nan"), excluded
-    diff = diff[keep]
-    se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else float("nan")
-    return float(np.mean(diff)), se, excluded
+    return _kept_mean(np.isfinite(diff), "hit zeros of q; excluded from KL",
+                      lambda kept: diff[kept])
 
 
 def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, float, int]:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("reference samples must be a nonempty (n, dim) array")
-    f = q.expansion(z)
-    keep = f != 0.0
-    excluded = int(z.shape[0] - np.count_nonzero(keep))
-    if excluded:
-        warnings.warn(
-            f"{excluded} of {z.shape[0]} reference points are poles of q; excluded",
-            stacklevel=2,
-        )
-        if excluded == z.shape[0]:
-            return float("nan"), float("nan"), excluded
-        z, p_scores = z[keep], p_scores[keep]
-    gap = p_scores - q.score(z)
-    sq = np.sum(gap * gap, axis=1)
-    se = float(np.std(sq, ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else float("nan")
-    return float(np.mean(sq)), se, excluded
+
+    def squared_gap(kept):
+        gap = p_scores[kept] - q.score(z[kept])
+        return np.sum(gap * gap, axis=1)
+
+    return _kept_mean(q.expansion(z) != 0.0, "are poles of q; excluded", squared_gap)
 
 
 # ---------------------------------------------------------------------------

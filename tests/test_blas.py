@@ -1,4 +1,4 @@
-"""The one-thread BLAS pin and the thread-count independence it buys."""
+"""The fixed-count BLAS pin and the thread-count independence it buys."""
 
 import json
 import os
@@ -40,10 +40,32 @@ def fakes(monkeypatch):
     return libs
 
 
-def test_pin_sets_one_thread_and_restores_each_count(fakes):
-    with _blas.pinned() as threads:
-        assert threads == 1
-        assert [lib.count for lib in fakes] == [1, 1]
+def child_stdout(script, threads, *, one_cpu=False, **run):
+    """What `script` prints in a fresh interpreter that imports ofevi from this checkout.
+
+    threads is the child's OPENBLAS_NUM_THREADS, None to leave it unset.
+    With one_cpu the child confines itself to one CPU before it imports
+    numpy, so OpenBLAS finds one CPU when it loads.
+    """
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    if one_cpu:
+        cpu = min(os.sched_getaffinity(0))
+        script = f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n" + script
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, **run)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_pin_sets_one_thread_and_restores_each_count(fakes, count):
+    with _blas.pinned(count) as threads:
+        assert threads == count
+        assert [lib.count for lib in fakes] == [count, count]
     assert [lib.count for lib in fakes] == [2, 3]
 
 
@@ -59,6 +81,32 @@ def test_nested_pins_restore_the_outer_count(fakes):
         with _blas.pinned() as inner:
             assert inner == 1
         assert [lib.count for lib in fakes] == [1, 1]
+    assert [lib.count for lib in fakes] == [2, 3]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_gram_runs_its_product_at_two_threads_and_restores_each_count(fakes, fails):
+    seen = []
+
+    class Block:
+        """Stands in for a feature block: records the counts its product runs at."""
+
+        T = property(lambda self: self)
+
+        def __matmul__(self, other):
+            seen.append([lib.count for lib in fakes])
+            if fails:
+                raise FloatingPointError("product")
+            return "m"
+
+    with _blas.pinned():
+        if fails:
+            with pytest.raises(FloatingPointError, match="product"):
+                estimator._gram(Block())
+        else:
+            assert estimator._gram(Block()) == "m"
+        assert [lib.count for lib in fakes] == [1, 1]
+    assert seen == [[2, 2]]
     assert [lib.count for lib in fakes] == [2, 3]
 
 
@@ -107,21 +155,17 @@ def test_the_pin_finds_every_openblas_a_fit_loads():
         "loaded = {line.split()[-1] for line in maps if 'openblas' in line}\n"
         "print(json.dumps([len(loaded), len(_blas._libraries())]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    loaded, found = json.loads(proc.stdout)
+    loaded, found = json.loads(child_stdout(script, None))
     assert loaded == found >= 1
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
-    # K = 300 splits at row 87; unpinned, two threads change M's last bits.
-    # The second case is the eigensolve of an M of rank K on 150 draws,
-    # which block inverse iteration solves; unpinned, two threads change
-    # alpha's last bits.
+    # At K = 300 a SYRK at one thread and one at two differ in M's last
+    # bits, so the product must run at its pinned count whatever the
+    # process's count or the CPUs it may use.  The second case is the
+    # eigensolve of an M of rank K on 150 draws, which block inverse
+    # iteration solves; unpinned, two threads change alpha's last bits.
     script = (
         "import hashlib\n"
         "import numpy as np\n"
@@ -133,18 +177,11 @@ def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
         "lam, alpha, lambda_2 = min_eigenpair(m)\n"
         "print(hashlib.sha256(np.array([lam, lambda_2]).tobytes() + alpha.tobytes()).hexdigest())\n"
     )
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.split())
+    digests = [child_stdout(script, threads).split() for threads in ("1", "2", "4", None)]
+    if hasattr(os, "sched_setaffinity"):
+        digests.append(child_stdout(script, None, one_cpu=True).split())
     assert len(digests[0]) == 2
-    assert digests[0] == digests[1]
+    assert all(d == digests[0] for d in digests[1:])
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
@@ -164,16 +201,7 @@ def test_evaluation_gives_the_same_bits_at_any_thread_count():
         "    z = rng.uniform(lo, hi, size=(9000, len(orders)))\n"
         "    print(hashlib.sha256(q.score(z).tobytes() + q.log_density(z).tobytes()).hexdigest())\n"
     )
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.split())
+    digests = [child_stdout(script, threads).split() for threads in ("1", "2")]
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
 
@@ -197,18 +225,10 @@ def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
         "print(json.dumps({'csv': harness.records_to_csv(records),\n"
         "                  'threads': [r.blas_threads for r in records]}))\n"
     )
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], input=json.dumps(config.to_dict()),
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(json.loads(proc.stdout))
+    outputs = [
+        json.loads(child_stdout(script, threads, input=json.dumps(config.to_dict()), cwd=tmp_path))
+        for threads in ("1", "2")
+    ]
     assert outputs[0]["csv"] == outputs[1]["csv"]
     assert outputs[0]["threads"] == outputs[1]["threads"] == [1, 1]
 

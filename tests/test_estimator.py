@@ -1,6 +1,5 @@
 import re
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -87,7 +86,6 @@ def test_moment_matrix_is_exactly_symmetric():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 576])
 def test_moment_matrix_matches_direct_sum(k):
-    # K = 1, 2, 3 split at row 0, so the helper thread does all the work.
     rng = np.random.default_rng(2)
     u = rng.normal(size=(k, 30, 3))
     w = rng.uniform(0.5, 2.0, size=30)
@@ -95,42 +93,6 @@ def test_moment_matrix_matches_direct_sum(k):
     m = assemble_moment_matrix(u, w)
     assert np.array_equal(m, m.T)
     assert np.allclose(m, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
-
-
-def test_an_error_in_the_helper_thread_reaches_the_caller(monkeypatch):
-    caller, matmul = threading.current_thread(), np.matmul
-
-    def failing_off_the_caller(*args, **kwargs):
-        if threading.current_thread() is not caller:
-            raise FloatingPointError("helper")
-        return matmul(*args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", failing_off_the_caller)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="helper"):
-        estimator._gram(np.ones((8, 5)))
-    assert threading.active_count() == before
-
-
-def test_the_helper_thread_is_joined_when_the_callers_part_raises(monkeypatch):
-    caller, matmul = threading.current_thread(), np.matmul
-    finished = []
-
-    def failing_on_the_caller(*args, **kwargs):
-        if threading.current_thread() is caller:
-            raise FloatingPointError("caller")
-        time.sleep(0.05)
-        out = matmul(*args, **kwargs)
-        finished.append(out.shape)
-        return out
-
-    monkeypatch.setattr(np, "matmul", failing_on_the_caller)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="caller"):
-        estimator._gram(np.ones((8, 5)))
-    # r = int(8 (1 - 1/sqrt(2))) = 2: the helper's 6 x 6 block was finished.
-    assert finished == [(6, 6)]
-    assert threading.active_count() == before
 
 
 def test_doubling_the_batch_doubles_the_matrix_exactly():

@@ -36,13 +36,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # too: a fit on a shared batch takes the earlier fit it is handed.
 # `pull_density` restated the density constructor with a transform; a
 # density's `size` restated its basis's, and a CDF table's `points` its
-# grid's length.
+# grid's length.  The Gram product's row split went with the Python thread
+# it ran on: one SYRK at a pinned BLAS thread count does that work.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
             "fisher_divergence_empirical", "ScoreCache", "pull_density"),
     ofevi.harness: ("fisher_divergence_empirical", "_integer"),
-    ofevi.estimator: ("ScoreCache",),
+    ofevi.estimator: ("ScoreCache", "_SPLIT", "threading"),
     ofevi.density: ("_packed_positions", "_composite_rule", "_LOBATTO_NODES", "_LOBATTO_WEIGHTS",
                     "default_grid_spec"),
     ofevi.standardize: ("pull_density",),
@@ -71,9 +72,9 @@ def test_public_names_resolve_once_and_removed_helpers_stay_removed():
 
 
 def test_importing_ofevi_and_its_cli_loads_no_scipy():
-    # Nor `concurrent.futures` or `multiprocessing`: the assembly's helper
-    # thread comes from `threading`, which numpy loads anyway, while
-    # importing `concurrent.futures` after numpy takes about 7 ms more.
+    # Nor `concurrent.futures` or `multiprocessing`: ofevi starts no Python
+    # thread or process, and importing `concurrent.futures` after numpy
+    # takes about 7 ms more.
     script = (
         "import sys, ofevi, ofevi.cli\n"
         "slow = ('scipy.', 'concurrent.futures.', 'multiprocessing.')\n"
