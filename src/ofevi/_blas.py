@@ -1,14 +1,13 @@
-"""Pins the OpenBLAS that numpy bundles to a fixed thread count.
+"""Pins the OpenBLAS that numpy bundles to one fixed thread count, `THREADS`.
 
 ofevi runs all its linear algebra through numpy, whose wheel ships its own
 OpenBLAS with its own thread pool.  A matrix product or eigensolve may sum
 in a different order at a different thread count, so a fit's last bits, and
 with them the CSV and density bytes, would depend on
-`OPENBLAS_NUM_THREADS`.  `pinned` sets every copy it finds to a fixed
-count, one unless it is given another, for the length of a call and
-restores their previous counts afterwards.  OpenBLAS splits a product by
-that count alone, not by the CPUs it finds, so a pinned product has the
-same bits on any machine.
+`OPENBLAS_NUM_THREADS`.  `pinned` sets every copy it finds to `THREADS`
+for the length of a call and restores their previous counts afterwards.
+OpenBLAS splits a product by that count alone, not by the CPUs it finds,
+so a pinned product has the same bits on any machine, one CPU included.
 The library is looked up on the first pin, not at import, through the
 thread setters it exports.  A build without them (MKL, Accelerate, a
 system OpenBLAS) is left as it is.
@@ -27,6 +26,10 @@ import numpy
 # of the thread setter and getter it exports.
 _PATTERN = "numpy.libs/libscipy_openblas64_*.so"
 _SETTER, _GETTER = "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"
+
+# The one count every pin sets: on two or more cores, two threads assemble
+# M faster than one.
+THREADS = 2
 
 _found = None
 
@@ -51,10 +54,10 @@ def _libraries() -> list[tuple]:
 
 
 @contextmanager
-def pinned(count: int = 1):
-    """Run the block with every bundled OpenBLAS at `count` threads.
+def pinned():
+    """Run the block with every bundled OpenBLAS at `THREADS` threads.
 
-    Yields the thread count the block runs at: `count`, or None when no
+    Yields the thread count the block runs at: `THREADS`, or None when no
     OpenBLAS setter was found and nothing was changed.  The previous counts
     are restored on exit, also when the block raises, so nested pins
     restore the outer one's count.  The counts are process-wide: pins on
@@ -63,7 +66,7 @@ def pinned(count: int = 1):
     libs = _libraries()
     previous = [get() for _, get in libs]
     for set_threads, _ in libs:
-        set_threads(count)
+        set_threads(THREADS)
     try:
         yield max(get() for _, get in libs) if libs else None
     finally:

@@ -492,8 +492,8 @@ class OfeDensity:
         Each moment is the coefficient tensor contracted with itself through
         one per-axis matrix of x or x^2 integrals (two for a cross moment),
         the identity standing for every other axis by orthonormality.  BLAS
-        runs at one thread (`_blas.pinned`), so the result does not depend
-        on the thread count.
+        runs pinned (`_blas.pinned`), so the result does not depend on the
+        thread count.
         """
         beta = self.coeffs.reshape(self.basis.orders)
         ndim = self.dim
@@ -538,7 +538,7 @@ class OfeDensity:
         sliver of mass the grid does not capture (at most the build
         tolerance); the sample is pinned to the grid edge and counted.  Each
         distinct (family, order) axis gets one CDF table, built for this
-        call and dropped when it returns.  BLAS runs at one thread
+        call and dropped when it returns.  BLAS runs pinned
         (`_blas.pinned`), so the draws do not depend on the thread count.
         """
         n = as_integer(n, "n", least=1)

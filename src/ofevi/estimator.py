@@ -25,8 +25,6 @@ The features are made without a copy: each component's last outer
 product is written straight into u, u is scaled by sqrt(w) in place, and
 the matrix products read views of it, so a fit holds one feature array,
 a buffer that every chunk writes into.
-The Gram matrix is one SYRK with BLAS pinned to two threads (`_gram`), so
-a chunk uses two cores while its bits depend on that fixed count alone.
 `largest_array_bytes` gives the larger of the two terms, and a config whose
 bases would pass `MAX_ARRAY_BYTES` (1 GiB) is refused before any draw.
 Matrix products of different shapes need not round alike, so fits of
@@ -35,8 +33,8 @@ it: a fit handed an `earlier` fit of the batch reuses its kept draws and
 scores, and a basis nested in the earlier one takes its block of that M,
 while a basis containing it gets that M copied into its own.  The nested
 blocks are then bit-identical whatever the BLAS kernels do.  A fit runs
-with BLAS pinned to one thread (`_blas.pinned`), and `_gram` to two, so
-its result does not depend on the thread count either.
+with BLAS pinned to `_blas.THREADS` threads (`_blas.pinned`), so its
+result does not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -125,24 +123,14 @@ def assemble_moment_matrix(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Overwrites u with sqrt(w_b) u(z_b), in place.  The (component, sample)
     pairs of u are then flattened component-major, which for
     `feature_vectors` output is a view of its (K, D, B) base, so no copy of
-    the features is made, and `_gram` multiplies that view by its
-    transpose.  Runs with BLAS pinned, also when called outside a fit.
-    `fit_from_batch` calls this once per chunk of its batch.
+    the features is made.  That view times its transpose is one SYRK, whose
+    upper triangle numpy copies into the lower one.  Runs with BLAS pinned,
+    also when called outside a fit.  `fit_from_batch` calls this once per
+    chunk of its batch.
     """
     u *= np.sqrt(np.asarray(weights, dtype=float))[:, None]
-    return _gram(u.transpose(0, 2, 1).reshape(u.shape[0], -1))
-
-
-def _gram(block: np.ndarray) -> np.ndarray:
-    """block @ block.T with BLAS pinned to two threads, exactly symmetric.
-
-    Numpy runs the product as one SYRK and copies its upper triangle into
-    the lower one.  OpenBLAS splits it by the pinned count alone, so the
-    result has the same bits whatever the CPU count or
-    `OPENBLAS_NUM_THREADS`, and the caller's counts are restored on return.
-    """
-    with _blas.pinned(2):
-        return block @ block.T
+    block = u.transpose(0, 2, 1).reshape(u.shape[0], -1)
+    return block @ block.T
 
 
 # Block inverse iteration in `min_eigenpair`: the shift added to M's
@@ -224,8 +212,8 @@ def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, float | None]:
     With K at most the block width the block spans the whole space, so
     one step is exact.  The second eigenvalue is None when K = 1.  The
     eigenvector is flipped so its largest-magnitude entry (first such, on
-    ties) is nonnegative.  Runs with BLAS pinned to one thread, also when
-    called outside a fit.
+    ties) is nonnegative.  Runs with BLAS pinned, also when called outside
+    a fit.
     """
     ritz = _lowest_ritz_pair(m)
     if ritz is None:
@@ -246,7 +234,8 @@ class FitResult:
     eigenvalue is M's lowest eigenvalue, and lambda_2 the second lowest as
     `min_eigenpair` gives it (None when K = 1).
     largest_array_bytes is `largest_array_bytes` of the basis: the bytes of M or of one
-    chunk's features, whichever is larger.
+    chunk's features, whichever is larger.  blas_threads is the count the
+    fit ran at, `_blas.THREADS`, or None where no bundled OpenBLAS was pinned.
     """
 
     density: OfeDensity

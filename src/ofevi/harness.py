@@ -352,7 +352,7 @@ def run(config: ExperimentConfig):
     `note` instead: its own fields stay None, and the fit, its density and
     the other diagnostics stand.  Randomness is drawn from per-purpose
     streams keyed by the seed, and fits and evaluation run with BLAS pinned
-    to one thread, so a rerun with the same config reproduces every number
+    (`_blas.pinned`), so a rerun with the same config reproduces every number
     except wall-clock timings, whatever `OPENBLAS_NUM_THREADS` is.  Where no
     bundled OpenBLAS is found to pin (records report `blas_threads` None),
     that holds only at the same BLAS thread count.

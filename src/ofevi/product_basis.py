@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .basis1d import BasisFamily, basis_tables, derivative_matrix
 from .utils import as_batch, as_integer
 
@@ -48,10 +49,13 @@ class ProductBasis:
     def size(self) -> int:
         return math.prod(self.orders)
 
+    @_blas.pinned()
     def tables(self, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-dimension values and derivatives, each (K_d, n), at points z of shape (n, D).
 
-        A derivative table is `derivative_matrix(f, K_d)` @ the values one order up.
+        A derivative table is `derivative_matrix(f, K_d)` @ the values one
+        order up, a GEMM run with BLAS pinned, so that its bits do not
+        depend on the thread count also outside a fit.
         """
         z = as_batch(z, self.dim)
         vals, grads = [], []

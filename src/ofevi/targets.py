@@ -52,6 +52,8 @@ class Gaussian:
     def __post_init__(self):
         mean = np.atleast_1d(np.array(self.mean, dtype=float))
         cov = np.atleast_2d(np.array(self.cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError("mean must be a vector")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
         if not np.all(np.isfinite(mean)):
@@ -102,9 +104,10 @@ class GaussianMixture:
         self.weights = weights
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
-        self.components = [Gaussian(m, c) for m, c in zip(means, covs)]
-        if len(self.components) != weights.size:
+        means, covs = list(means), list(covs)
+        if not len(means) == len(covs) == weights.size:
             raise ValueError("one mean/cov pair per weight required")
+        self.components = [Gaussian(m, c) for m, c in zip(means, covs)]
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
             raise ValueError("all components must share a dimension")

@@ -10,8 +10,8 @@ cell, with no span.  The single-function product-basis
 evaluators are point-at-a-time references for the vectorized feature code,
 and `copying_moment_matrix` is the streamed assembly before it stopped
 copying the scaled features, the bitwise reference for the copy-free one;
-both multiply through the estimator's own `_gram`, so the comparison is of
-the features alone.  `recurrence_tables` is the 1-D derivative code before
+both end in one pinned SYRK, `block @ block.T`, so the comparison is of the
+features alone.  `recurrence_tables` is the 1-D derivative code before
 derivatives came from the derivative matrices: one hand-written recurrence
 per family, the reference for `derivative_matrix` times the values.
 `CountingScore` wraps a target and counts the points it scores.
@@ -27,7 +27,6 @@ import numpy as np
 from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
 from ofevi import _blas
 from ofevi.density import cdf_grid
-from ofevi.estimator import _gram
 from ofevi.product_basis import _combine
 
 
@@ -143,7 +142,7 @@ def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -
     """M assembled as the copying code did: each component's product written
     into u, and u scaled into a new array before one product per chunk.
 
-    BLAS is pinned to one thread, as in a fit: a threaded GEMM may round
+    BLAS is pinned, as in a fit: a GEMM at another thread count may round
     differently at some chunk widths, which would not be a difference of
     the features."""
     m = np.zeros((basis.size, basis.size))
@@ -157,7 +156,7 @@ def copying_moment_matrix(basis: ProductBasis, z, scores, weights, chunk: int) -
             parts[d] = 2.0 * grads[d] - scores[c][:, d] * vals[d]
             _combine(parts, split[:, :, d, :])
         block = (u * np.sqrt(weights[c])).reshape(basis.size, -1)
-        m += _gram(block)
+        m += block @ block.T
     return m
 
 

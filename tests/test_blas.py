@@ -1,4 +1,4 @@
-"""The fixed-count BLAS pin and the thread-count independence it buys."""
+"""The one-count BLAS pin and the thread-count independence it buys."""
 
 import json
 import os
@@ -35,7 +35,7 @@ class FakeLibrary:
 
 @pytest.fixture
 def fakes(monkeypatch):
-    libs = [FakeLibrary(2), FakeLibrary(3)]
+    libs = [FakeLibrary(1), FakeLibrary(3)]
     monkeypatch.setattr(_blas, "_libraries", lambda: [lib.pair for lib in libs])
     return libs
 
@@ -61,53 +61,27 @@ def child_stdout(script, threads, *, one_cpu=False, **run):
     return proc.stdout
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_pin_sets_one_thread_and_restores_each_count(fakes, count):
-    with _blas.pinned(count) as threads:
-        assert threads == count
-        assert [lib.count for lib in fakes] == [count, count]
-    assert [lib.count for lib in fakes] == [2, 3]
+def test_pin_sets_two_threads_and_restores_each_count(fakes):
+    assert _blas.THREADS == 2
+    with _blas.pinned() as threads:
+        assert threads == 2
+        assert [lib.count for lib in fakes] == [2, 2]
+    assert [lib.count for lib in fakes] == [1, 3]
 
 
 def test_pin_restores_each_count_when_the_block_raises(fakes):
     with pytest.raises(ZeroDivisionError):
         with _blas.pinned():
             1 / 0
-    assert [lib.count for lib in fakes] == [2, 3]
+    assert [lib.count for lib in fakes] == [1, 3]
 
 
 def test_nested_pins_restore_the_outer_count(fakes):
     with _blas.pinned():
         with _blas.pinned() as inner:
-            assert inner == 1
-        assert [lib.count for lib in fakes] == [1, 1]
-    assert [lib.count for lib in fakes] == [2, 3]
-
-
-@pytest.mark.parametrize("fails", [False, True])
-def test_gram_runs_its_product_at_two_threads_and_restores_each_count(fakes, fails):
-    seen = []
-
-    class Block:
-        """Stands in for a feature block: records the counts its product runs at."""
-
-        T = property(lambda self: self)
-
-        def __matmul__(self, other):
-            seen.append([lib.count for lib in fakes])
-            if fails:
-                raise FloatingPointError("product")
-            return "m"
-
-    with _blas.pinned():
-        if fails:
-            with pytest.raises(FloatingPointError, match="product"):
-                estimator._gram(Block())
-        else:
-            assert estimator._gram(Block()) == "m"
-        assert [lib.count for lib in fakes] == [1, 1]
-    assert seen == [[2, 2]]
-    assert [lib.count for lib in fakes] == [2, 3]
+            assert inner == 2
+        assert [lib.count for lib in fakes] == [2, 2]
+    assert [lib.count for lib in fakes] == [1, 3]
 
 
 def test_no_library_found_yields_none_and_runs_the_call(monkeypatch):
@@ -135,10 +109,16 @@ def test_no_library_found_yields_none_and_runs_the_call(monkeypatch):
 def test_pin_reaches_every_bundled_openblas_copy():
     libs = _blas._libraries()
     before = [get() for _, get in libs]
-    with _blas.pinned() as threads:
-        assert threads == 1
+    try:
+        for set_threads, _ in libs:
+            set_threads(1)
+        with _blas.pinned() as threads:
+            assert threads == 2
+            assert [get() for _, get in libs] == [2] * len(libs)
         assert [get() for _, get in libs] == [1] * len(libs)
-    assert [get() for _, get in libs] == before
+    finally:
+        for (set_threads, _), count in zip(libs, before):
+            set_threads(count)
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
@@ -188,6 +168,8 @@ def test_assembly_called_directly_gives_the_same_bits_at_any_thread_count():
 def test_evaluation_gives_the_same_bits_at_any_thread_count():
     # Evaluation runs unpinned: every GEMM in it, the coefficients mapped
     # through the derivative matrices too, must not depend on the split.
+    # The feature tables pin their own GEMM: unpinned, the gradients of
+    # orders 22 to 64 on a 2001-point grid differ between one thread and two.
     script = (
         "import hashlib\n"
         "import numpy as np\n"
@@ -200,15 +182,22 @@ def test_evaluation_gives_the_same_bits_at_any_thread_count():
         "    q = OfeDensity(basis, rng.normal(size=basis.size))\n"
         "    z = rng.uniform(lo, hi, size=(9000, len(orders)))\n"
         "    print(hashlib.sha256(q.score(z).tobytes() + q.log_density(z).tobytes()).hexdigest())\n"
+        "for kind, lo, hi in (('hermite', -12.0, 12.0), ('legendre', -1.0, 1.0),\n"
+        "                     ('laguerre', 0.0, 80.0)):\n"
+        "    z = np.linspace(lo, hi, 2001)[:, None]\n"
+        "    for order in (22, 40, 64):\n"
+        "        vals, grads = ProductBasis([BasisFamily(kind)], (order,)).feature_gradients(z)\n"
+        "        print(hashlib.sha256(vals.tobytes() + grads.tobytes()).hexdigest())\n"
     )
     digests = [child_stdout(script, threads).split() for threads in ("1", "2")]
-    assert len(digests[0]) == 3
+    assert len(digests[0]) == 12
     assert digests[0] == digests[1]
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
     # At one thread and at two, unpinned BLAS gives different K = 100 bytes.
+    # The last run is confined to one CPU, where the two pinned threads share it.
     config = harness.ExperimentConfig(
         target="mixture2d",
         orders=[[5, 5], [10, 10]],
@@ -225,78 +214,61 @@ def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
         "print(json.dumps({'csv': harness.records_to_csv(records),\n"
         "                  'threads': [r.blas_threads for r in records]}))\n"
     )
+    settings = [dict(threads=t) for t in ("1", "2", "4", None)]
+    if hasattr(os, "sched_setaffinity"):
+        settings.append(dict(threads=None, one_cpu=True))
     outputs = [
-        json.loads(child_stdout(script, threads, input=json.dumps(config.to_dict()), cwd=tmp_path))
-        for threads in ("1", "2")
+        json.loads(child_stdout(script, **setting, input=json.dumps(config.to_dict()),
+                                cwd=tmp_path))
+        for setting in settings
     ]
-    assert outputs[0]["csv"] == outputs[1]["csv"]
-    assert outputs[0]["threads"] == outputs[1]["threads"] == [1, 1]
+    assert all(out["csv"] == outputs[0]["csv"] for out in outputs[1:])
+    assert all(out["threads"] == [2, 2] for out in outputs)
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
-def test_sampling_runs_at_one_thread_whatever_the_thread_count(monkeypatch):
-    basis = ProductBasis([BasisFamily("hermite")] * 2, (20, 20))
-    q = OfeDensity(basis, np.random.default_rng(40).normal(size=basis.size))
+@pytest.mark.parametrize(
+    "kinds, order, seed, call, inner, calls",
+    [
+        (("hermite", "hermite"), 20, 40, lambda q: (q.sample(np.random.default_rng(41), 3000),),
+         "build_cdf_table", 1),
+        (("legendre", "laguerre"), 40, 0, lambda q: q.mean_and_cov(), "_moment_matrices", 2),
+    ],
+    ids=["sampling", "moments"],
+)
+def test_sampling_and_moments_run_pinned_whatever_the_thread_count(
+    monkeypatch, kinds, order, seed, call, inner, calls
+):
+    # Each per-axis table the call builds (one CDF table for the two equal
+    # Hermite axes, one moment matrix pair per axis) is built at the pinned
+    # count with BLAS at one thread outside, and the result is the pinned
+    # one bit for bit.
+    basis = ProductBasis([BasisFamily(kind) for kind in kinds], (order, order))
+    q = OfeDensity(basis, np.random.default_rng(seed).normal(size=basis.size))
     with _blas.pinned():
-        pinned = q.sample(np.random.default_rng(41), 3000)
+        pinned = call(q)
 
     libs = _blas._libraries()
 
     def counts():
         return [get() for _, get in libs]
 
-    seen, build = [], density.build_cdf_table
+    seen, build = [], getattr(density, inner)
 
     def recording_build(family, order):
         seen.append(counts())
         return build(family, order)
 
-    monkeypatch.setattr(density, "build_cdf_table", recording_build)
+    monkeypatch.setattr(density, inner, recording_build)
     before = counts()
     try:
         for set_threads, _ in libs:
-            set_threads(2)
-        draws = q.sample(np.random.default_rng(41), 3000)
+            set_threads(1)
+        result = call(q)
         after = counts()
     finally:
         for (set_threads, _), count in zip(libs, before):
             set_threads(count)
-    assert seen == [[1] * len(libs)]
-    assert after == [2] * len(libs)
-    assert np.array_equal(draws, pinned)
-
-
-@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
-def test_moments_run_at_one_thread_whatever_the_thread_count(monkeypatch):
-    # Each _moment_matrices call runs under the pin, whatever the thread
-    # count outside it, and the moments are the pinned ones bit for bit.
-    basis = ProductBasis([BasisFamily("legendre"), BasisFamily("laguerre")], (40, 40))
-    q = OfeDensity(basis, np.random.default_rng(0).normal(size=basis.size))
-    with _blas.pinned():
-        pinned_mean, pinned_cov = q.mean_and_cov()
-
-    libs = _blas._libraries()
-
-    def counts():
-        return [get() for _, get in libs]
-
-    seen, build = [], density._moment_matrices
-
-    def recording_build(family, order):
-        seen.append(counts())
-        return build(family, order)
-
-    monkeypatch.setattr(density, "_moment_matrices", recording_build)
-    before = counts()
-    try:
-        for set_threads, _ in libs:
-            set_threads(2)
-        mean, cov = q.mean_and_cov()
-        after = counts()
-    finally:
-        for (set_threads, _), count in zip(libs, before):
-            set_threads(count)
-    assert seen == [[1] * len(libs)] * 2
-    assert after == [2] * len(libs)
-    assert np.array_equal(mean, pinned_mean)
-    assert np.array_equal(cov, pinned_cov)
+    assert seen == [[2] * len(libs)] * calls
+    assert after == [1] * len(libs)
+    assert all(np.array_equal(r, p) for r, p in zip(result, pinned, strict=True))

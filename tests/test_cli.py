@@ -47,7 +47,7 @@ def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
     assert summary["lambda_min"] == 0.0
     assert summary["lambda_2"] is None
     assert summary["K"] == 1 and summary["B"] == 500
-    assert summary["blas_threads"] == (1 if _blas._libraries() else None)
+    assert summary["blas_threads"] == (2 if _blas._libraries() else None)
     q = OfeDensity.load(out)
     assert np.array_equal(q.coeffs, [1.0])
 

@@ -196,6 +196,8 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=((3,),), seed=0, sample_probe=-1),
         dict(target="bimodal1d", orders=((3,),), seed=-1),
         dict(target="bimodal1d", orders=(("a",),), seed=0),
+        # Orders as one flat list, not a list of lists.
+        dict(target="mixture2d", orders=(5, 5), seed=0),
         dict(target="bimodal1d", orders=((1e400,),), seed=0),
         # Every family stops at basis1d.MAX_ORDER = 64.
         dict(target="bimodal1d", orders=((65,),), seed=0),

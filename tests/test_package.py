@@ -37,13 +37,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # `pull_density` restated the density constructor with a transform; a
 # density's `size` restated its basis's, and a CDF table's `points` its
 # grid's length.  The Gram product's row split went with the Python thread
-# it ran on: one SYRK at a pinned BLAS thread count does that work.
+# it ran on: one SYRK at a pinned BLAS thread count does that work.  Its
+# own two-thread pin (`_gram`) went when every pin came to run at two.
 REMOVED = {
     ofevi: ("hermite", "legendre", "fourier", "laguerre",
             "eval_basis", "eval_basis_grad", "recurrence_z_phi",
             "fisher_divergence_empirical", "ScoreCache", "pull_density"),
     ofevi.harness: ("fisher_divergence_empirical", "_integer"),
-    ofevi.estimator: ("ScoreCache", "_SPLIT", "threading"),
+    ofevi.estimator: ("ScoreCache", "_SPLIT", "threading", "_gram"),
     ofevi.density: ("_packed_positions", "_composite_rule", "_LOBATTO_NODES", "_LOBATTO_WEIGHTS",
                     "default_grid_spec"),
     ofevi.standardize: ("pull_density",),

@@ -73,8 +73,12 @@ def test_validation_errors():
         UniformBox(np.array([0.0, 0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         IsotropicGaussian(np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="vector"):
+        IsotropicGaussian(np.zeros((1, 2)), 1.0)
     with pytest.raises(ValueError):
         UniformBox.centered(1.0, 1).sample(np.random.default_rng(0), 0)
+    with pytest.raises(ValueError, match="at least one"):
+        IsotropicGaussian(np.zeros(2), 1.0).sample(np.random.default_rng(0), 0)
 
 
 @pytest.mark.parametrize(

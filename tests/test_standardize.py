@@ -57,6 +57,9 @@ def test_transform_validation():
         StandardizingTransform(np.zeros(3), np.eye(2))
     with pytest.raises(TransformError):
         StandardizingTransform.from_moments(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(TransformError, match="dimensions differ"):
+        StandardizedTarget(Gaussian(np.zeros(2), np.eye(2)),
+                           StandardizingTransform(np.zeros(3), np.eye(3)))
 
 
 @pytest.mark.parametrize(

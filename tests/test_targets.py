@@ -233,6 +233,29 @@ def test_a_non_finite_parameter_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "name, params, match",
+    [
+        # A (1, 2) mean with a 2x2 covariance would build a 1-D target.
+        ("gaussian", dict(mean=[[0.0, 1.0]], cov=np.eye(2)), "vector"),
+        # zip would drop the extra covariance or mean silently.
+        ("mixture", dict(weights=[0.5, 0.5], means=[[0.0], [1.0]],
+                         covs=[[[1.0]], [[1.0]], [[1.0]]]), "one mean/cov pair"),
+        ("mixture", dict(weights=[0.5, 0.5], means=[[0.0], [1.0], [2.0]],
+                         covs=[[[1.0]], [[1.0]]]), "one mean/cov pair"),
+        ("mixture", dict(weights=[0.5, 0.5], means=[[0.0], [1.0, 1.0]],
+                         covs=[[[1.0]], np.eye(2)]), "share a dimension"),
+        ("sinh_arcsinh", dict(s=[0.0, 0.0], tau=[1.0], cov=np.eye(2)), "dimensions must agree"),
+        ("sinh_arcsinh", dict(s=[0.0], tau=[1.0, 1.0], cov=[[1.0]]), "dimensions must agree"),
+    ],
+    ids=["gaussian-matrix-mean", "mixture-extra-cov", "mixture-extra-mean",
+         "mixture-mixed-dimensions", "sinh-short-tau", "sinh-long-tau"],
+)
+def test_a_malformed_shape_is_refused_where_the_target_is_built(name, params, match):
+    with pytest.raises(ConfigError, match=match):
+        make_target(name, **params)
+
+
 def test_an_asymmetric_covariance_is_refused():
     # cholesky reads only the lower triangle: this one would become N(0, I).
     lower = [[1.0, 0.0], [0.9, 1.0]]
