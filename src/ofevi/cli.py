@@ -61,22 +61,26 @@ def _cmd_fit(args) -> int:
         standardize=args.standardize,
         standardize_samples=args.standardize_samples,
     )
-    [(_, _, record, result, q)] = fit_cells(config, config.build_target())
+    [(_, _, record, _, q)] = fit_cells(config, config.build_target())
     if record.error is not None:
         print(f"error: {record.error}", file=sys.stderr)
         return 2
     if args.out:
         q.save(args.out)
     summary = {
-        "lambda_min": result.eigenvalue,
-        "lambda_2": result.lambda_2,
-        "residual": result.residual,
+        "lambda_min": record.lambda_min,
+        "lambda_2": record.lambda_2,
+        "residual": record.residual,
         "K": record.K,
         "B": record.B,
-        "rejected": result.rejected,
-        "blas_threads": result.blas_threads,
-        "timings_ms": result.timings_ms,
-        "largest_array_bytes": result.largest_array_bytes,
+        "rejected": record.rejected,
+        "blas_threads": record.blas_threads,
+        "timings_ms": {
+            "score_eval": record.score_ms,
+            "assemble": record.assemble_ms,
+            "eigensolve": record.eigensolve_ms,
+        },
+        "largest_array_bytes": record.largest_array_bytes,
         "standardized": args.standardize,
         "density_path": args.out,
     }

@@ -1,17 +1,28 @@
 """Experiment harness: configured fit pipelines and their evaluation.
 
 A run is a grid of cells (sample-count sweep x basis-order sweep) against one
-target.  `fit_cells` fits each cell; `run` then evaluates each fitted cell
-(forward KL against exact target samples, the mean squared score mismatch,
-an optional sampling probe) and appends a RunRecord.  Cells share one batch
-of reference samples, and within a fixed sample-count cell all basis sizes
-share one proposal batch: each fit is handed the largest fit made so far
-on it, whose target scores it reuses and from whose moment matrix nested
-bases take their blocks bit for bit.  `ofevi fit` is `fit_cells` on a
-one-cell config, so it writes the density `ofevi sweep` writes for the
-same config and seed; `ofevi evaluate` scores a saved density on the
-sweep's reference set with the sweep's divergence code, so it prints the
-numbers the sweep wrote.
+target, and `run` takes it in three steps:
+
+1. Fit every cell (`fit_cells`), filling the fit's fields of the cell's
+   RunRecord.  Of each fit only the record and the density are kept; its
+   M, batch and scores are dropped once the cell is fitted.  Within a
+   fixed sample-count cell all basis sizes share one proposal batch: each
+   fit is handed the largest fit made so far on it, whose target scores it
+   reuses and from whose moment matrix nested bases take their blocks bit
+   for bit, so that one fit lives until the batch's last cell is fitted.
+2. Draw the reference set: exact target samples with log p and the
+   target's score there, 16 D + 8 bytes a point, shared by every cell.
+3. Evaluate each cell on it in config order: forward KL, the mean squared
+   score mismatch (Fisher divergence) and an optional sampling probe.
+   The target and each density are evaluated on chunks of the density's
+   own `_CHUNK_POINTS` reference points, and each divergence keeps one
+   value a point, so a cell adds about 9 bytes a point while it is
+   evaluated.
+
+`ofevi fit` is `fit_cells` on a one-cell config, so it writes the density
+`ofevi sweep` writes for the same config and seed; `ofevi evaluate` scores a
+saved density on the sweep's reference set with the sweep's divergence
+code, so it prints the numbers the sweep wrote.
 
 Outputs: a long-format CSV (one row per metric) whose bytes depend only on
 the config and seed, plus a JSON document carrying complete records
@@ -35,7 +46,7 @@ import numpy as np
 
 from . import _blas
 from .basis1d import HERMITE, MAX_ORDER, BasisFamily
-from .density import OfeDensity
+from .density import _CHUNK_POINTS, OfeDensity
 from .estimator import (
     MAX_ARRAY_BYTES,
     default_sample_count,
@@ -240,45 +251,73 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 # Metrics.
 
+def _fill(out: np.ndarray, value, rows=None) -> np.ndarray:
+    """out with value(r) written at each chunk of `_CHUNK_POINTS` reference points.
+
+    r is a slice of range(len(out)) or, with `rows` given, that slice of the
+    point indices `rows`.  A density evaluates in chunks of the same size,
+    so each call on a chunk builds the 1-D tables once, as one call on every
+    point would, and gives its values bit for bit.
+    """
+    for start in range(0, out.shape[0], _CHUNK_POINTS):
+        chunk = slice(start, start + _CHUNK_POINTS)
+        out[chunk] = value(chunk if rows is None else rows[chunk])
+    return out
+
+
+def _reference_arrays(z, values, name: str, per_dimension: bool = False):
+    """z as a nonempty (n, D) float array, and `values`, which must be (n,) or, per_dimension, (n, D)."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] == 0:
+        raise ValueError("reference samples must be a nonempty (n, dim) array")
+    values = np.asarray(values, dtype=float)
+    shape = z.shape if per_dimension else z.shape[:1]
+    if values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
+    return z, values
+
+
 def _kept_mean(keep: np.ndarray, reason: str, values) -> tuple[float, float, int]:
     """Mean and standard error of `values` over the reference points `keep` marks.
 
-    `values` maps an index of the kept points (`keep` itself, or a full
-    slice when every point is kept) to one value per kept point.  Points
-    not kept are counted and reported with a warning; when none is kept,
-    `values` is not called and the mean and SE are NaN.
+    `values` maps the indices of the kept points (None when every point is
+    kept) to one value per kept point.  Points not kept are counted and
+    reported with a warning; when none is kept, `values` is not called and
+    the mean and SE are NaN.
     """
     excluded = int(keep.size - np.count_nonzero(keep))
     if excluded:
         warnings.warn(f"{excluded} of {keep.size} reference points {reason}", stacklevel=3)
         if excluded == keep.size:
             return float("nan"), float("nan"), excluded
-    x = values(keep if excluded else slice(None))
+    x = values(np.flatnonzero(keep) if excluded else None)
     se = float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else float("nan")
     return float(np.mean(x)), se, excluded
 
 
 def kl_from_samples(z: np.ndarray, log_p: np.ndarray, q) -> tuple[float, float, int]:
-    """KL(p || q) from precomputed target samples and log densities.
+    """KL(p || q) from target samples z (n, D) and their log densities log_p (n,).
 
     Points where q vanishes contribute +inf to the true KL; they are
     excluded from the average, counted, and reported with a warning.
     """
-    diff = log_p - q.log_density(z)
+    z, log_p = _reference_arrays(z, log_p, "log_p")
+    diff = _fill(np.empty(z.shape[0]), lambda r: log_p[r] - q.log_density(z[r]))
     return _kept_mean(np.isfinite(diff), "hit zeros of q; excluded from KL",
-                      lambda kept: diff[kept])
+                      lambda rows: diff if rows is None else diff[rows])
 
 
 def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, float, int]:
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise ValueError("reference samples must be a nonempty (n, dim) array")
+    """Mean squared gap between the target's scores p_scores (n, D) and q's at z (n, D)."""
+    z, p_scores = _reference_arrays(z, p_scores, "p_scores", per_dimension=True)
 
-    def squared_gap(kept):
-        gap = p_scores[kept] - q.score(z[kept])
+    def squared_gap(r):
+        gap = p_scores[r] - q.score(z[r])
         return np.sum(gap * gap, axis=1)
 
-    return _kept_mean(q.expansion(z) != 0.0, "are poles of q; excluded", squared_gap)
+    keep = _fill(np.empty(z.shape[0], dtype=bool), lambda r: q.expansion(z[r]) != 0.0)
+    return _kept_mean(keep, "are poles of q; excluded", lambda rows: _fill(
+        np.empty(z.shape[0] if rows is None else rows.size), squared_gap, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +326,11 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
 def fit_cells(config: ExperimentConfig, target):
     """Fit every sweep cell in order; yields (bi, ki, record, result, density).
 
-    bi and ki index the cell's sample count and basis order; `record` has no
-    metric filled in; `density` is the fit pulled back to the target's
-    coordinates.  A cell whose fit raised yields its record with `error`
-    set and None for the result and the density.
+    bi and ki index the cell's sample count and basis order; `record` has
+    the fit's fields filled in and no divergence; `density` is the fit
+    pulled back to the target's coordinates.  A cell whose fit raised
+    yields its record with `error` set and None for the result and the
+    density.
     """
     family = BasisFamily(config.family)
     proposal = config.build_proposal()
@@ -338,33 +378,63 @@ def fit_cells(config: ExperimentConfig, target):
             except Exception as exc:  # per-cell isolation: record and move on
                 yield bi, ki, replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
                 continue
+            record = replace(
+                record,
+                lambda_min=result.eigenvalue,
+                lambda_2=result.lambda_2,
+                residual=result.residual,
+                rejected=result.rejected,
+                score_ms=result.timings_ms["score_eval"],
+                assemble_ms=result.timings_ms["assemble"],
+                eigensolve_ms=result.timings_ms["eigensolve"],
+                blas_threads=result.blas_threads,
+                largest_array_bytes=result.largest_array_bytes,
+            )
             yield bi, ki, record, result, q
+            # Only a shared batch's `earlier` fit outlives its cell.
+            del result
 
 
 @_blas.pinned()
 def run(config: ExperimentConfig):
     """Fit and evaluate every sweep cell; returns (records, densities) in cell order.
 
+    Three steps, and what each holds:
+    1. every cell is fitted; of each fit only its record and its density
+       are kept, and its M, batch and scores are dropped once the cell is
+       fitted;
+    2. the reference set is drawn: z, log p and the target's score,
+       16 D + 8 bytes a point, held until the last cell is evaluated;
+    3. the cells are evaluated on it in order, in chunks of the density's
+       own `_CHUNK_POINTS` points; a divergence holds one value a point
+       (and Fisher one flag a point) while it runs.
     A cell failure, in its fit or its evaluation, is recorded with its
-    reason and the run continues.  A diagnostic (KL, Fisher divergence or
-    the sampling probe) that meets a point outside the density's support, a
-    pole or a CDF table that cannot be built is reported in the cell's
-    `note` instead: its own fields stay None, and the fit, its density and
-    the other diagnostics stand.  Randomness is drawn from per-purpose
-    streams keyed by the seed, and fits and evaluation run with BLAS pinned
-    (`_blas.pinned`), so a rerun with the same config reproduces every number
-    except wall-clock timings, whatever `OPENBLAS_NUM_THREADS` is.  Where no
-    bundled OpenBLAS is found to pin (records report `blas_threads` None),
-    that holds only at the same BLAS thread count.
+    reason and the run continues; a cell whose evaluation failed keeps its
+    fit's fields but not its density.  A diagnostic (KL, Fisher divergence
+    or the sampling probe) that meets a point outside the density's
+    support, a pole or a CDF table that cannot be built is reported in the
+    cell's `note` instead: its own fields stay None, and the fit, its
+    density and the other diagnostics stand.  Randomness is drawn from
+    per-purpose streams keyed by the seed, so the order of fits and
+    evaluation moves no number, and fits and evaluation run with BLAS
+    pinned (`_blas.pinned`), so a rerun with the same config reproduces
+    every number except wall-clock timings, whatever
+    `OPENBLAS_NUM_THREADS` is.  Where no bundled OpenBLAS is found to pin
+    (records report `blas_threads` None), that holds only at the same BLAS
+    thread count.
     """
     target = config.build_target()
+    cells = []
+    for bi, ki, record, result, q in fit_cells(config, target):
+        cells.append((bi, ki, record, q))
+        del result  # so that no M is alive while the next cell is fitted
     reference = _reference_set(target, config.seed, config.eval_samples)
     records: list[RunRecord] = []
     densities: list[OfeDensity | None] = []
-    for bi, ki, record, result, q in fit_cells(config, target):
-        if result is not None:
+    for bi, ki, record, q in cells:
+        if q is not None:
             try:
-                record = _run_cell(config, record, result, q, reference, bi, ki)
+                record = _run_cell(config, record, q, reference, bi, ki)
             except Exception as exc:  # per-cell isolation: record and move on
                 record, q = replace(record, error=f"{type(exc).__name__}: {exc}"), None
         records.append(record)
@@ -373,9 +443,14 @@ def run(config: ExperimentConfig):
 
 
 def _reference_set(target, seed: int, n: int):
-    """n exact target draws from the sweep's evaluation stream, with log p and the score there."""
+    """n exact target draws from the sweep's evaluation stream, with log p and the score there.
+
+    The target is evaluated in chunks of `_CHUNK_POINTS` draws, so beyond the
+    three arrays returned only the draw itself holds more than one chunk.
+    """
     z = target.sample(np.random.default_rng((seed, 3)), n)
-    return z, target.log_density(z), target.score(z)
+    log_p = _fill(np.empty(n), lambda r: target.log_density(z[r]))
+    return z, log_p, _fill(np.empty_like(z), lambda r: target.score(z[r]))
 
 
 def _divergences(q, reference) -> tuple[dict, list[str]]:
@@ -397,7 +472,7 @@ def _divergences(q, reference) -> tuple[dict, list[str]]:
     return fields, notes
 
 
-def _run_cell(config, record, result, q, reference, bi, ki):
+def _run_cell(config, record, q, reference, bi, ki):
     fields, notes = _divergences(q, reference)
     tail_clips = None
     if config.sample_probe > 0:
@@ -409,21 +484,7 @@ def _run_cell(config, record, result, q, reference, bi, ki):
             notes.append(f"sample probe failed: {type(exc).__name__}: {exc}")
     else:
         notes.append("tail_clips null: no sampling probe requested")
-    return replace(
-        record,
-        **fields,
-        lambda_min=result.eigenvalue,
-        lambda_2=result.lambda_2,
-        residual=result.residual,
-        rejected=result.rejected,
-        tail_clips=tail_clips,
-        score_ms=result.timings_ms["score_eval"],
-        assemble_ms=result.timings_ms["assemble"],
-        eigensolve_ms=result.timings_ms["eigensolve"],
-        blas_threads=result.blas_threads,
-        largest_array_bytes=result.largest_array_bytes,
-        note="; ".join(notes),
-    )
+    return replace(record, **fields, tail_clips=tail_clips, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ per family, the reference for `derivative_matrix` times the values.
 `CountingScore` wraps a target and counts the points it scores.
 `traced_peak` is the peak of the bytes allocated during one call, as
 `tracemalloc` sees them: numpy reports its arrays to it.
+`whole_reference_set`, `whole_kl` and `whole_fisher` are the harness's
+reference set and divergences as one call on every point, before the
+harness walked the points in chunks: the bitwise references for the
+chunked code.
 """
 
 import math
@@ -38,6 +42,37 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def whole_reference_set(target, seed: int, n: int):
+    """The sweep's reference set: n draws, log p and the score, each by one call on all n."""
+    z = target.sample(np.random.default_rng((seed, 3)), n)
+    return z, target.log_density(z), target.score(z)
+
+
+def _kept_mean(keep, values):
+    excluded = int(keep.size - np.count_nonzero(keep))
+    if excluded == keep.size:
+        return float("nan"), float("nan"), excluded
+    x = values(keep)
+    se = float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else float("nan")
+    return float(np.mean(x)), se, excluded
+
+
+def whole_kl(z, log_p, q):
+    """(KL, SE, excluded) with log q taken by one call on every point."""
+    diff = log_p - q.log_density(z)
+    return _kept_mean(np.isfinite(diff), lambda keep: diff[keep])
+
+
+def whole_fisher(p_scores, q, z):
+    """(Fisher divergence, SE, excluded) with f by one call, and q's score by one call on the kept points."""
+
+    def squared_gap(keep):
+        gap = p_scores[keep] - q.score(z[keep])
+        return np.sum(gap * gap, axis=1)
+
+    return _kept_mean(q.expansion(z) != 0.0, squared_gap)
 
 
 def fd_gradient(fn, z, h=1e-6):

@@ -23,11 +23,11 @@ from ofevi import (
     run,
     write_outputs,
 )
-from ofevi import density, estimator, harness
+from ofevi import density, estimator, harness, make_target
 from ofevi.estimator import MAX_ARRAY_BYTES, fit_from_batch, largest_array_bytes
 from ofevi.harness import CSV_HEADER, _fisher_from_scores, kl_from_samples
 
-from oracles import CountingScore
+from oracles import CountingScore, traced_peak, whole_fisher, whole_kl, whole_reference_set
 
 
 def standard_fit_density(k=1):
@@ -156,6 +156,102 @@ def test_divergences_fill_the_record_fields_from_one_reference_set():
         target, q, z
     )
 
+
+def fitted_cell(target, orders, **overrides):
+    """The target and the density that a one-cell sweep at seed 1 fits to it."""
+    config = ExperimentConfig(target=target, orders=(orders,), seed=1, **overrides)
+    [(_, _, record, _, q)] = harness.fit_cells(config, config.build_target())
+    assert record.error is None
+    return config.build_target(), q
+
+
+def mixture_reference(n=1_000):
+    target, q = fitted_cell("mixture2d", (6, 6), proposal_scale=9.0)
+    z = target.sample(np.random.default_rng(0), n)
+    return q, z, target.log_density(z), target.score(z)
+
+
+@pytest.mark.parametrize("bad", [lambda v: v[:1], lambda v: v[0], lambda v: v[:, None]],
+                         ids=["one value", "scalar", "column"])
+def test_kl_refuses_log_p_that_is_not_one_value_a_point(bad):
+    # Each of these broadcast against log q and gave a wrong KL.
+    q, z, log_p, _ = mixture_reference()
+    with pytest.raises(ValueError, match="log_p must have shape"):
+        kl_from_samples(z, bad(log_p), q)
+
+
+@pytest.mark.parametrize("bad", [lambda s: s[:1], lambda s: s[0], lambda s: s[:, :1]],
+                         ids=["one row", "one vector", "one column"])
+def test_fisher_refuses_scores_that_are_not_one_row_a_point(bad):
+    q, z, _, p_scores = mixture_reference()
+    with pytest.raises(ValueError, match="p_scores must have shape"):
+        _fisher_from_scores(bad(p_scores), q, z)
+
+
+def test_kl_validates_the_reference_samples():
+    q, z, log_p, _ = mixture_reference()
+    with pytest.raises(ValueError, match="nonempty"):
+        kl_from_samples(z[:0], log_p[:0], q)
+    with pytest.raises(ValueError, match="nonempty"):
+        kl_from_samples(z[:, 0], log_p, q)
+
+
+# Two whole chunks and a partial one.
+EDGE_N = 2 * density._CHUNK_POINTS + 17
+
+
+@pytest.mark.parametrize("target, orders, overrides", [
+    ("mixture2d", (6, 6), dict(proposal_scale=9.0)),
+    ("funnel2d", (5, 5), {}),
+    ("sinh5d_1", (2,) * 5, dict(standardize=True, standardize_samples=2_000, samples=(400,))),
+], ids=["mixture2d", "funnel2d", "standardized sinh5d"])
+def test_chunked_evaluation_gives_the_bits_of_one_call_on_every_point(target, orders, overrides):
+    target, q = fitted_cell(target, orders, **overrides)
+    reference = harness._reference_set(target, 5, EDGE_N)
+    for got, want in zip(reference, whole_reference_set(target, 5, EDGE_N), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    z, log_p, p_scores = reference
+    assert kl_from_samples(z, log_p, q) == whole_kl(z, log_p, q)
+    assert _fisher_from_scores(p_scores, q, z) == whole_fisher(p_scores, q, z)
+
+
+def test_zeros_of_q_on_both_sides_of_a_chunk_edge_are_excluded_as_by_one_call():
+    # f = phi_1(z1) phi_0(z2) vanishes exactly where z1 = 0.
+    q = OfeDensity(ProductBasis([BasisFamily(HERMITE)] * 2, (2, 2)), [0.0, 0.0, 1.0, 0.0])
+    target = make_target("mixture2d")
+    z = target.sample(np.random.default_rng(6), EDGE_N)
+    edge = density._CHUNK_POINTS
+    zeros = [3, edge - 2, edge - 1, edge, edge + 5, 2 * edge - 1, 2 * edge, EDGE_N - 1]
+    z[zeros, 0] = 0.0
+    log_p, p_scores = target.log_density(z), target.score(z)
+    with pytest.warns(UserWarning, match=f"{len(zeros)} of {EDGE_N} reference points hit zeros"):
+        kl = kl_from_samples(z, log_p, q)
+    with pytest.warns(UserWarning, match=f"{len(zeros)} of {EDGE_N} reference points are poles"):
+        fisher = _fisher_from_scores(p_scores, q, z)
+    assert kl == whole_kl(z, log_p, q) and kl[2] == len(zeros)
+    assert fisher == whole_fisher(p_scores, q, z) and fisher[2] == len(zeros)
+    assert all(math.isfinite(v) for v in kl[:2] + fisher[:2])
+
+
+def growth_per_point(fn, args_for):
+    """Bytes the traced peak of fn(*args_for(n)) adds per point from n = 50k to 200k."""
+    peaks = {n: traced_peak(fn, *args_for(n)) for n in (50_000, 200_000)}
+    return (peaks[200_000] - peaks[50_000]) / 150_000
+
+
+def test_divergences_hold_about_one_value_a_reference_point():
+    # Whole-array evaluation held log q, the score of q and their gaps: 29 B a point.
+    target, q = fitted_cell("mixture2d", (20, 20), proposal_scale=9.0)
+    per_point = growth_per_point(harness._divergences,
+                                 lambda n: (q, harness._reference_set(target, 1, n)))
+    assert per_point <= 16
+
+
+def test_the_reference_set_holds_little_beyond_its_three_arrays():
+    # z, log p and the score are 40 B a 2-D point; evaluating the mixture's
+    # components on every draw at once took 120 B a point.
+    target = make_target("mixture2d")
+    assert growth_per_point(harness._reference_set, lambda n: (target, 1, n)) <= 64
 
 # -- configs ----------------------------------------------------------------------
 
@@ -416,6 +512,40 @@ def test_an_unexpected_evaluation_error_fails_only_its_cell(monkeypatch):
     assert records[1].error == "FloatingPointError: overflow in log q"
     assert densities[1] is None
 
+
+
+@pytest.mark.parametrize("fails", ["fit", "evaluation"])
+def test_run_fits_every_cell_before_it_draws_the_reference_set(monkeypatch, fails):
+    if fails == "fit":
+        fail_fits_of_size(monkeypatch, 9)
+    else:
+        kl = harness.kl_from_samples
+
+        def failing_kl(z, log_p, q):
+            if q.basis.size == 9:
+                raise FloatingPointError("overflow in log q")
+            return kl(z, log_p, q)
+
+        monkeypatch.setattr(harness, "kl_from_samples", failing_kl)
+    calls = []
+    for name in ("fit_from_batch", "_reference_set"):
+        original = getattr(harness, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recording)
+    config = small_config(orders=((2, 2), (3, 3), (4, 4)))
+    records, densities = run(config)
+    assert calls == ["fit_from_batch"] * 3 + ["_reference_set"]
+    # Records and densities still come back in config order.
+    assert [r.orders for r in records] == list(config.orders)
+    assert [r.error is None for r in records] == [True, False, True]
+    assert [None if q is None else q.basis.orders for q in densities] == [(2, 2), None, (4, 4)]
+    assert all(math.isfinite(records[i].kl) for i in (0, 2))
+    # A cell whose evaluation failed keeps the fields of its fit.
+    assert (records[1].lambda_min is None) == (fails == "fit")
 
 def test_a_failed_sampling_probe_keeps_the_fit_metrics(monkeypatch):
     config = ExperimentConfig(
