@@ -5,6 +5,11 @@ trees at the same seed and diffs the two listings:
 
     python3 scripts/output_digest.py --seed 1 --out-dir digest > digest_seed1.txt
 
+The listing must not depend on the BLAS thread count either, so a change
+diffs its listings at four settings against one of its parent's:
+`OPENBLAS_NUM_THREADS=1`, `OPENBLAS_NUM_THREADS=4`, the variable unset,
+and unset under `taskset -c 0` (one CPU).
+
 The outputs are the CSV and density files of six sweep configs (the
 benchmark's `sweep_mixture2d` and `fit_sinh5d` configs, written out here,
 and 1-D Hermite, 1-D Laguerre, 2-D Legendre and 2-D Fourier sweeps), then

@@ -8,9 +8,21 @@ with them the CSV and density bytes, would depend on
 for the length of a call and restores their previous counts afterwards.
 OpenBLAS splits a product by that count alone, not by the CPUs it finds,
 so a pinned product has the same bits on any machine, one CPU included.
+
 The library is looked up on the first pin, not at import, through the
 thread setters it exports.  A build without them (MKL, Accelerate, a
 system OpenBLAS) is left as it is.
+
+A call pins itself where its own bits depend on the thread count, and
+nothing pins a whole command around it.  The seven pin sites are
+`estimator.fit_from_batch`, `estimator.assemble_moment_matrix`,
+`estimator.min_eigenpair`, `ProductBasis.tables`,
+`standardize.estimate_moments`, `OfeDensity.mean_and_cov` and
+`OfeDensity.sample_with_info`.  Everything else runs at the process's
+own count, the evaluation of a density and the draw of a sweep's
+reference set among it; tests check that their bits do not depend on it.
+On one CPU the two pinned threads share the core, which slows only the
+pinned calls.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blas
 from .density import OfeDensity
 from .exceptions import ConfigError
 from .harness import (
@@ -225,8 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        with _blas.pinned():
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

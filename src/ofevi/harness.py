@@ -19,6 +19,10 @@ target, and `run` takes it in three steps:
    value a point, so a cell adds about 9 bytes a point while it is
    evaluated.
 
+The fits pin BLAS themselves (`_blas`); the reference draw and the
+evaluation run at the process's own thread count, and tests check that
+their bits do not depend on it.
+
 `ofevi fit` is `fit_cells` on a one-cell config, so it writes the density
 `ofevi sweep` writes for the same config and seed; `ofevi evaluate` scores a
 saved density on the sweep's reference set with the sweep's divergence
@@ -44,7 +48,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blas
 from .basis1d import HERMITE, MAX_ORDER, BasisFamily
 from .density import _CHUNK_POINTS, OfeDensity
 from .estimator import (
@@ -395,7 +398,6 @@ def fit_cells(config: ExperimentConfig, target):
             del result
 
 
-@_blas.pinned()
 def run(config: ExperimentConfig):
     """Fit and evaluate every sweep cell; returns (records, densities) in cell order.
 
@@ -416,9 +418,11 @@ def run(config: ExperimentConfig):
     cell's `note` instead: its own fields stay None, and the fit, its
     density and the other diagnostics stand.  Randomness is drawn from
     per-purpose streams keyed by the seed, so the order of fits and
-    evaluation moves no number, and fits and evaluation run with BLAS
-    pinned (`_blas.pinned`), so a rerun with the same config reproduces
-    every number except wall-clock timings, whatever
+    evaluation moves no number.  The fits and the standardizing moments
+    pin BLAS themselves (`_blas.pinned`); the reference draw and the
+    evaluation run at the process's own thread count, and their bits do
+    not depend on it (tests check this).  So a rerun with the same config
+    reproduces every number except wall-clock timings, whatever
     `OPENBLAS_NUM_THREADS` is.  Where no bundled OpenBLAS is found to pin
     (records report `blas_threads` None), that holds only at the same BLAS
     thread count.

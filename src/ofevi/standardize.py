@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .exceptions import ProposalSupportError, TransformError
 from .utils import as_batch
 
@@ -103,12 +104,15 @@ class StandardizedTarget:
         return self.transform.to_standard(self.target.sample(rng, n))
 
 
+@_blas.pinned()
 def estimate_moments(target, proposal, n_samples: int, rng: np.random.Generator):
     """Self-normalized importance estimates of target mean and covariance.
 
     The covariance gets a small diagonal ridge, 1e-8 * trace/dim, so the
     Cholesky factorization downstream cannot fail on a rank-deficient
-    estimate.
+    estimate.  The weighted sums over the draws are BLAS products, which
+    sum in a different order at a different thread count, so the call runs
+    with BLAS pinned (`_blas.pinned`).
     """
     z = proposal.sample(rng, n_samples)
     log_w = target.log_density(z) - np.log(proposal.density(z))

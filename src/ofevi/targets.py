@@ -132,8 +132,8 @@ class GaussianMixture:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         counts = rng.multinomial(n, self.weights)
-        parts = [c.sample(rng, m) for c, m in zip(self.components, counts) if m > 0]
-        out = np.concatenate(parts, axis=0)
+        # No name holds the component draws, so they are freed before the gather.
+        out = np.concatenate([c.sample(rng, m) for c, m in zip(self.components, counts) if m > 0])
         return out[rng.permutation(n)]
 
 

@@ -1,9 +1,13 @@
 """The one-count BLAS pin and the thread-count independence it buys."""
 
+import ctypes
+import ctypes.util
+import glob
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +126,25 @@ def test_pin_reaches_every_bundled_openblas_copy():
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_a_file_that_is_no_openblas_is_skipped(monkeypatch, tmp_path):
+    # A shared object without the thread setter (the C math library) and a
+    # file that does not load are passed over; the real copies are kept.
+    # monkeypatch restores the cached `_found`.
+    def address(pair):
+        return ctypes.cast(pair[0], ctypes.c_void_p).value
+
+    real = [address(pair) for pair in _blas._libraries()]
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    paths = glob.glob(os.path.join(site, _blas._PATTERN))
+    not_a_library = tmp_path / "libscipy_openblas64_text.so"
+    not_a_library.write_text("not a shared object")
+    paths += [ctypes.util.find_library("m"), str(not_a_library)]
+    monkeypatch.setattr(_blas, "glob", types.SimpleNamespace(glob=lambda pattern: paths))
+    monkeypatch.setattr(_blas, "_found", None)
+    assert [address(pair) for pair in _blas._libraries()] == real
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
 def test_the_pin_finds_every_openblas_a_fit_loads():
     # A fresh interpreter, so that no test's scipy import adds its own copy.
@@ -196,34 +219,93 @@ def test_evaluation_gives_the_same_bits_at_any_thread_count():
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
 def test_sweep_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
-    # At one thread and at two, unpinned BLAS gives different K = 100 bytes.
+    # At one thread and at two, unpinned BLAS gives different K = 100 bytes,
+    # and a different standardizing transform from 500k draws.
     # The last run is confined to one CPU, where the two pinned threads share it.
-    config = harness.ExperimentConfig(
-        target="mixture2d",
-        orders=[[5, 5], [10, 10]],
-        proposal_scale=9.0,
-        eval_samples=20_000,
-        sample_probe=0,
-        seed=1,
-    )
+    configs = [
+        harness.ExperimentConfig(
+            target="mixture2d",
+            orders=[[5, 5], [10, 10]],
+            proposal_scale=9.0,
+            eval_samples=20_000,
+            sample_probe=0,
+            seed=1,
+        ),
+        harness.ExperimentConfig(
+            target="mixture2d",
+            orders=[[5, 5]],
+            proposal_scale=9.0,
+            standardize=True,
+            standardize_samples=500_000,
+            eval_samples=20_000,
+            sample_probe=0,
+            seed=1,
+        ),
+    ]
     script = (
         "import json, sys\n"
         "from ofevi import harness\n"
-        "config = harness.ExperimentConfig.from_json(sys.stdin.read())\n"
-        "records, _ = harness.run(config)\n"
-        "print(json.dumps({'csv': harness.records_to_csv(records),\n"
-        "                  'threads': [r.blas_threads for r in records]}))\n"
+        "out = []\n"
+        "for config in json.loads(sys.stdin.read()):\n"
+        "    records, _ = harness.run(harness.ExperimentConfig.from_dict(config))\n"
+        "    out.append({'csv': harness.records_to_csv(records),\n"
+        "                'threads': [r.blas_threads for r in records]})\n"
+        "print(json.dumps(out))\n"
     )
     settings = [dict(threads=t) for t in ("1", "2", "4", None)]
     if hasattr(os, "sched_setaffinity"):
         settings.append(dict(threads=None, one_cpu=True))
+    stdin = json.dumps([config.to_dict() for config in configs])
     outputs = [
-        json.loads(child_stdout(script, **setting, input=json.dumps(config.to_dict()),
-                                cwd=tmp_path))
+        json.loads(child_stdout(script, **setting, input=stdin, cwd=tmp_path))
         for setting in settings
     ]
-    assert all(out["csv"] == outputs[0]["csv"] for out in outputs[1:])
-    assert all(out["threads"] == [2, 2] for out in outputs)
+    assert all(out == outputs[0] for out in outputs[1:])
+    assert [run["threads"] for run in outputs[0]] == [[2, 2], [2]]
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_moment_estimates_give_the_same_bits_at_any_thread_count():
+    # The importance-weighted sums are BLAS products: called directly and
+    # unpinned, 500k draws give different bits at one thread and at two.
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from ofevi import Gaussian, UniformBox, make_target\n"
+        "from ofevi.standardize import estimate_moments, estimate_transform\n"
+        "t = estimate_transform(Gaussian([3.0], [[0.125]]), UniformBox.centered(6.0, 1), 500_000,\n"
+        "                       np.random.default_rng((0, 2)))\n"
+        "print(hashlib.sha256(t.mean.tobytes() + t.chol.tobytes()).hexdigest())\n"
+        "mean, cov = estimate_moments(make_target('mixture2d'), UniformBox.centered(9.0, 2),\n"
+        "                             500_000, np.random.default_rng((0, 2)))\n"
+        "print(hashlib.sha256(mean.tobytes() + cov.tobytes()).hexdigest())\n"
+    )
+    digests = [child_stdout(script, threads).split() for threads in ("1", "2", "4")]
+    if hasattr(os, "sched_setaffinity"):
+        digests.append(child_stdout(script, None, one_cpu=True).split())
+    assert len(digests[0]) == 2
+    assert all(d == digests[0] for d in digests[1:])
+
+
+@pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")
+def test_evaluate_prints_the_same_json_at_any_thread_count(tmp_path):
+    # `ofevi evaluate` runs unpinned: the reference draw and both
+    # divergences must not depend on the split.
+    result = estimator.fit(make_target("mixture2d"),
+                           ProductBasis([BasisFamily("hermite")] * 2, (20, 20)),
+                           UniformBox.centered(9.0, 2), np.random.default_rng(0))
+    path = tmp_path / "q.json"
+    result.density.save(path)
+    script = (
+        "from ofevi.cli import main\n"
+        f"raise SystemExit(main(['evaluate', '--density', {str(path)!r}, '--target', 'mixture2d',\n"
+        "                        '--n', '20000', '--seed', '3']))\n"
+    )
+    outputs = [child_stdout(script, threads) for threads in ("1", "2")]
+    if hasattr(os, "sched_setaffinity"):
+        outputs.append(child_stdout(script, None, one_cpu=True))
+    assert json.loads(outputs[0])["kl"] is not None
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 @pytest.mark.skipif(not _blas._libraries(), reason="no bundled OpenBLAS found")

@@ -249,9 +249,10 @@ def test_divergences_hold_about_one_value_a_reference_point():
 
 def test_the_reference_set_holds_little_beyond_its_three_arrays():
     # z, log p and the score are 40 B a 2-D point; evaluating the mixture's
-    # components on every draw at once took 120 B a point.
+    # components on every draw at once took 120 B a point, and holding the
+    # mixture's component draws through its shuffle 51 B.
     target = make_target("mixture2d")
-    assert growth_per_point(harness._reference_set, lambda n: (target, 1, n)) <= 64
+    assert growth_per_point(harness._reference_set, lambda n: (target, 1, n)) <= 44
 
 # -- configs ----------------------------------------------------------------------
 
