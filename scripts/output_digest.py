@@ -16,7 +16,10 @@ and 1-D Hermite, 1-D Laguerre, 2-D Legendre and 2-D Fourier sweeps), then
 10k draws and the moments of a fitted 20x20 mixture2d density, 50k draws
 of the standardized 5-D density, 10k draws each from an order-40 1-D
 Legendre and an order-40 1-D Laguerre density (their CDF tables differ
-from the Hermite ones in grid and in closed form), and, per family, the
+from the Hermite ones in grid and in closed form), log q and the score of
+a seeded Hermite 4 x Laguerre 3 x Hermite 6 density at 20k in-support
+points (its axes mix families and orders, so evaluation builds a table
+per (family, order) and shares none across them), and, per family, the
 features and their gradients of the 1-D bases of every order
 1 ... MAX_ORDER on a fixed grid (the value tables, the derivative tables
 and the order MAX_ORDER + 1 row that the cap's derivatives read).  The
@@ -119,6 +122,14 @@ def main() -> None:
         rng = np.random.default_rng((args.seed, stream))
         q = OfeDensity(ProductBasis([BasisFamily(kind)], (40,)), rng.standard_normal(40))
         lines.append((f"{kind}40_draws_10000", digest(q.sample(rng, 10_000).tobytes())))
+
+    rng = np.random.default_rng((args.seed, 8))
+    families = [BasisFamily(kind) for kind in ("hermite", "laguerre", "hermite")]
+    q = OfeDensity(ProductBasis(families, (4, 3, 6)), rng.standard_normal(4 * 3 * 6))
+    z = np.column_stack([rng.normal(scale=2.0, size=20_000), rng.exponential(3.0, 20_000),
+                         rng.normal(scale=2.0, size=20_000)])
+    lines.append(("hermite4_laguerre3_hermite6_eval_20000",
+                  digest(q.log_density(z).tobytes() + q.score(z).tobytes())))
 
     for kind, grid in TABLE_GRIDS.items():
         sha = hashlib.sha256()

@@ -66,8 +66,9 @@ class BasisFamily:
     def check_support(self, z: np.ndarray) -> None:
         lo, hi = self.support
         z, big = np.asarray(z), np.finfo(float).max
-        # Infinite edges stand in as the largest float: one closed test refuses +-inf and nan.
-        if not np.all((z >= max(lo, -big)) & (z <= min(hi, big))):
+        # Infinite edges stand in as the largest float, and a nan is the min and the max:
+        # one closed test of the two refuses +-inf and nan.
+        if z.size and not (np.min(z) >= max(lo, -big) and np.max(z) <= min(hi, big)):
             raise SupportError(f"point outside {self.kind} support [{lo}, {hi}]")
 
 
@@ -162,6 +163,8 @@ def basis_tables(family: BasisFamily, order: int, z) -> np.ndarray:
         Highest basis index to evaluate (inclusive, 1-based): at most MAX_ORDER + 1,
         the values one order up that the derivatives at the cap read.
     z : array_like, shape (n,)
+        Evaluated on a contiguous copy when strided: each row of the table's
+        recurrence is a pass over z.
 
     Returns
     -------
@@ -169,6 +172,6 @@ def basis_tables(family: BasisFamily, order: int, z) -> np.ndarray:
         vals[k-1, i] = phi_k(z_i).
     """
     family.check_order(order - 1 if order == MAX_ORDER + 1 else order)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.ascontiguousarray(z, dtype=float)
     family.check_support(z)
     return _TABLE_BUILDERS[family.kind](order, z)

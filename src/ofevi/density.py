@@ -14,7 +14,11 @@ per-point 1-D value tables one axis at a time, points last and in chunks,
 so memory is O(chunk * (K / K_1 + sum K_d)).  Partial d of f is the
 coefficient tensor mapped through axis d's `derivative_matrix`, contracted
 against the values, one order up only where that matrix reaches phi_{K_d + 1}:
-no derivative table is built.
+no derivative table is built.  Axes that need the same family and number
+of rows share one table build per chunk, over their coordinates laid end
+to end in one contiguous array, so a uniform D-axis basis runs one
+recurrence and one support check per chunk, not D of them over strided
+columns.
 
 Exact sampling proceeds one dimension at a time: the marginal of the first
 coordinate and each conditional given earlier coordinates are again squared
@@ -447,7 +451,10 @@ class OfeDensity:
         points through `_contract_axis`, one term at a time.  Partial d's tensor is f's, mapped
         once per call through axis d's `derivative_matrix`.  Only where that matrix reaches
         phi_{k+1} (Hermite, and Fourier at even orders) is axis d's table built one order up;
-        elsewhere the mapped tensor's all-zero last slice is dropped.
+        elsewhere the mapped tensor's all-zero last slice is dropped.  Axes that need the same
+        family and rows share one table build per chunk, over their coordinates laid end to
+        end, and each reads its (rows, chunk) block of it: a table entry depends on its own
+        point alone, so the bits are those of one build per axis.
         """
         n, axes = z.shape[0], list(enumerate(zip(self.basis.families, self.basis.orders)))
         terms = [(self.coeffs, self.basis.orders)]
@@ -459,10 +466,18 @@ class OfeDensity:
                 up[d] = int(np.any(dmat[:, -1]))
                 mapped = _apply_axis(beta, dmat[:, : k + up[d]].T, d)
                 terms.append((mapped.reshape(-1), mapped.shape))
+        groups = {}
+        for d, (family, k) in axes:
+            groups.setdefault((family, k + up[d]), []).append(d)
         out = np.empty((len(terms), n))
+        tables = [None] * len(axes)
         for start in range(0, n, _CHUNK_POINTS):
             stop = min(start + _CHUNK_POINTS, n)
-            tables = [basis_tables(family, k + up[d], z[start:stop, d]) for d, (family, k) in axes]
+            c = stop - start
+            for (family, rows), dims in groups.items():
+                built = basis_tables(family, rows, z.T[dims, start:stop].ravel())
+                for j, d in enumerate(dims):
+                    tables[d] = built[:, j * c : (j + 1) * c]
             for i, (w, shape) in enumerate(terms):
                 for table, rows in zip(tables, shape):
                     w = _contract_axis(w, table[:rows])

@@ -61,7 +61,7 @@ from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
 from .standardize import StandardizedTarget, estimate_transform
 from .targets import TARGET_REGISTRY, make_target
-from .utils import as_integer, to_json
+from .utils import as_integer, row_sums, to_json
 
 SCHEMA_VERSION = 1
 
@@ -316,7 +316,7 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
 
     def squared_gap(r):
         gap = p_scores[r] - q.score(z[r])
-        return np.sum(gap * gap, axis=1)
+        return row_sums(gap * gap)
 
     keep = _fill(np.empty(z.shape[0], dtype=bool), lambda r: q.expansion(z[r]) != 0.0)
     return _kept_mean(keep, "are poles of q; excluded", lambda rows: _fill(

@@ -20,7 +20,11 @@ per family, the reference for `derivative_matrix` times the values.
 `whole_reference_set`, `whole_kl` and `whole_fisher` are the harness's
 reference set and divergences as one call on every point, before the
 harness walked the points in chunks: the bitwise references for the
-chunked code.
+chunked code.  `per_axis_evaluation` is a density's evaluation with one
+table build per axis and chunk, as it was before axes of one family and
+order shared a build, and `row_max_logsumexp` is `logsumexp` as it was
+before its maximum and sum ran along the columns: the bitwise references
+for the shared builds and the column passes.
 """
 
 import math
@@ -30,7 +34,8 @@ import numpy as np
 
 from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
 from ofevi import _blas
-from ofevi.density import cdf_grid
+from ofevi.basis1d import derivative_matrix
+from ofevi.density import _CHUNK_POINTS, _apply_axis, _contract_axis, cdf_grid
 from ofevi.product_basis import _combine
 
 
@@ -73,6 +78,45 @@ def whole_fisher(p_scores, q, z):
         return np.sum(gap * gap, axis=1)
 
     return _kept_mean(q.expansion(z) != 0.0, squared_gap)
+
+
+def row_max_logsumexp(a):
+    """log(sum(exp(a), axis=1)) of an (n, m) array, with numpy's row max and row sum."""
+    top = np.max(a, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.sum(np.exp(a - top), axis=1)) + top[:, 0]
+
+
+def per_axis_evaluation(q, z):
+    """(f, log q, score of q) at the points z (n, D), each axis's table built on its own.
+
+    The steps of `OfeDensity.expansion`, `log_density` and `score`, with one
+    `basis_tables` call per axis and chunk of `_CHUNK_POINTS` points, on
+    that axis's column of the standardized points.
+    """
+    z = q._standardize(z)
+    orders, axes = q.basis.orders, list(enumerate(zip(q.basis.families, q.basis.orders)))
+    terms, up = [(q.coeffs, orders)], [0] * len(axes)
+    beta = q.coeffs.reshape(orders)
+    for d, (family, k) in axes:
+        dmat = derivative_matrix(family, k)
+        up[d] = int(np.any(dmat[:, -1]))
+        mapped = _apply_axis(beta, dmat[:, : k + up[d]].T, d)
+        terms.append((mapped.reshape(-1), mapped.shape))
+    out = np.empty((len(terms), z.shape[0]))
+    for start in range(0, z.shape[0], _CHUNK_POINTS):
+        stop = min(start + _CHUNK_POINTS, z.shape[0])
+        tables = [basis_tables(family, k + up[d], z[start:stop, d]) for d, (family, k) in axes]
+        for i, (w, shape) in enumerate(terms):
+            for table, rows in zip(tables, shape):
+                w = _contract_axis(w, table[:rows])
+            out[i, start:stop] = w[0]
+    f, score = out[0], 2.0 * out[1:].T / out[0][:, None]
+    with np.errstate(divide="ignore"):
+        log_q = 2.0 * np.log(np.abs(f))
+    if q.transform is not None:
+        log_q, score = log_q - q.transform.log_det, score @ q.transform.inv_chol
+    return f, log_q, score
 
 
 def fd_gradient(fn, z, h=1e-6):

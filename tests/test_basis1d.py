@@ -139,6 +139,32 @@ def test_support_validation(name, z):
         fam.check_support(np.array([z]))
 
 
+_OUTSIDE = {"hermite": -math.inf, "legendre": 1.5, "fourier": -0.1, "laguerre": -0.1}
+
+
+@pytest.mark.parametrize("where", [0, 4096, 8191])
+@pytest.mark.parametrize("bad", ["nan", "-inf", "inf", "outside"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_one_bad_point_anywhere_in_a_long_array_is_refused(name, bad, where):
+    fam, (lo, hi) = FAMILIES[name]
+    z = np.linspace(lo, hi, 8192)
+    z[where] = _OUTSIDE[name] if bad == "outside" else float(bad)
+    message = "point outside {} support [{}, {}]".format(name, *fam.support)
+    with pytest.raises(SupportError) as raised:
+        fam.check_support(z)
+    assert str(raised.value) == message
+    with pytest.raises(SupportError) as raised:
+        basis_tables(fam, 3, z)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_an_empty_array_passes_the_support_check(name):
+    fam = FAMILIES[name][0]
+    fam.check_support(np.empty(0))
+    assert basis_tables(fam, 3, np.empty(0)).shape == (3, 0)
+
+
 @given(
     name=st.sampled_from(sorted(FAMILIES)),
     k=st.integers(min_value=1, max_value=24),

@@ -30,6 +30,7 @@ from oracles import (
     gauss_panels,
     hermite_expansion_pdf,
     pairwise_prefix,
+    per_axis_evaluation,
     random_unit,
     recurrence_tables,
     traced_peak,
@@ -232,6 +233,40 @@ def test_the_score_reads_one_order_up_only_where_the_derivative_reaches_it(
     q = OfeDensity(ProductBasis([BasisFamily(kind)], (order,)), np.ones(order))
     q.score(np.array([[0.5]]))
     assert requested == [up]
+
+
+@pytest.mark.parametrize(
+    "kinds, orders, standardized",
+    [
+        ((HERMITE, HERMITE), (5, 5), False),
+        ((HERMITE, HERMITE), (3, 4), False),
+        ((HERMITE, LEGENDRE), (4, 5), False),
+        ((LAGUERRE, FOURIER, LAGUERRE), (3, 4, 3), False),
+        ((HERMITE,) * 5, (4, 4, 4, 3, 3), True),
+    ],
+)
+def test_shared_table_builds_give_the_per_axis_bits(kinds, orders, standardized):
+    # Axes of one family and row count share a build; every value keeps the
+    # bits of one build per axis, on C-ordered, strided and Fortran-ordered points.
+    rng = np.random.default_rng(len(orders))
+    basis = ProductBasis([BasisFamily(kind) for kind in kinds], orders)
+    transform = None
+    if standardized:
+        dim = len(orders)
+        chol = np.diag(np.linspace(1.3, 0.8, dim)) + np.tril(np.full((dim, dim), 0.2), -1)
+        transform = StandardizingTransform(np.linspace(0.5, -0.5, dim), chol)
+    q = OfeDensity(basis, rng.normal(size=basis.size), transform)
+    n = 2 * _CHUNK_POINTS + 17
+    z = np.column_stack([_standard_points(rng, f, n) for f in basis.families])
+    if transform is not None:
+        z = transform.from_standard(z)
+    wide = np.empty((n, 2 * len(orders)))
+    wide[:, ::2] = z
+    f_ref, log_ref, score_ref = per_axis_evaluation(q, z)
+    for points in (z, wide[:, ::2], np.asfortranarray(z)):
+        assert q.expansion(points).tobytes() == f_ref.tobytes()
+        assert q.log_density(points).tobytes() == log_ref.tobytes()
+        assert q.score(points).tobytes() == score_ref.tobytes()
 
 
 # -- marginals ----------------------------------------------------------------

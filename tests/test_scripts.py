@@ -32,7 +32,7 @@ def test_output_digest_lists_every_output_once(tmp_path):
     assert written < set(digests)
     assert set(digests) - written == {
         "mixture2d_20x20_draws_10000", "mixture2d_20x20_moments", "sinh5d_4x4x4x3x3_draws_50000",
-        "legendre40_draws_10000", "laguerre40_draws_10000",
+        "legendre40_draws_10000", "laguerre40_draws_10000", "hermite4_laguerre3_hermite6_eval_20000",
         "hermite_tables_1-64", "legendre_tables_1-64", "fourier_tables_1-64", "laguerre_tables_1-64",
     }
 

@@ -21,7 +21,8 @@ from ofevi import (
 )
 
 from ofevi.targets import logsumexp
-from oracles import fd_gradient, gauss_panels
+from ofevi.utils import row_sums
+from oracles import fd_gradient, gauss_panels, row_max_logsumexp
 
 ALL_2D = {
     "mixture2d": mixture_2d,
@@ -60,6 +61,34 @@ def test_logsumexp_matches_scipy_on_rows_far_below_zero():
     assert np.all(np.exp(a[:, 0]) == 0.0)
     expected = special.logsumexp(a, axis=1)
     assert np.allclose(logsumexp(a), expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_sums_give_numpys_row_sum_bits(width):
+    # Mixed signs and magnitudes from 1e-8 to 1e8, so that every rounding shows.
+    rng = np.random.default_rng(width)
+    x = rng.choice([-1.0, 1.0], size=(5000, width)) * 10.0 ** rng.uniform(-8, 8, (5000, width))
+    x[0] = -0.0
+    for layout in (x, np.asfortranarray(x)):
+        assert row_sums(layout).tobytes() == np.sum(layout, axis=1).tobytes()
+
+
+def test_logsumexp_gives_the_row_max_bits_on_non_finite_rows():
+    a = np.random.default_rng(4).normal(scale=30.0, size=(12, 3))
+    a[0, 1] = -np.inf
+    a[1] = -np.inf
+    a[2, 2] = np.inf
+    a[3, 0] = np.nan
+    a[4, :2] = np.inf
+    a[5] = [np.inf, np.nan, -np.inf]
+    a[6] = 0.0
+    a[7] = [-0.0, 0.0, -0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert logsumexp(a).tobytes() == row_max_logsumexp(a).tobytes()
+        for width in (1, 2, 9):
+            b = np.random.default_rng(width).normal(scale=30.0, size=(40, width))
+            b[0] = -np.inf
+            assert logsumexp(b).tobytes() == row_max_logsumexp(b).tobytes()
 
 
 def test_gaussian_sample_moments():
