@@ -137,6 +137,8 @@ def _cmd_evaluate(args) -> int:
         return 2
     payload = {key: fields[key] for key in ("kl", "kl_se", "fisher_div", "fisher_se")}
     print(to_json(payload | {"n": args.n}))
+    print(f"wall time: kl_ms {fields['kl_ms']:.3f}, fisher_ms {fields['fisher_ms']:.3f}",
+          file=sys.stderr)
     return 0
 
 

@@ -26,21 +26,26 @@ expansions, with coefficient matrices S = W W^T.  W is a running block per
 chunk of draws that `_contract_axis` takes each coordinate into once it is
 drawn.  Every product phi_k phi_l of one axis lies in the span of M
 orthonormal functions of the same family, M = 2 * order - 1 (Fourier:
-4 * (order // 2) + 1), so a conditional is sum_m gamma_m g_m.  gamma comes
-straight from W through the span's M-node Gauss rule, and each 1-D CDF is
-the inner product of gamma with a row of a precomputed grid of the span
-functions' prefix integrals.  Every draw shares the first coordinate's S,
-so its CDF and density are tabulated once and searched with
-`np.searchsorted`; a conditional's differ per draw, and `_invert` bisects
-its CDF from one GEMM per chunk of draws at the 33 nodes that split the
-grid into 32 cells.  Both searches end in one cubic step inside a grid
-cell (`_place`): the point where the cubic Hermite interpolant of the CDF,
-built from the CDF and the density at the cell's two ends, reaches the
-target.  Each chunk draws its own uniforms, and a transform maps each
-chunk's rows in place, so the sampler's working memory beyond its samples
-is O(chunk).  A sampling call builds one CDF table per distinct (family,
-order) axis, without full-size copies of its values, and drops them when
-it returns: a density holds only its basis, coefficients and transform.
+4 * (order // 2) + 1), whose M-node Gauss rule integrates every product of
+two of them exactly.  So a conditional's CDF is a sum over those nodes:
+the squares sq_j = sum_p (W^T phi(t_j))_p^2 of a draw's block at the nodes,
+weighted by the rule's projections of each span function's prefix integral.
+The CDF tables hold their rows in that node basis, so a draw's CDF at grid
+point g is sq @ pair_prefix[g], and its density sq @ vals[g], with no
+per-draw change of basis.  Every draw shares the first coordinate's
+squares, so its CDF and density are tabulated once and searched with
+`np.searchsorted`; a conditional's differ per draw, and `_invert` finds
+its CDF's node cell from one GEMM per chunk of draws at the 33 nodes that
+split the grid into 32 cells, then halves every draw's cell the same fixed
+number of times, ceil(log2) of the widest cell's grid steps.  Both searches
+end in one cubic step inside a grid cell (`_place`): the point where the
+cubic Hermite interpolant of the CDF, built from the CDF and the density
+at the cell's two ends, reaches the target.  Each chunk draws its own
+uniforms, and a transform maps each chunk's rows in place, so the
+sampler's working memory beyond its samples is O(chunk).  A sampling call
+builds one CDF table per distinct (family, order) axis, without full-size
+copies of its values, and drops them when it returns: a density holds only
+its basis, coefficients and transform.
 
 First and second moments contract the coefficient tensor, one axis at a
 time, with per-axis matrices of the integrals of x phi_a phi_b and
@@ -87,10 +92,12 @@ _CHUNK_DRAWS = 1536
 _CHUNK_POINTS = 8192
 # Number of cells between the nodes at which one GEMM per chunk of draws
 # gives every draw's CDF; a draw's bisection starts inside the node cell
-# holding its target, so it takes log2((points - 1) / _COARSE_CELLS) steps.
+# holding its target, so it takes ceil(log2(ceil((points - 1) / _COARSE_CELLS)))
+# halvings, 5 on a 1001-point grid.
 _COARSE_CELLS = 32
-# Grid points whose span values and integrals a table build holds in the
-# builder's (M, points) layout at once, before they go into the table's rows.
+# Grid points whose span values and integrals a table build holds in
+# `_span_rows`'s (M, points) layout at once, before they go into the table's
+# rows and into the node basis.
 _BUILD_POINTS = 256
 
 
@@ -108,18 +115,23 @@ def _contract_axis(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("nrc,nc->rc", w, table)
 
 
-def _invert(table, gamma, targets) -> tuple[np.ndarray, int]:
+def _invert(table, sq, targets) -> tuple[np.ndarray, int]:
     """Points where each draw's conditional CDF reaches its target; also the clamp count.
 
-    Draw i's CDF at grid index g is gamma[i] @ table.pair_prefix[g] and its
-    density gamma[i] @ table.vals[g], with gamma (draws, M).  Each search
-    starts in the node cell, one of `_COARSE_CELLS`, holding its target, and
-    one bisection narrows the cell to the grid step that `_place` ends in.
+    Draw i's CDF at grid index g is sq[i] @ table.pair_prefix[g] and its
+    density sq[i] @ table.vals[g], with sq (draws, M) its squares at the
+    span's Gauss nodes (`CdfTable.node_squares`).  Each search starts in
+    the node cell, one of `_COARSE_CELLS`, holding its target, and every
+    draw's cell is halved ceil(log2(w)) times, w the widest node cell's grid
+    steps, which narrows each to the one grid step that `_place` ends in.
+    A cell that is already one step wide stays so: its midpoint is its
+    lower end.
     """
     grid, rows = table.grid, table.pair_prefix
     last = grid.shape[0] - 1
-    nodes = np.append(np.arange(0, last, math.ceil(last / _COARSE_CELLS)), last)
-    node_cdf = gamma @ rows[nodes].T
+    step = math.ceil(last / _COARSE_CELLS)
+    nodes = np.append(np.arange(0, last, step), last)
+    node_cdf = sq @ rows[nodes].T
     # Start from the last node at or below the target (node 0 at the least),
     # so the bracket keeps cdf(lo) <= target < cdf(hi) even where rounding
     # makes the CDF dip.  below runs from the last node down: argmax reads it contiguously.
@@ -129,14 +141,15 @@ def _invert(table, gamma, targets) -> tuple[np.ndarray, int]:
     each = np.arange(targets.shape[0])
     lo, hi = nodes[cell], nodes[cell + 1]
     c_lo, c_hi = node_cdf[each, cell], node_cdf[each, cell + 1]
-    while np.max(hi - lo) > 1:
+    # A halving leaves a cell of w steps at most ceil(w / 2) wide.
+    for _ in range((step - 1).bit_length()):
         mid = (lo + hi) // 2
-        c_mid = np.einsum("cj,cj->c", gamma, rows[mid])
+        c_mid = np.einsum("cj,cj->c", sq, np.take(rows, mid, axis=0))
         below = c_mid <= targets
         lo, c_lo = np.where(below, mid, lo), np.where(below, c_mid, c_lo)
         hi, c_hi = np.where(below, hi, mid), np.where(below, c_hi, c_mid)
-    p_lo = np.einsum("cj,cj->c", gamma, table.vals[lo])
-    p_hi = np.einsum("cj,cj->c", gamma, table.vals[hi])
+    p_lo = np.einsum("cj,cj->c", sq, np.take(table.vals, lo, axis=0))
+    p_hi = np.einsum("cj,cj->c", sq, np.take(table.vals, hi, axis=0))
     return _place(grid, targets, node_cdf[:, -1], lo, hi, (c_lo, c_hi), (p_lo, p_hi))
 
 
@@ -217,18 +230,19 @@ class CdfTable:
     """Precomputed quantities for inverting 1-D squared-expansion CDFs.
 
     Every product phi_k phi_l of the family at `order` lies in the span of
-    M orthonormal functions g_1..g_M (see `_span_values`), so a conditional
-    density sum_kl S_kl phi_k phi_l is sum_m gamma_m g_m and its CDF is
-    pair_prefix[g] @ gamma.  vals holds the g_m on the grid, shape
-    (points, M), so the density at grid[g] is vals[g] @ gamma.
-    pair_prefix, shape (points, M), holds in column m of row g the exact
-    integral of g_m from the grid's lower end up to grid[g]: each grid
-    point's block is one contiguous row, in both tables.  mid_vals is
-    zero-size; it stays only because the benchmark's tracer sums its bytes.
-
-    node_vals (order, M) holds phi_k at the M nodes of the span's Gauss
-    rule and node_span (M, M) the weighted g_m there, so gamma is
-    (sum_p (W^T phi(t_j))_p^2) @ node_span for S = W W^T.
+    M orthonormal functions g_1..g_M (see `_span_values`), whose M-node
+    Gauss rule (`_span_rule`) integrates every product of two of them
+    exactly.  So a conditional density sum_p (W^T phi)_p^2 is fixed by its
+    squares sq_j at the nodes t_j, and the table's rows are in that node
+    basis: column j of a row is the rule's weight at t_j times
+    sum_m g_m(t_j) G_m, G_m being what the row holds for g_m.  vals, shape
+    (points, M), has G_m = g_m(grid[g]), so the density at grid[g] is
+    vals[g] @ sq; pair_prefix, shape (points, M), has G_m the exact integral
+    of g_m from the grid's lower end up to grid[g], so the CDF there is
+    pair_prefix[g] @ sq.  Each grid point's block is one contiguous row, in
+    both tables.  mid_vals is zero-size; it stays only because the
+    benchmark's tracer sums its bytes.  node_vals (order, M) holds phi_k at
+    the nodes.
     """
 
     grid: np.ndarray
@@ -236,21 +250,19 @@ class CdfTable:
     mid_vals: np.ndarray
     pair_prefix: np.ndarray
     node_vals: np.ndarray
-    node_span: np.ndarray
 
-    def span_coefficients(self, block: np.ndarray) -> np.ndarray:
-        """gamma (c, M) of the c densities sum_p (sum_k block[i, k, p] phi_k)^2.
+    def node_squares(self, block: np.ndarray) -> np.ndarray:
+        """sq (c, M): the c densities sum_p (sum_k block[i, k, p] phi_k)^2 at the span's nodes.
 
-        block is (c, order, rest); gamma is the density's Gauss rule
-        projection onto each g_m, exact because the rule integrates every
-        product of two span functions exactly.
+        block is (c, order, rest).  A table row times sq is that density's
+        value or CDF there.
         """
         c, order, rest = block.shape
         at_nodes = np.swapaxes(block, 1, 2).reshape(-1, order) @ self.node_vals
         at_nodes *= at_nodes
         squares = at_nodes.reshape(c, rest, -1)
         # The last coordinate's block has one column: its sum would be a copy.
-        return (squares[:, 0] if rest == 1 else squares.sum(axis=1)) @ self.node_span
+        return squares[:, 0] if rest == 1 else squares.sum(axis=1)
 
 
 def _span_values(family: BasisFamily, size: int, t: np.ndarray) -> np.ndarray:
@@ -334,10 +346,12 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
     """Closed-form prefix integrals of the span functions on `cdf_grid(family, order)`.
 
     The grid's span values and their integrals (`_span_rows`) go into
-    their rows `_BUILD_POINTS` points at a time, so no full-size copy of
-    the table is made.
+    their rows `_BUILD_POINTS` points at a time, and each block of rows
+    then into the node basis: row g becomes node_span @ row g, node_span
+    (M, M) holding the rule's weighted g_m at its nodes (`_span_rule`).
+    So no full-size copy of the table is made.
     Raises TableBuildError when the pairwise integrals at the grid's upper
-    end, read through the span, are farther than 1e-6 from the identity,
+    end, read through the nodes, are farther than 1e-6 from the identity,
     i.e. the grid leaves out more mass of some basis product than that.
     """
     grid = cdf_grid(family, order)
@@ -348,17 +362,19 @@ def build_cdf_table(family: BasisFamily, order: int) -> CdfTable:
     for start in range(0, grid.size, _BUILD_POINTS):
         block = slice(start, start + _BUILD_POINTS)
         _span_rows(family, grid[block], vals[block].T, prefix[block].T)
+        vals[block] = vals[block] @ node_span.T
+        prefix[block] = prefix[block] @ node_span.T
     # Rows from grid[0]; subtracting prefix[0] itself would copy the table (the two overlap).
     prefix -= prefix[0].copy()
 
-    total = (node_vals * (node_span @ prefix[-1])) @ node_vals.T
+    total = (node_vals * prefix[-1]) @ node_vals.T
     err = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(order)))))
     if err > _MASS_TOL:
         raise TableBuildError(
             f"grid [{grid[0]}, {grid[-1]}] captures the order-{order} {family.kind} mass "
             f"only to {err:.2e} (tolerance {_MASS_TOL:.0e}); widen the grid"
         )
-    return CdfTable(grid, vals, np.empty(0), prefix, node_vals, node_span)
+    return CdfTable(grid, vals, np.empty(0), prefix, node_vals)
 
 
 def _moment_matrices(family: BasisFamily, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -546,10 +562,11 @@ class OfeDensity:
         the first coordinate's CDF and density, tabulated once, and one
         `np.searchsorted` places a chunk's draws in it.  A chunk's running
         block W starts as the coefficient tensor and takes in each
-        coordinate once it is drawn; coordinate d's
-        density is sum_p (W^T phi)_p^2 with span coefficients from
-        `CdfTable.span_coefficients` and normalizer ||W||^2, and `_invert`
-        searches its CDF.  A clamp happens when a uniform draw targets the
+        coordinate once it is drawn; coordinate d's density is
+        sum_p (W^T phi)_p^2, read from the table's node-basis rows through
+        its squares at the span's nodes (`CdfTable.node_squares`), with
+        normalizer ||W||^2, and `_invert` searches its CDF in a fixed number
+        of halvings.  A clamp happens when a uniform draw targets the
         sliver of mass the grid does not capture (at most the build
         tolerance); the sample is pinned to the grid edge and counted.  Each
         distinct (family, order) axis gets one CDF table, built for this
@@ -566,8 +583,8 @@ class OfeDensity:
         tables = [built[axis] for axis in axes]
 
         # Every draw shares the first coordinate's density: its CDF is tabulated once.
-        gamma0 = tables[0].span_coefficients(self.coeffs.reshape(1, orders[0], -1))[0]
-        cdf0, dens0 = tables[0].pair_prefix @ gamma0, tables[0].vals @ gamma0
+        sq0 = tables[0].node_squares(self.coeffs.reshape(1, orders[0], -1))[0]
+        cdf0, dens0 = tables[0].pair_prefix @ sq0, tables[0].vals @ sq0
         trace0 = self.coeffs @ self.coeffs
 
         for start in range(0, n, _CHUNK_DRAWS):
@@ -590,8 +607,8 @@ class OfeDensity:
                 traces = np.einsum("cj,cj->c", block, block)
                 if np.any(traces <= 0.0):
                     raise PoleError("conditional density requested at a zero of the marginal")
-                gamma = tables[d].span_coefficients(block.reshape(stop - start, orders[d], -1))
-                out[start:stop, d], c = _invert(tables[d], gamma, uniforms[:, d] * traces)
+                sq = tables[d].node_squares(block.reshape(stop - start, orders[d], -1))
+                out[start:stop, d], c = _invert(tables[d], sq, uniforms[:, d] * traces)
                 clamps[d] += c
             if self.transform is not None:
                 out[start:stop] = self.transform.from_standard(out[start:stop])

@@ -13,7 +13,8 @@ target, and `run` takes it in three steps:
 2. Draw the reference set: exact target samples with log p and the
    target's score there, 16 D + 8 bytes a point, shared by every cell.
 3. Evaluate each cell on it in config order: forward KL, the mean squared
-   score mismatch (Fisher divergence) and an optional sampling probe.
+   score mismatch (Fisher divergence) and an optional sampling probe, each
+   timed into the record (`kl_ms`, `fisher_ms`, `probe_ms`).
    The target and each density are evaluated on chunks of the density's
    own `_CHUNK_POINTS` reference points, and each divergence keeps one
    value a point, so a cell adds about 9 bytes a point while it is
@@ -42,6 +43,7 @@ import io
 import json
 import math
 import numbers
+import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -234,6 +236,9 @@ class RunRecord:
     score_ms: float | None = None
     assemble_ms: float | None = None
     eigensolve_ms: float | None = None
+    kl_ms: float | None = None
+    fisher_ms: float | None = None
+    probe_ms: float | None = None
     blas_threads: int | None = None
     largest_array_bytes: int | None = None
     error: str | None = None
@@ -459,36 +464,43 @@ def _reference_set(target, seed: int, n: int):
 
 def _divergences(q, reference) -> tuple[dict, list[str]]:
     """q's KL and Fisher record fields on a reference set, and a note for each that
-    met a point outside q's support or a pole of q (its fields stay None)."""
+    met a point outside q's support or a pole of q (its fields stay None).
+
+    The fields include each divergence's wall time, `kl_ms` and `fisher_ms`.
+    """
     z, log_p, p_scores = reference
     fields, notes = {}, []
     for name, keys, compute in (
-        ("kl", ("kl", "kl_se", "kl_excluded"), lambda: kl_from_samples(z, log_p, q)),
-        ("fisher", ("fisher_div", "fisher_se", "fisher_excluded"),
+        ("kl", ("kl", "kl_se", "kl_excluded", "kl_ms"), lambda: kl_from_samples(z, log_p, q)),
+        ("fisher", ("fisher_div", "fisher_se", "fisher_excluded", "fisher_ms"),
          lambda: _fisher_from_scores(p_scores, q, z)),
     ):
+        start = time.perf_counter()
         try:
-            values = compute()
+            values = (*compute(), 1e3 * (time.perf_counter() - start))
         except (SupportError, PoleError) as exc:
             notes.append(f"{name} failed: {type(exc).__name__}: {exc}")
-            values = (None, None, None)
+            values = (None, None, None, None)
         fields.update(zip(keys, values))
     return fields, notes
 
 
 def _run_cell(config, record, q, reference, bi, ki):
     fields, notes = _divergences(q, reference)
-    tail_clips = None
+    tail_clips = probe_ms = None
     if config.sample_probe > 0:
         rng_probe = np.random.default_rng((config.seed, 4, bi, ki))
+        start = time.perf_counter()
         try:
             _, info = q.sample_with_info(rng_probe, config.sample_probe)
             tail_clips = int(np.sum(info["boundary_clamps"]))
+            probe_ms = 1e3 * (time.perf_counter() - start)
         except (SupportError, PoleError, TableBuildError) as exc:
             notes.append(f"sample probe failed: {type(exc).__name__}: {exc}")
     else:
         notes.append("tail_clips null: no sampling probe requested")
-    return replace(record, **fields, tail_clips=tail_clips, note="; ".join(notes))
+    return replace(record, **fields, tail_clips=tail_clips, probe_ms=probe_ms,
+                   note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------

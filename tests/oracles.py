@@ -24,7 +24,10 @@ chunked code.  `per_axis_evaluation` is a density's evaluation with one
 table build per axis and chunk, as it was before axes of one family and
 order shared a build, and `row_max_logsumexp` is `logsumexp` as it was
 before its maximum and sum ran along the columns: the bitwise references
-for the shared builds and the column passes.
+for the shared builds and the column passes.  `while_loop_invert` is
+`density._invert` as it was before its bisection ran a fixed number of
+halvings: it halved until every draw's cell was one grid step wide, the
+bitwise reference for the fixed count.
 """
 
 import math
@@ -35,6 +38,7 @@ import numpy as np
 from ofevi import FOURIER, HERMITE, LAGUERRE, LEGENDRE, BasisFamily, ProductBasis, basis_tables
 from ofevi import _blas
 from ofevi.basis1d import derivative_matrix
+from ofevi import density
 from ofevi.density import _CHUNK_POINTS, _apply_axis, _contract_axis, cdf_grid
 from ofevi.product_basis import _combine
 
@@ -331,3 +335,26 @@ class CountingScore:
     def score(self, z):
         self.points += np.shape(z)[0]
         return self.target.score(z)
+
+
+def while_loop_invert(table, sq, targets):
+    """`density._invert` bisecting while any draw's cell is wider than one grid step."""
+    grid, rows = table.grid, table.pair_prefix
+    last = grid.shape[0] - 1
+    nodes = np.append(np.arange(0, last, math.ceil(last / density._COARSE_CELLS)), last)
+    node_cdf = sq @ rows[nodes].T
+    below = node_cdf[:, -2::-1] <= targets[:, None]
+    below[:, -1] = True
+    cell = nodes.shape[0] - 2 - np.argmax(below, axis=1)
+    each = np.arange(targets.shape[0])
+    lo, hi = nodes[cell], nodes[cell + 1]
+    c_lo, c_hi = node_cdf[each, cell], node_cdf[each, cell + 1]
+    while np.max(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        c_mid = np.einsum("cj,cj->c", sq, rows[mid])
+        below = c_mid <= targets
+        lo, c_lo = np.where(below, mid, lo), np.where(below, c_mid, c_lo)
+        hi, c_hi = np.where(below, hi, mid), np.where(below, c_hi, c_mid)
+    p_lo = np.einsum("cj,cj->c", sq, table.vals[lo])
+    p_hi = np.einsum("cj,cj->c", sq, table.vals[hi])
+    return density._place(grid, targets, node_cdf[:, -1], lo, hi, (c_lo, c_hi), (p_lo, p_hi))

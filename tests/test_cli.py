@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -144,6 +145,17 @@ def test_evaluate_reports_divergences(tmp_path, capsys):
     assert abs(payload["kl"]) < 1e-10
     assert payload["fisher_div"] < 1e-24 and payload["fisher_se"] < 1e-24
     assert payload["n"] == 5000
+
+
+def test_evaluate_prints_the_divergence_timings_to_stderr(tmp_path, capsys):
+    # The wall times vary run to run, so they stay off the JSON on stdout.
+    density, _ = fit_gaussian(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "evaluate", "--density", str(density), "--target",
+                             "gaussian", "--target-params", '{"mean": [0.0], "cov": [[1.0]]}',
+                             "--n", "2000")
+    assert code == 0 and "_ms" not in out
+    match = re.fullmatch(r"wall time: kl_ms (\S+), fisher_ms (\S+)\n", err)
+    assert match and all(float(ms) >= 0.0 for ms in match.groups())
 
 
 def test_evaluate_on_one_draw_prints_strict_json_with_null_standard_errors(tmp_path, capsys):

@@ -34,6 +34,7 @@ from oracles import (
     random_unit,
     recurrence_tables,
     traced_peak,
+    while_loop_invert,
 )
 
 
@@ -418,7 +419,7 @@ def test_cdf_table_matches_standard_normal():
     table = build_cdf_table(BasisFamily(HERMITE), 1)
     mid = table.grid.shape[0] // 2
     assert table.pair_prefix.shape == (table.grid.shape[0], 1)
-    cdf = table.pair_prefix @ table.span_coefficients(np.ones((1, 1, 1)))[0]
+    cdf = table.pair_prefix @ table.node_squares(np.ones((1, 1, 1)))[0]
     assert table.grid[mid] == 0.0
     assert cdf[mid] == pytest.approx(0.5, abs=1e-9)
     phi = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in table.grid])
@@ -428,11 +429,11 @@ def test_cdf_table_matches_standard_normal():
 
 
 def test_cdf_table_cross_terms_and_bounds():
-    # The integral of each product phi_k phi_l, read through the span: its
-    # span coefficients are the Gauss rule's projection of phi_k phi_l.
+    # The integral of each product phi_k phi_l, read through the span's
+    # nodes: its squares there are the values of phi_k phi_l at the nodes.
     table = build_cdf_table(BasisFamily(HERMITE), 8)
     assert table.pair_prefix.shape == (table.grid.shape[0], 15)
-    products = np.einsum("kj,lj,jm->klm", table.node_vals, table.node_vals, table.node_span)
+    products = np.einsum("kj,lj->klj", table.node_vals, table.node_vals)
     plain = table.pair_prefix @ products.reshape(64, -1).T
     last = plain[-1].reshape(8, 8)
     assert abs(last[0, 1]) < 1e-8
@@ -440,7 +441,7 @@ def test_cdf_table_cross_terms_and_bounds():
     assert np.allclose(last, np.eye(8), atol=1e-12)
 
     alpha = random_unit(np.random.default_rng(3), 8)
-    cdf = table.pair_prefix @ table.span_coefficients(alpha[None, :, None])[0]
+    cdf = table.pair_prefix @ table.node_squares(alpha[None, :, None])[0]
     assert np.max(np.abs(cdf - expansion_cdf(HERMITE, alpha, table.grid))) < 1e-9
 
 
@@ -459,7 +460,7 @@ def test_span_cdf_matches_the_pairwise_prefix_integrals(kind, order):
     w = np.random.default_rng(order).normal(size=(order, 3))
     s = w @ w.T
     expected = prefix @ s[np.triu_indices(order)]
-    cdf = table.pair_prefix @ table.span_coefficients(w[None])[0]
+    cdf = table.pair_prefix @ table.node_squares(w[None])[0]
     assert np.max(np.abs(cdf - expected)) <= 1e-11 * np.trace(s)
 
 
@@ -654,8 +655,7 @@ def test_cdf_table_builds_without_full_size_copies(kind):
     # vals and pair_prefix are the table's bulk, each (points, M); a copy of
     # either would take half the table again.  `mid_vals` is zero-size.
     table = build_cdf_table(BasisFamily(kind), 64)
-    fields = (table.grid, table.vals, table.mid_vals, table.pair_prefix,
-              table.node_vals, table.node_span)
+    fields = (table.grid, table.vals, table.mid_vals, table.pair_prefix, table.node_vals)
     table_bytes = sum(a.nbytes for a in fields)
     assert traced_peak(build_cdf_table, BasisFamily(kind), 64) < 1.25 * table_bytes
 
@@ -747,11 +747,11 @@ NODES = np.array([0, 8, 16, 24, 30])
 def _stub_table(cdf):
     """A one-column CDF table on GRID holding cdf and, as its density, cdf's slope."""
     one = np.ones((1, 1))
-    return density.CdfTable(GRID, np.gradient(cdf, GRID)[:, None], None, cdf[:, None], one, one)
+    return density.CdfTable(GRID, np.gradient(cdf, GRID)[:, None], None, cdf[:, None], one)
 
 
 def _invert_shared(cdf, targets):
-    """`_invert` with every target on one CDF: a one-column table, gamma all ones."""
+    """`_invert` with every target on one CDF: a one-column table, sq all ones."""
     return density._invert(_stub_table(cdf), np.ones((targets.size, 1)), targets)
 
 
@@ -779,6 +779,41 @@ def test_truncated_table_counts_boundary_clamps(monkeypatch):
         assert coarse[1] == two_point[1] > 0
 
 
+def _halving_cases():
+    """(table, targets) pairs: the short-last-cell, single-draw and node-value cases."""
+    # At 32 node cells a 1001-point grid splits into 31 cells of 32 steps
+    # and a last one of 8: targets only in that one took 3 halvings in the
+    # while loop, and take 5 now.
+    grid = np.linspace(-4.0, 4.0, 1001)
+    cdf = 0.1125 * (grid + 4.0) + 0.05 * np.sin(grid) + 0.05 * math.sin(4.0)
+    wide = density.CdfTable(grid, np.gradient(cdf, grid)[:, None], None, cdf[:, None],
+                            np.ones((1, 1)))
+    rng = np.random.default_rng(40)
+    short = np.concatenate([rng.uniform(cdf[992], cdf[1000], 3_000), cdf[992:]])
+    spread = rng.random(3_000) * cdf[-1]
+    cases = [(wide, short), (wide, spread), (wide, spread[:1]), (wide, short[:1])]
+    for c in (LINEAR, FLAT):
+        t = np.concatenate([rng.random(3_000), c, c[NODES]])
+        cases += [(_stub_table(c), t), (_stub_table(c), t[:1])]
+    return cases
+
+
+@pytest.mark.parametrize("cells", [1, 4, 32])
+def test_fixed_halvings_give_the_while_loop_bisection(monkeypatch, cells):
+    # `_invert` halves every draw's node cell ceil(log2) of the widest
+    # cell's steps times; the bisection it replaced stopped once every cell
+    # was one step wide.  A one-step cell keeps its ends, so the points and
+    # clamps are bitwise the same: with targets only in a short last node
+    # cell, for a single draw, and at 1, 4 and 32 node cells.
+    monkeypatch.setattr(density, "_COARSE_CELLS", cells)
+    for table, targets in _halving_cases():
+        sq = np.ones((targets.size, 1))
+        z, clamps = density._invert(table, sq, targets)
+        expected, expected_clamps = while_loop_invert(table, sq, targets)
+        assert np.array_equal(z, expected)
+        assert clamps == expected_clamps
+
+
 class _FixedUniforms:
     """A generator stand-in whose uniforms are the given targets, served in consecutive rows."""
 
@@ -795,9 +830,9 @@ def test_first_coordinate_search_matches_the_bisection(monkeypatch):
     # Every draw shares the first coordinate's CDF, and the sampler places
     # them with np.searchsorted.  That gives bitwise the points and clamps of
     # `_invert`'s bisection on the same CDF, also on a flat stretch and at
-    # targets equal to tabulated values.  An order-1 density has gamma and
-    # trace 1, so a one-column table makes its CDF and density exactly the
-    # tabulated ones.
+    # targets equal to tabulated values.  An order-1 density whose one node
+    # value is 1 has squares and trace 1, so a one-column table makes its
+    # CDF and density exactly the tabulated ones.
     monkeypatch.setattr(density, "_COARSE_CELLS", 4)
     targets = np.random.default_rng(22).random(5_000)
     for c in (LINEAR, FLAT):

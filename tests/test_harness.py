@@ -756,6 +756,52 @@ def test_record_round_trip_preserves_every_field():
         seed=1, standardize=False, lambda_min=1e-4, residual=1e-12,
         kl=0.5, kl_se=0.01, kl_excluded=0, fisher_div=0.2, fisher_se=0.02, fisher_excluded=0,
         rejected=0, tail_clips=2, score_ms=1.5, assemble_ms=0.3, eigensolve_ms=0.1,
+        kl_ms=2.5, fisher_ms=4.0, probe_ms=0.7,
         blas_threads=1, largest_array_bytes=24576, error=None, note="",
     )
     assert RunRecord.from_dict(rec.to_dict()) == rec
+
+
+class _SteppingClock:
+    """A stand-in for the `time` module whose clock jumps by `step` seconds a reading."""
+
+    def __init__(self, step):
+        self.now, self.step = 0.0, step
+
+    def perf_counter(self):
+        self.now += self.step
+        return self.now
+
+
+def test_diagnostic_timings_reach_the_records_but_not_the_csv_or_densities(tmp_path, monkeypatch):
+    # Two sweeps of one config under clocks 1024x apart (steps that the clock
+    # adds up exactly): their records carry the diagnostics' times, and their
+    # CSV and density files keep every byte.
+    outputs = {}
+    for step in (2.0**-7, 8.0):
+        monkeypatch.setattr(harness, "time", _SteppingClock(step))
+        config = small_config(out_prefix=str(tmp_path / str(step) / "run"))
+        records, densities = run(config)
+        for rec in records:
+            assert rec.kl_ms == rec.fisher_ms == rec.probe_ms == 1e3 * step
+        paths = write_outputs(config, records, densities)
+        outputs[step] = {p.name: p.read_bytes() for p in paths
+                         if not p.name.endswith("_records.json")}
+        payload = json.loads((tmp_path / str(step) / "run_records.json").read_text())
+        assert [p["kl_ms"] for p in payload] == [1e3 * step] * 2
+    assert len(outputs[8.0]) == 3 and outputs[2.0**-7] == outputs[8.0]
+    assert b"_ms" not in outputs[8.0]["run_metrics.csv"]
+
+    # A diagnostic that did not run has no time.
+    records, _ = run(small_config(sample_probe=0))
+    assert all(rec.probe_ms is None and rec.kl_ms is not None for rec in records)
+
+
+def test_records_json_without_the_diagnostic_timings_still_loads():
+    records, _ = run(small_config())
+    payload = json.loads(records_to_json(records))
+    for p in payload:
+        for key in ("kl_ms", "fisher_ms", "probe_ms"):
+            del p[key]
+    back = records_from_json(json.dumps(payload))
+    assert back == [replace(r, kl_ms=None, fisher_ms=None, probe_ms=None) for r in records]

@@ -1,5 +1,11 @@
-"""Smoke tests: each experiment script runs to completion on a small input."""
+"""Smoke tests: each experiment script runs to completion on a small input.
 
+The benchmark-pair script is fed canned result lines and runs no benchmark.
+"""
+
+import argparse
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -48,3 +54,86 @@ def run_script(cwd, script, args) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(job_s, rss=50.0, correct=True, failed=0):
+    """A benchmark run's output: a human line, then its JSON result line."""
+    metrics = {"setup_s": {"value": 0.25, "unit": "s"}, "job_s": {"value": job_s, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    summary = {"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics}
+    return f"job_s {job_s} s\n" + json.dumps(summary) + "\n"
+
+
+def test_bench_pairs_alternates_and_summarizes_canned_runs():
+    bench_pairs = load_script("bench_pairs")
+    parent_jobs = [0.30, 0.32, 0.29, 0.31, 0.33]
+    change_jobs = [0.26, 0.27, 0.30, 0.25, 0.28]
+    calls = []
+
+    def canned(checkout, workload, seed):
+        calls.append((checkout.name, seed))
+        jobs = parent_jobs if checkout.name == "parent" else change_jobs
+        return 0, result_line(jobs[seed - 7], rss=50.0 if checkout.name == "parent" else 49.0)
+
+    args = argparse.Namespace(pairs=5, seed=7, workload="sample_mixture2d")
+    pairs, refused = bench_pairs.run_pairs(Path("parent"), Path("change"), args, run=canned,
+                                           log=lambda line: None)
+    assert refused == 0 and len(pairs) == 5
+    # The parent runs first in odd pairs, the change first in even ones; a pair shares its seed.
+    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8), ("parent", 9),
+                     ("change", 9), ("change", 10), ("parent", 10), ("parent", 11), ("change", 11)]
+    lines = bench_pairs.summary_lines(pairs)
+    job = next(line for line in lines if line.startswith("job_s:"))
+    # Medians 0.31 and 0.27, exclusive quartiles [0.295, 0.325] and [0.255, 0.29].
+    assert job.startswith("job_s: parent 0.31 [0.295, 0.325] -> change 0.27 [0.255, 0.29] (-12.9%)")
+    assert "lower in 4/5" in job and "against parent IQR 0.03" in job
+    assert "  parent 0.3 0.32 0.29 0.31 0.33" in lines
+    rss = next(line for line in lines if line.startswith("peak_rss_mb:"))
+    assert "lower in 5/5" in rss
+    assert not any(line.startswith("skipped") for line in lines)
+
+
+def test_bench_pairs_summarizes_only_the_metrics_every_run_reports():
+    # One tree may add or rename a metric; the summary keeps the shared ones.
+    bench_pairs = load_script("bench_pairs")
+    parent = json.loads(result_line(0.3).splitlines()[-1])["metrics"]
+    change = json.loads(result_line(0.25).splitlines()[-1])["metrics"]
+    change["rss_mb"] = change.pop("peak_rss_mb")
+    change["extra_s"] = {"value": 1.0}
+    flat = [{name: m["value"] for name, m in side.items()} for side in (parent, change)]
+    lines = bench_pairs.summary_lines([tuple(flat), tuple(flat)])
+    assert [line.split(":")[0] for line in lines if not line.startswith("  ")] == [
+        "setup_s", "job_s", "skipped, not reported by every run"]
+    assert lines[-1].endswith(": extra_s, peak_rss_mb, rss_mb")
+
+
+@pytest.mark.parametrize(
+    "code, stdout, reason",
+    [
+        (1, "", "exited with code 1"),
+        (0, "benchmark failed\n", "printed no result line"),
+        (0, result_line(0.3, correct=False), "is not correct"),
+        (0, result_line(0.3, failed=2), "has 2 failed operations"),
+    ],
+)
+def test_bench_pairs_refuses_a_pair_with_a_bad_run(code, stdout, reason):
+    bench_pairs = load_script("bench_pairs")
+    logged = []
+
+    def canned(checkout, workload, seed):
+        if checkout.name == "change" and seed == 2:
+            return code, stdout
+        return 0, result_line(0.3)
+
+    args = argparse.Namespace(pairs=3, seed=1, workload="fit_sinh5d")
+    pairs, refused = bench_pairs.run_pairs(Path("parent"), Path("change"), args, run=canned,
+                                           log=logged.append)
+    assert refused == 1 and len(pairs) == 2
+    assert f"refused pair 2 (seed 2): the change run {reason}" in logged
