@@ -60,7 +60,7 @@ def _cmd_fit(args) -> int:
         standardize=args.standardize,
         standardize_samples=args.standardize_samples,
     )
-    [(_, _, record, _, q)] = fit_cells(config, config.build_target())
+    [(_, _, record, q)] = fit_cells(config, config.build_target())
     if record.error is not None:
         print(f"error: {record.error}", file=sys.stderr)
         return 2

@@ -4,8 +4,8 @@ A run is a grid of cells (sample-count sweep x basis-order sweep) against one
 target, and `run` takes it in three steps:
 
 1. Fit every cell (`fit_cells`), filling the fit's fields of the cell's
-   RunRecord.  Of each fit only the record and the density are kept; its
-   M, batch and scores are dropped once the cell is fitted.  Within a
+   RunRecord.  Of each fit only the record and the density are yielded;
+   its M, batch and scores are dropped before the yield.  Within a
    fixed sample-count cell all basis sizes share one proposal batch: each
    fit is handed the largest fit made so far on it, whose target scores it
    reuses and from whose moment matrix nested bases take their blocks bit
@@ -14,7 +14,7 @@ target, and `run` takes it in three steps:
    target's score there, 16 D + 8 bytes a point, shared by every cell.
 3. Evaluate each cell on it in config order: forward KL, the mean squared
    score mismatch (Fisher divergence) and an optional sampling probe, each
-   timed into the record (`kl_ms`, `fisher_ms`, `probe_ms`).
+   run and timed into the record by one loop (`_divergences`).
    The target and each density are evaluated on chunks of the density's
    own `_CHUNK_POINTS` reference points, and each divergence keeps one
    value a point, so a cell adds about 9 bytes a point while it is
@@ -332,13 +332,13 @@ def _fisher_from_scores(p_scores: np.ndarray, q, z: np.ndarray) -> tuple[float, 
 # Running experiments.
 
 def fit_cells(config: ExperimentConfig, target):
-    """Fit every sweep cell in order; yields (bi, ki, record, result, density).
+    """Fit every sweep cell in order; yields (bi, ki, record, density).
 
     bi and ki index the cell's sample count and basis order; `record` has
     the fit's fields filled in and no divergence; `density` is the fit
     pulled back to the target's coordinates.  A cell whose fit raised
-    yields its record with `error` set and None for the result and the
-    density.
+    yields its record with `error` set and None for the density.  Each fit
+    is dropped before its yield; only a shared batch's `earlier` outlives it.
     """
     family = BasisFamily(config.family)
     proposal = config.build_proposal()
@@ -383,24 +383,22 @@ def fit_cells(config: ExperimentConfig, target):
                 q = result.density
                 if transform is not None:
                     q = OfeDensity(q.basis, q.coeffs, transform)
+                record = replace(
+                    record,
+                    lambda_min=result.eigenvalue,
+                    lambda_2=result.lambda_2,
+                    residual=result.residual,
+                    rejected=result.rejected,
+                    score_ms=result.timings_ms["score_eval"],
+                    assemble_ms=result.timings_ms["assemble"],
+                    eigensolve_ms=result.timings_ms["eigensolve"],
+                    blas_threads=result.blas_threads,
+                    largest_array_bytes=result.largest_array_bytes,
+                )
             except Exception as exc:  # per-cell isolation: record and move on
-                yield bi, ki, replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
-                continue
-            record = replace(
-                record,
-                lambda_min=result.eigenvalue,
-                lambda_2=result.lambda_2,
-                residual=result.residual,
-                rejected=result.rejected,
-                score_ms=result.timings_ms["score_eval"],
-                assemble_ms=result.timings_ms["assemble"],
-                eigensolve_ms=result.timings_ms["eigensolve"],
-                blas_threads=result.blas_threads,
-                largest_array_bytes=result.largest_array_bytes,
-            )
-            yield bi, ki, record, result, q
-            # Only a shared batch's `earlier` fit outlives its cell.
-            del result
+                record, q = replace(record, error=f"{type(exc).__name__}: {exc}"), None
+            result = None  # only a shared batch's `earlier` fit outlives its cell
+            yield bi, ki, record, q
 
 
 def run(config: ExperimentConfig):
@@ -408,8 +406,8 @@ def run(config: ExperimentConfig):
 
     Three steps, and what each holds:
     1. every cell is fitted; of each fit only its record and its density
-       are kept, and its M, batch and scores are dropped once the cell is
-       fitted;
+       are yielded, and its M, batch and scores are dropped before the
+       yield (`fit_cells`);
     2. the reference set is drawn: z, log p and the target's score,
        16 D + 8 bytes a point, held until the last cell is evaluated;
     3. the cells are evaluated on it in order, in chunks of the density's
@@ -433,10 +431,7 @@ def run(config: ExperimentConfig):
     thread count.
     """
     target = config.build_target()
-    cells = []
-    for bi, ki, record, result, q in fit_cells(config, target):
-        cells.append((bi, ki, record, q))
-        del result  # so that no M is alive while the next cell is fitted
+    cells = list(fit_cells(config, target))
     reference = _reference_set(target, config.seed, config.eval_samples)
     records: list[RunRecord] = []
     densities: list[OfeDensity | None] = []
@@ -462,45 +457,47 @@ def _reference_set(target, seed: int, n: int):
     return z, log_p, _fill(np.empty_like(z), lambda r: target.score(z[r]))
 
 
-def _divergences(q, reference) -> tuple[dict, list[str]]:
-    """q's KL and Fisher record fields on a reference set, and a note for each that
-    met a point outside q's support or a pole of q (its fields stay None).
+def _divergences(q, reference, probe=None) -> tuple[dict, list[str]]:
+    """q's diagnostic record fields on a reference set, and a note for each diagnostic that failed.
 
-    The fields include each divergence's wall time, `kl_ms` and `fisher_ms`.
+    KL, the Fisher divergence and, given probe = (rng, n), n draws of q
+    (`tail_clips`) each fill their fields and their `*_ms` time.  One that
+    meets a point outside q's support, a pole or a CDF table that cannot
+    be built gets a note instead, and its fields stay None.
     """
     z, log_p, p_scores = reference
-    fields, notes = {}, []
-    for name, keys, compute in (
+    diagnostics = [
         ("kl", ("kl", "kl_se", "kl_excluded", "kl_ms"), lambda: kl_from_samples(z, log_p, q)),
         ("fisher", ("fisher_div", "fisher_se", "fisher_excluded", "fisher_ms"),
          lambda: _fisher_from_scores(p_scores, q, z)),
-    ):
+    ]
+    if probe is not None:
+        def tail_clips():
+            _, info = q.sample_with_info(*probe)
+            return (int(np.sum(info["boundary_clamps"])),)
+
+        diagnostics.append(("sample probe", ("tail_clips", "probe_ms"), tail_clips))
+    fields, notes = {}, []
+    for name, keys, compute in diagnostics:
         start = time.perf_counter()
         try:
             values = (*compute(), 1e3 * (time.perf_counter() - start))
-        except (SupportError, PoleError) as exc:
+        except (SupportError, PoleError, TableBuildError) as exc:
             notes.append(f"{name} failed: {type(exc).__name__}: {exc}")
-            values = (None, None, None, None)
+            values = (None,) * len(keys)
         fields.update(zip(keys, values))
     return fields, notes
 
 
 def _run_cell(config, record, q, reference, bi, ki):
-    fields, notes = _divergences(q, reference)
-    tail_clips = probe_ms = None
+    """The cell's record with its diagnostics, the probe drawn from stream (seed, 4, bi, ki)."""
+    probe = None
     if config.sample_probe > 0:
-        rng_probe = np.random.default_rng((config.seed, 4, bi, ki))
-        start = time.perf_counter()
-        try:
-            _, info = q.sample_with_info(rng_probe, config.sample_probe)
-            tail_clips = int(np.sum(info["boundary_clamps"]))
-            probe_ms = 1e3 * (time.perf_counter() - start)
-        except (SupportError, PoleError, TableBuildError) as exc:
-            notes.append(f"sample probe failed: {type(exc).__name__}: {exc}")
-    else:
+        probe = (np.random.default_rng((config.seed, 4, bi, ki)), config.sample_probe)
+    fields, notes = _divergences(q, reference, probe)
+    if probe is None:
         notes.append("tail_clips null: no sampling probe requested")
-    return replace(record, **fields, tail_clips=tail_clips, probe_ms=probe_ms,
-                   note="; ".join(notes))
+    return replace(record, **fields, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------

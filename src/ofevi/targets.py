@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError
+from .standardize import StandardizingTransform
 from .utils import as_batch, row_sums
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -47,15 +48,15 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
 class Gaussian:
     """Multivariate normal with arbitrary symmetric positive definite covariance.
 
-    The Cholesky factor L of the covariance, its inverse and the precision
-    L^-T L^-1 are computed once, so evaluation is one small matrix product
-    per batch.
+    It is a standard normal mapped by `StandardizingTransform(mean, L)`, L
+    the Cholesky factor of the covariance, whose L^-1 and the score's
+    precision L^-T L^-1 are computed once: evaluation is one small matrix
+    product per batch.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
-    _inv_chol: np.ndarray = field(init=False, repr=False)
+    _transform: StandardizingTransform = field(init=False, repr=False)
     _precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,29 +74,26 @@ class Gaussian:
         # replace an asymmetric matrix with its symmetric lower part.
         if np.any(np.abs(cov - cov.T) > 1e-12 * np.max(np.abs(cov))):
             raise ValueError("covariance must be symmetric")
-        chol = np.linalg.cholesky(cov)
-        inv_chol = np.linalg.inv(chol)
+        transform = StandardizingTransform(mean, np.linalg.cholesky(cov))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_inv_chol", inv_chol)
-        object.__setattr__(self, "_precision", inv_chol.T @ inv_chol)
+        object.__setattr__(self, "_transform", transform)
+        object.__setattr__(self, "_precision", transform.inv_chol.T @ transform.inv_chol)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     def log_density(self, z):
-        y = (as_batch(z, self.dim) - self.mean) @ self._inv_chol.T
-        ld = -0.5 * self.dim * LOG_2PI - np.sum(np.log(np.diag(self._chol)))
+        y = self._transform.to_standard(z)
+        ld = -0.5 * self.dim * LOG_2PI - self._transform.log_det
         return ld - 0.5 * row_sums(y * y)
 
     def score(self, z):
         return -(as_batch(z, self.dim) - self.mean) @ self._precision
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        xi = rng.standard_normal((n, self.dim))
-        return self.mean + xi @ self._chol.T
+        return self._transform.from_standard(rng.standard_normal((n, self.dim)))
 
 
 class GaussianMixture:

@@ -679,6 +679,33 @@ def test_a_sampling_call_builds_one_table_per_axis_and_keeps_none(monkeypatch):
     assert built == [(HERMITE, 4), (LEGENDRE, 3)] * 2
 
 
+def test_the_sampler_refuses_a_conditional_at_a_zero_of_the_marginal(monkeypatch):
+    # Coefficients e_1 (x) e_0: the first axis's marginal is phi_1(x)^2, which
+    # vanishes at 0.0, the middle point of the order-2 Hermite CDF grid.
+    hermite = BasisFamily(HERMITE)
+    q = OfeDensity(ProductBasis([hermite] * 2, (2, 2)), np.array([0.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(q.marginal_coefficients(1), [[0.0, 0.0], [0.0, 1.0]])
+    grid = cdf_grid(hermite, 2)
+    middle = grid[grid.size // 2]
+    assert middle == 0.0 and basis_tables(hermite, 2, np.array([middle]))[1, 0] == 0.0
+    assert np.all(np.isfinite(q.sample(np.random.default_rng(0), 100)))
+
+    place, calls = density._place, []
+
+    def first_draw_at_the_zero(grid, *args):
+        # The first call places the first coordinate of the first chunk.
+        points, clamps = place(grid, *args)
+        if not calls:
+            points[0] = middle
+        calls.append(points.size)
+        return points, clamps
+
+    monkeypatch.setattr(density, "_place", first_draw_at_the_zero)
+    with pytest.raises(PoleError, match="zero of the marginal"):
+        q.sample(np.random.default_rng(0), 100)
+    assert calls == [100]
+
+
 def test_low_order_sampler_moments():
     q = hermite_density([1.0])
     z = q.sample(np.random.default_rng(14), 100_000)[:, 0]

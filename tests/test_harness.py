@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from ofevi import (
     RunRecord,
     StandardizingTransform,
     TableBuildError,
+    TransformError,
     records_from_json,
     records_to_csv,
     records_to_json,
@@ -160,7 +162,7 @@ def test_divergences_fill_the_record_fields_from_one_reference_set():
 def fitted_cell(target, orders, **overrides):
     """The target and the density that a one-cell sweep at seed 1 fits to it."""
     config = ExperimentConfig(target=target, orders=(orders,), seed=1, **overrides)
-    [(_, _, record, _, q)] = harness.fit_cells(config, config.build_target())
+    [(_, _, record, q)] = harness.fit_cells(config, config.build_target())
     assert record.error is None
     return config.build_target(), q
 
@@ -435,6 +437,45 @@ def test_run_shares_one_batch_across_basis_sizes():
     assert records[1].kl <= records[0].kl + 3.0 * (records[0].kl_se + records[1].kl_se)
 
 
+def capture_fits(monkeypatch, hold=lambda fit: fit):
+    """A list that gets `hold(fit)` of each fit `harness.fit_from_batch` makes from now on."""
+    fits = []
+    fit_from_batch = harness.fit_from_batch
+
+    def capturing(*args, **kwargs):
+        fit = fit_from_batch(*args, **kwargs)
+        fits.append(hold(fit))
+        return fit
+
+    monkeypatch.setattr(harness, "fit_from_batch", capturing)
+    return fits
+
+
+@pytest.mark.parametrize("case", ["shared batch", "own batches", "failed cell"])
+def test_fit_cells_frees_each_fit_before_it_yields_its_cell(case, monkeypatch):
+    # Of the fits made so far only a shared batch's `earlier`, its first
+    # largest fit, may be alive while the caller holds a cell.
+    config = ExperimentConfig(
+        target="mixture2d", orders=((3, 3), (2, 2), (4, 4)), seed=0, proposal_scale=9.0,
+        samples=(400,) if case == "shared batch" else (None,),
+        standardize=case == "failed cell", standardize_samples=500,
+    )
+    if case == "failed cell":
+        # Each fit succeeds, and reading it back in the target's coordinates fails.
+        def failing_density(basis, coeffs, transform):
+            raise TransformError("transform and basis dimensions differ")
+
+        monkeypatch.setattr(harness, "OfeDensity", failing_density)
+    fits = capture_fits(monkeypatch, weakref.ref)
+    sizes = []
+    for _, ki, record, q in harness.fit_cells(config, config.build_target()):
+        assert (q is None) == (record.error is not None) == (case == "failed cell")
+        sizes.append(record.K)
+        assert len(fits) == ki + 1
+        alive = [i for i, fit in enumerate(fits) if fit() is not None]
+        assert alive == ([sizes.index(max(sizes))] if case == "shared batch" else [])
+
+
 @pytest.mark.parametrize(
     "orders, assembled_sizes, unshared",
     [
@@ -459,8 +500,11 @@ def test_fit_cells_scores_a_shared_batch_once_and_shares_nested_blocks(
 
     monkeypatch.setattr(estimator, "assemble_moment_matrix", counting)
     target = CountingScore(config.build_target())
-    results = {record.orders: result for _, _, record, result, _ in harness.fit_cells(config, target)}
+    fits = capture_fits(monkeypatch)
+    cells = list(harness.fit_cells(config, target))
     monkeypatch.undo()
+    assert [record.orders for _, _, record, _ in cells] == list(orders)
+    results = {fit.density.basis.orders: fit for fit in fits}
     assert target.points == 400
     # One chunk of 400 draws for each basis that is assembled.
     assert assembled == assembled_sizes

@@ -29,12 +29,19 @@ def test_script_exits_zero(tmp_path, script, args):
     run_script(tmp_path, script, args)
 
 
-def test_output_digest_lists_every_output_once(tmp_path):
-    stdout = run_script(tmp_path, "output_digest.py", ["--seed", "1", "--out-dir", str(tmp_path)])
+@pytest.fixture(scope="module")
+def digest_seed1(tmp_path_factory):
+    """The output digest's listing at seed 1, BLAS thread count unset, and the directory it wrote."""
+    out = tmp_path_factory.mktemp("digest")
+    return run_script(out, "output_digest.py", ["--seed", "1", "--out-dir", str(out)]), out
+
+
+def test_output_digest_lists_every_output_once(digest_seed1):
+    stdout, out = digest_seed1
     digests = dict(line.split(" ") for line in stdout.splitlines())
     assert len(digests) == len(stdout.splitlines())
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in digests.values())
-    written = {p.name for p in tmp_path.iterdir() if not p.name.endswith("_records.json")}
+    written = {p.name for p in out.iterdir() if not p.name.endswith("_records.json")}
     assert written < set(digests)
     assert set(digests) - written == {
         "mixture2d_20x20_draws_10000", "mixture2d_20x20_moments", "sinh5d_4x4x4x3x3_draws_50000",
@@ -43,8 +50,19 @@ def test_output_digest_lists_every_output_once(tmp_path):
     }
 
 
-def run_script(cwd, script, args) -> str:
+@pytest.mark.parametrize("threads", [1, 4])
+def test_output_digest_lists_the_same_outputs_at_any_blas_thread_count(tmp_path, digest_seed1, threads):
+    stdout = run_script(tmp_path, "output_digest.py", ["--seed", "1", "--out-dir", str(tmp_path)],
+                        openblas_threads=threads)
+    assert stdout == digest_seed1[0]
+
+
+def run_script(cwd, script, args, openblas_threads=None) -> str:
+    """The script's stdout, run with OPENBLAS_NUM_THREADS at openblas_threads, or unset for None."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
