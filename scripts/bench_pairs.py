@@ -5,10 +5,12 @@
 
 PARENT and CHANGE are two checkouts of the repository; make them sibling
 fresh copies whose paths have the same length, since a process's peak RSS
-can move with the directory it runs from.  Pair i runs
-`perfbench/run.py --trace 0` of both checkouts at seed `--seed + i - 1`,
-the parent first in odd pairs and the change first in even ones.  Each
-run lasts the `run_seconds` of the BENCHMARK.json in its own checkout.
+can move with the directory it runs from; two checkouts whose resolved
+paths differ in length are refused with exit code 2 before any run.
+Pair i runs `perfbench/run.py --trace 0` of both checkouts at seed
+`--seed + i - 1`, the parent first in odd pairs and the change first in
+even ones.  Each run lasts the `run_seconds` of the BENCHMARK.json in its
+own checkout.
 
 A pair where either run exits nonzero, is not `correct` or has failed
 operations is refused: it is reported, left out of the summary, and the
@@ -123,7 +125,13 @@ def main(argv=None) -> int:
             if not (checkout / needed).is_file():
                 print(f"no {needed} under {checkout}", file=sys.stderr)
                 return 2
-    pairs, refused = run_pairs(args.parent.resolve(), args.change.resolve(), args)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if len(str(parent)) != len(str(change)):
+        print(f"the checkout paths differ in length, {len(str(parent))} characters for {parent} "
+              f"and {len(str(change))} for {change}; use sibling copies of equal length",
+              file=sys.stderr)
+        return 2
+    pairs, refused = run_pairs(parent, change, args)
     print(f"workload {args.workload}: {len(pairs)} pairs accepted, {refused} refused")
     for line in summary_lines(pairs):
         print(line)

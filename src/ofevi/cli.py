@@ -19,6 +19,7 @@ import numpy as np
 from .density import OfeDensity
 from .exceptions import ConfigError
 from .harness import (
+    FIT_FIELDS,
     ExperimentConfig,
     _divergences,
     _reference_set,
@@ -66,24 +67,8 @@ def _cmd_fit(args) -> int:
         return 2
     if args.out:
         q.save(args.out)
-    summary = {
-        "lambda_min": record.lambda_min,
-        "lambda_2": record.lambda_2,
-        "residual": record.residual,
-        "K": record.K,
-        "B": record.B,
-        "rejected": record.rejected,
-        "blas_threads": record.blas_threads,
-        "timings_ms": {
-            "score_eval": record.score_ms,
-            "assemble": record.assemble_ms,
-            "eigensolve": record.eigensolve_ms,
-        },
-        "largest_array_bytes": record.largest_array_bytes,
-        "standardized": args.standardize,
-        "density_path": args.out,
-    }
-    print(to_json(summary))
+    summary = {key: getattr(record, key) for key in ("K", "B", "standardize", *FIT_FIELDS)}
+    print(to_json(summary | {"density_path": args.out}))
     return 0
 
 

@@ -232,10 +232,13 @@ class FitResult:
     """A fitted density with its M, and the kept draws, weights and finite scores of M.
 
     eigenvalue is M's lowest eigenvalue, and lambda_2 the second lowest as
-    `min_eigenpair` gives it (None when K = 1).
-    largest_array_bytes is `largest_array_bytes` of the basis: the bytes of M or of one
-    chunk's features, whichever is larger.  blas_threads is the count the
-    fit ran at, `_blas.THREADS`, or None where no bundled OpenBLAS was pinned.
+    `min_eigenpair` gives it (None when K = 1).  score_ms, assemble_ms and
+    eigensolve_ms are the wall times of the target's scores, of M and of
+    the eigensolve.  largest_array_bytes is `largest_array_bytes` of the
+    basis: the bytes of M or of one chunk's features, whichever is larger.
+    blas_threads is the count the fit ran at, `_blas.THREADS`, or None
+    where no bundled OpenBLAS was pinned.  The report fields share their
+    names with `harness.RunRecord`, which names eigenvalue `lambda_min`.
     """
 
     density: OfeDensity
@@ -248,7 +251,9 @@ class FitResult:
     scores: np.ndarray
     rejected: int
     blas_threads: int | None
-    timings_ms: dict
+    score_ms: float
+    assemble_ms: float
+    eigensolve_ms: float
     largest_array_bytes: int
 
 
@@ -386,10 +391,8 @@ def fit_from_batch(
         scores=scores,
         rejected=rejected,
         blas_threads=blas_threads,
-        timings_ms={
-            "score_eval": 1e3 * (t1 - t0),
-            "assemble": 1e3 * (t2 - t1),
-            "eigensolve": 1e3 * (t3 - t2),
-        },
+        score_ms=1e3 * (t1 - t0),
+        assemble_ms=1e3 * (t2 - t1),
+        eigensolve_ms=1e3 * (t3 - t2),
         largest_array_bytes=largest_array_bytes(basis.size, basis.dim),
     )

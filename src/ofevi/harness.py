@@ -3,13 +3,14 @@
 A run is a grid of cells (sample-count sweep x basis-order sweep) against one
 target, and `run` takes it in three steps:
 
-1. Fit every cell (`fit_cells`), filling the fit's fields of the cell's
-   RunRecord.  Of each fit only the record and the density are yielded;
-   its M, batch and scores are dropped before the yield.  Within a
-   fixed sample-count cell all basis sizes share one proposal batch: each
-   fit is handed the largest fit made so far on it, whose target scores it
-   reuses and from whose moment matrix nested bases take their blocks bit
-   for bit, so that one fit lives until the batch's last cell is fitted.
+1. Fit every cell (`fit_cells`), filling the fields of the cell's
+   RunRecord that `FIT_FIELDS` names.  Of each fit only the record and
+   the density are yielded; its M, batch and scores are dropped before
+   the yield.  Within a fixed sample-count cell all basis sizes share one
+   proposal batch: each fit is handed the largest fit made so far on it,
+   whose target scores it reuses and from whose moment matrix nested bases
+   take their blocks bit for bit, so that one fit lives until the batch's
+   last cell is fitted.
 2. Draw the reference set: exact target samples with log p and the
    target's score there, 16 D + 8 bytes a point, shared by every cell.
 3. Evaluate each cell on it in config order: forward KL, the mean squared
@@ -69,6 +70,10 @@ SCHEMA_VERSION = 1
 
 CSV_METRICS = ("lambda_min", "residual", "kl", "kl_se", "fisher_div", "fisher_se")
 CSV_HEADER = ("config", "target", "family", "orders", "K", "B", "seed", "metric", "value")
+# The RunRecord fields a fit fills, each copied from the FitResult field of
+# the same name, but lambda_min, which FitResult calls eigenvalue.
+FIT_FIELDS = ("lambda_min", "lambda_2", "residual", "rejected", "score_ms", "assemble_ms",
+              "eigensolve_ms", "blas_threads", "largest_array_bytes")
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
+            # A string would be read one character at a time.
+            if any(isinstance(x, str) for x in (self.orders, self.samples, *self.orders)):
+                raise TypeError
             orders = tuple(tuple(as_integer(k, "orders", 1) for k in o) for o in self.orders)
             samples = tuple(None if b is None else as_integer(b, "samples", 1) for b in self.samples)
         except TypeError:
@@ -383,18 +391,8 @@ def fit_cells(config: ExperimentConfig, target):
                 q = result.density
                 if transform is not None:
                     q = OfeDensity(q.basis, q.coeffs, transform)
-                record = replace(
-                    record,
-                    lambda_min=result.eigenvalue,
-                    lambda_2=result.lambda_2,
-                    residual=result.residual,
-                    rejected=result.rejected,
-                    score_ms=result.timings_ms["score_eval"],
-                    assemble_ms=result.timings_ms["assemble"],
-                    eigensolve_ms=result.timings_ms["eigensolve"],
-                    blas_threads=result.blas_threads,
-                    largest_array_bytes=result.largest_array_bytes,
-                )
+                record = replace(record, lambda_min=result.eigenvalue,
+                                 **{name: getattr(result, name) for name in FIT_FIELDS[1:]})
             except Exception as exc:  # per-cell isolation: record and move on
                 record, q = replace(record, error=f"{type(exc).__name__}: {exc}"), None
             result = None  # only a shared batch's `earlier` fit outlives its cell

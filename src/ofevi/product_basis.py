@@ -27,6 +27,8 @@ class ProductBasis:
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.orders, str):
+            raise ValueError(f"orders must be a sequence of integers, not the string {self.orders!r}")
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "orders", tuple(as_integer(k, "orders", 1) for k in self.orders))
         if len(self.families) != len(self.orders):

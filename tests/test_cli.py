@@ -10,7 +10,7 @@ import pytest
 from ofevi import HERMITE, BasisFamily, OfeDensity, ProductBasis, _blas
 from ofevi.cli import build_parser, main
 from ofevi.estimator import largest_array_bytes
-from ofevi.harness import ExperimentConfig
+from ofevi.harness import FIT_FIELDS, ExperimentConfig, fit_cells
 
 from oracles import traced_peak
 
@@ -56,8 +56,7 @@ def test_fit_writes_a_density_and_a_summary(tmp_path, capsys):
 def test_fit_summary_reports_the_cost_of_the_fit(tmp_path, capsys):
     _, summary = fit_gaussian(tmp_path, capsys, orders="3")
     assert summary["lambda_2"] > summary["lambda_min"]
-    assert set(summary["timings_ms"]) == {"score_eval", "assemble", "eigensolve"}
-    assert all(t >= 0.0 for t in summary["timings_ms"].values())
+    assert all(summary[key] >= 0.0 for key in ("score_ms", "assemble_ms", "eigensolve_ms"))
     assert summary["largest_array_bytes"] == largest_array_bytes(3, 1)
 
 
@@ -70,10 +69,28 @@ def test_fit_standardize_flag(tmp_path, capsys):
         "--standardize-samples", "20000", "--seed", "2", "--out", str(out),
     )
     assert code == 0
-    assert json.loads(stdout)["standardized"] is True
+    assert json.loads(stdout)["standardize"] is True
     mean, cov = OfeDensity.load(out).mean_and_cov()
     assert mean[0] == pytest.approx(3.0, abs=0.05)
     assert cov[0, 0] == pytest.approx(0.125, abs=0.02)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_fit_prints_the_record_that_fit_cells_yields(tmp_path, capsys, standardize):
+    # The summary's keys are the records JSON's, and so are its values but the wall times.
+    extra = ("--standardize", "--standardize-samples", "2000") if standardize else ()
+    _, summary = fit_gaussian(tmp_path, capsys, orders="3", extra=extra)
+    assert list(summary) == ["K", "B", "standardize", *FIT_FIELDS, "density_path"]
+    assert summary["density_path"] == str(tmp_path / "density.json")
+    config = ExperimentConfig(
+        target="gaussian", target_params={"mean": [0.0], "cov": [[1.0]]}, orders=((3,),),
+        samples=(500,), seed=1, standardize=standardize, standardize_samples=2000,
+    )
+    [(_, _, record, _)] = fit_cells(config, config.build_target())
+    wall_times = ("score_ms", "assemble_ms", "eigensolve_ms")
+    kept = [key for key in summary if key not in wall_times + ("density_path",)]
+    assert {key: summary[key] for key in kept} == {key: getattr(record, key) for key in kept}
+    assert summary["standardize"] is standardize
 
 
 def test_sample_emits_csv_with_header(tmp_path, capsys):
@@ -219,6 +236,15 @@ def test_a_malformed_density_file_exits_one(tmp_path, capsys, payload):
     path.write_text(json.dumps(payload))
     code, _, stderr = run_cli(capsys, "moments", "--density", str(path))
     assert code == 1 and "cannot load density" in stderr
+
+
+@pytest.mark.parametrize("command", [("sample",), ("moments",), ("evaluate", "--target", "mixture2d")])
+def test_a_density_file_with_string_orders_exits_one(tmp_path, capsys, command):
+    # Read one character at a time, "22" would be the 2x2 basis of the coefficients.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(GOOD_DENSITY, orders="22")))
+    code, _, stderr = run_cli(capsys, command[0], "--density", str(path), *command[1:])
+    assert code == 1 and "orders must be a sequence of integers, not the string '22'" in stderr
 
 
 def test_a_density_file_with_the_old_max_orders_key_samples_the_same_bytes(tmp_path, capsys):

@@ -939,6 +939,14 @@ def test_serialization_with_transform(tmp_path):
     assert np.array_equal(back.log_density(z), q.log_density(z))
 
 
+def test_a_density_file_refuses_string_orders():
+    # Read one character at a time, "34" would be a 3x4 basis of these coefficients.
+    payload = hermite_density_2d(np.ones((3, 4))).to_dict()
+    assert payload["orders"] == [3, 4]
+    with pytest.raises(ValueError, match="not the string '34'"):
+        OfeDensity.from_dict(dict(payload, orders="34"))
+
+
 def test_serialization_other_families():
     q = OfeDensity(ProductBasis([BasisFamily(LEGENDRE), BasisFamily(FOURIER)], (2, 3)), np.arange(1.0, 7.0))
     back = OfeDensity.from_dict(q.to_dict())

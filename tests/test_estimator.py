@@ -244,7 +244,7 @@ def test_gaussian_fit_is_exact_at_order_one():
     assert np.array_equal(result.moment_matrix, np.zeros((1, 1)))
     assert np.array_equal(result.density.coeffs, [1.0])
     assert result.rejected == 0
-    assert set(result.timings_ms) == {"score_eval", "assemble", "eigensolve"}
+    assert all(getattr(result, name) >= 0.0 for name in ("score_ms", "assemble_ms", "eigensolve_ms"))
     # The larger of M (8 bytes) and one chunk's features: in 1-D a chunk
     # holds CHUNK_COLUMNS draws of one column each.
     assert result.largest_array_bytes == 8 * CHUNK_COLUMNS

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -27,7 +28,7 @@ from ofevi import (
 )
 from ofevi import density, estimator, harness, make_target
 from ofevi.estimator import MAX_ARRAY_BYTES, fit_from_batch, largest_array_bytes
-from ofevi.harness import CSV_HEADER, _fisher_from_scores, kl_from_samples
+from ofevi.harness import CSV_HEADER, FIT_FIELDS, _fisher_from_scores, kl_from_samples
 
 from oracles import CountingScore, traced_peak, whole_fisher, whole_kl, whole_reference_set
 
@@ -302,6 +303,11 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="bimodal1d", orders=((65,),), seed=0),
         dict(target="mixture2d", orders=((3, 3), (2, 65)), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=("x",)),
+        # Strings, which read one character at a time were the cells
+        # [[3], [4]], the cell (3, 4) and the sample count 5.
+        dict(target="bimodal1d", orders="34", seed=0),
+        dict(target="mixture2d", orders=("34",), seed=0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, samples="5"),
         # Two cells with the same orders and B, a null sample count being 10 K.
         dict(target="mixture2d", orders=((2, 8), (2, 8)), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=(None, 30)),
@@ -449,6 +455,32 @@ def capture_fits(monkeypatch, hold=lambda fit: fit):
 
     monkeypatch.setattr(harness, "fit_from_batch", capturing)
     return fits
+
+
+def test_fit_fields_are_fields_of_the_fit_result_and_the_record():
+    # FitResult names lambda_min eigenvalue; every other fit field has one name.
+    assert FIT_FIELDS[0] == "lambda_min"
+    fit_names = {f.name for f in dataclasses.fields(estimator.FitResult)}
+    record_names = {f.name for f in dataclasses.fields(RunRecord)}
+    assert set(FIT_FIELDS[1:]) <= fit_names & record_names
+    assert "eigenvalue" in fit_names and "lambda_min" in record_names
+
+
+def test_fit_cells_fills_every_fit_field_and_a_failed_fit_none(monkeypatch):
+    config = ExperimentConfig(target="mixture2d", orders=((3, 3), (2, 2)), seed=0,
+                              proposal_scale=9.0)
+    fit_from_batch = harness.fit_from_batch
+
+    def failing_small_fits(target, basis, *args, **kwargs):
+        if basis.size < 9:
+            raise RuntimeError("eigensolve failed")
+        return fit_from_batch(target, basis, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_from_batch", failing_small_fits)
+    [(_, _, good, _), (_, _, failed, _)] = harness.fit_cells(config, config.build_target())
+    assert good.error is None and all(getattr(good, name) is not None for name in FIT_FIELDS)
+    assert failed.error == "RuntimeError: eigensolve failed"
+    assert all(getattr(failed, name) is None for name in FIT_FIELDS)
 
 
 @pytest.mark.parametrize("case", ["shared batch", "own batches", "failed cell"])

@@ -35,6 +35,9 @@ def test_constructor_validation():
         ProductBasis([BasisFamily(HERMITE)], (2, 2))
     with pytest.raises(ValueError):
         ProductBasis([], ())
+    # Read one character at a time, "34" would be the orders (3, 4).
+    with pytest.raises(ValueError, match="not the string '34'"):
+        ProductBasis([BasisFamily(HERMITE)] * 2, "34")
 
 
 def test_uniform_constructor():

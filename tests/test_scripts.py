@@ -132,6 +132,23 @@ def test_bench_pairs_summarizes_only_the_metrics_every_run_reports():
     assert lines[-1].endswith(": extra_s, peak_rss_mb, rss_mb")
 
 
+def test_bench_pairs_refuses_checkout_paths_of_unequal_length(tmp_path, monkeypatch, capsys):
+    # Peak RSS moves with the directory a run starts from, so no run is started.
+    bench_pairs = load_script("bench_pairs")
+    checkouts = [tmp_path / "parent", tmp_path / "change2"]
+    for checkout in checkouts:
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text("")
+        (checkout / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    started = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: started.append(a))
+    code = bench_pairs.main([str(c) for c in checkouts] + ["--workload", "fit_sinh5d"])
+    err = capsys.readouterr().err
+    assert code == 2 and started == []
+    parent_len, change_len = (len(str(c.resolve())) for c in checkouts)
+    assert f"{parent_len} characters for" in err and f"and {change_len} for" in err
+
+
 @pytest.mark.parametrize(
     "code, stdout, reason",
     [
