@@ -8,7 +8,8 @@ trees at the same seed and diffs the two listings:
 The listing must not depend on the BLAS thread count either, so a change
 diffs its listings at four settings against one of its parent's:
 `OPENBLAS_NUM_THREADS=1`, `OPENBLAS_NUM_THREADS=4`, the variable unset,
-and unset under `taskset -c 0` (one CPU).
+and unset under `taskset -c 0` (one CPU).  `scripts/digest_pairs.py`
+runs all five listings of a seed and names what moved.
 
 The outputs are the CSV and density files of six sweep configs (the
 benchmark's `sweep_mixture2d` and `fit_sinh5d` configs, written out here,

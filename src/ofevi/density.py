@@ -83,7 +83,7 @@ from .basis1d import (
 from .exceptions import PoleError, TableBuildError
 from .product_basis import ProductBasis
 from .standardize import StandardizingTransform
-from .utils import as_batch, as_integer
+from .utils import as_batch, as_floats, as_integer, as_list
 
 # Draws the sampler takes through at a time.  Its per-draw work is many
 # small numpy calls, whose overhead a longer chunk spreads over more draws;
@@ -633,15 +633,12 @@ class OfeDensity:
     @classmethod
     def from_dict(cls, payload: dict) -> "OfeDensity":
         # Older files also carry a "max_orders" key, which MAX_ORDER replaced.
-        families = [BasisFamily(kind) for kind in payload["families"]]
+        families = [BasisFamily(kind) for kind in as_list(payload["families"], "families")]
         basis = ProductBasis(families=families, orders=payload["orders"])
         transform = None
         if payload.get("transform") is not None:
-            transform = StandardizingTransform(
-                np.asarray(payload["transform"]["mean"], dtype=float),
-                np.asarray(payload["transform"]["chol"], dtype=float),
-            )
-        return cls(basis, np.asarray(payload["coeffs"], dtype=float), transform)
+            transform = StandardizingTransform(payload["transform"]["mean"], payload["transform"]["chol"])
+        return cls(basis, as_floats(payload["coeffs"], "coeffs", 1), transform)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

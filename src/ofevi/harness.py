@@ -43,7 +43,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -51,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis1d import HERMITE, MAX_ORDER, BasisFamily
+from .basis1d import HERMITE, BasisFamily
 from .density import _CHUNK_POINTS, OfeDensity
 from .estimator import (
     MAX_ARRAY_BYTES,
@@ -64,7 +63,7 @@ from .product_basis import ProductBasis
 from .proposals import IsotropicGaussian, UniformBox
 from .standardize import StandardizedTarget, estimate_transform
 from .targets import TARGET_REGISTRY, make_target
-from .utils import as_integer, row_sums, to_json
+from .utils import as_floats, as_integer, as_list, row_sums, to_json
 
 SCHEMA_VERSION = 1
 
@@ -94,25 +93,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            # A string would be read one character at a time.
-            if any(isinstance(x, str) for x in (self.orders, self.samples, *self.orders)):
-                raise TypeError
-            orders = tuple(tuple(as_integer(k, "orders", 1) for k in o) for o in self.orders)
-            samples = tuple(None if b is None else as_integer(b, "samples", 1) for b in self.samples)
-        except TypeError:
-            raise ConfigError("orders must be a list of lists and samples a list") from None
+            # Each cell's basis checks its orders: whole, at least 1, at most MAX_ORDER.
+            family = BasisFamily(self.family)
+            entries = [as_list(o, "each orders entry") for o in as_list(self.orders, "orders")]
+            orders = tuple(ProductBasis([family] * len(o), o).orders for o in entries)
+            samples = tuple(None if b is None else as_integer(b, "samples", 1)
+                            for b in as_list(self.samples, "samples"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "samples", samples)
         for name, least in (("seed", 0), ("standardize_samples", 1),
                             ("eval_samples", 1), ("sample_probe", 0)):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, least))
-        if not self.orders or not all(self.orders):
-            raise ConfigError("orders must be a nonempty list of nonempty lists")
         if len({len(o) for o in self.orders}) != 1:
-            raise ConfigError("every orders entry must have the same dimension")
+            raise ConfigError("orders must be a nonempty list of entries of one dimension")
         for o in self.orders:
-            if max(o) > MAX_ORDER:
-                raise ConfigError(f"orders {list(o)} exceed the order cap of {MAX_ORDER}")
             need = largest_array_bytes(math.prod(o), len(o))
             if need > MAX_ARRAY_BYTES:
                 raise ConfigError(
@@ -128,28 +124,26 @@ class ExperimentConfig:
             raise ConfigError("two cells have the same orders and sample count B")
         if not isinstance(self.target_params, dict):
             raise ConfigError("target_params must be an object")
+        try:
+            json.dumps(self.target_params, sort_keys=True)  # as the config hash writes them
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"target_params cannot be written as JSON: {exc}") from None
         if self.target not in TARGET_REGISTRY:
             raise ConfigError(f"unknown target {self.target!r}")
-        try:
-            BasisFamily(self.family)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.proposal not in ("uniform", "gaussian"):
             raise ConfigError("proposal must be 'uniform' or 'gaussian'")
         if self.proposal == "gaussian" and self.family != HERMITE:
             raise ConfigError(
                 f"the gaussian proposal draws outside the {self.family} support; use 'uniform'"
             )
-        scale = self.proposal_scale
-        if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
-                or not 0 < scale < math.inf):
-            raise ConfigError("proposal_scale must be a positive and finite number")
         # A finite scale can still under- or overflow the proposal's density,
         # which its constructor refuses.
         try:
+            if as_floats(self.proposal_scale, "proposal_scale", 0) <= 0:
+                raise ValueError("proposal_scale must be positive")
             self.build_proposal()
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"proposal_scale {scale!r} builds no proposal: {exc}") from None
+            raise ConfigError(f"proposal_scale {self.proposal_scale!r} builds no proposal: {exc}") from None
         if not isinstance(self.standardize, bool):
             raise ConfigError("standardize must be true or false")
         if self.out_prefix is not None and not isinstance(self.out_prefix, str):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _blas
 from .basis1d import BasisFamily, basis_tables, derivative_matrix
-from .utils import as_batch, as_integer
+from .utils import as_batch, as_integer, as_list
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,9 @@ class ProductBasis:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.orders, str):
-            raise ValueError(f"orders must be a sequence of integers, not the string {self.orders!r}")
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "orders", tuple(as_integer(k, "orders", 1) for k in self.orders))
+        orders = as_list(self.orders, "orders")
+        object.__setattr__(self, "orders", tuple(as_integer(k, "orders", 1) for k in orders))
         if len(self.families) != len(self.orders):
             raise ValueError("families and orders must have equal length")
         if not self.families:

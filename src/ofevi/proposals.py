@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .utils import as_batch
+from .utils import as_batch, as_floats
 
 
 def _check_peak(peak, what: str) -> None:
@@ -30,12 +30,10 @@ class UniformBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.array(self.lo, dtype=float))
-        hi = np.atleast_1d(np.array(self.hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo and hi must be vectors of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("lo and hi must be finite")
+        lo = as_floats(self.lo, "lo", 1)
+        hi = as_floats(self.hi, "hi", 1)
+        if lo.shape != hi.shape:
+            raise ValueError("lo and hi must have equal length")
         if np.any(lo >= hi):
             raise ValueError("need lo < hi in every dimension")
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
@@ -72,14 +70,10 @@ class IsotropicGaussian:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be finite")
-        if not 0 < self.variance < np.inf:
-            raise ValueError("variance must be positive and finite")
-        variance = float(self.variance)
+        mean = as_floats(self.mean, "mean", 1)
+        variance = float(as_floats(self.variance, "variance", 0))
+        if variance <= 0:
+            raise ValueError("variance must be positive")
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             norm = np.power(2.0 * np.pi * variance, mean.shape[0] / 2.0)
             _check_peak(1.0 / norm, f"variance {variance} in {mean.shape[0]} dimensions")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _blas
 from .exceptions import ProposalSupportError, TransformError
-from .utils import as_batch
+from .utils import as_batch, as_floats
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,10 @@ class StandardizingTransform:
     inv_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        chol = np.atleast_2d(np.array(self.chol, dtype=float))
+        mean = as_floats(self.mean, "mean", 1, TransformError)
+        chol = as_floats(self.chol, "chol", 2, TransformError)
         if chol.shape != (mean.size, mean.size):
             raise TransformError("chol shape does not match mean")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(chol))):
-            raise TransformError("mean and chol must be finite")
         if np.any(np.triu(chol, 1) != 0.0):
             raise TransformError("chol must be lower triangular")
         if np.any(np.diag(chol) <= 0.0):
@@ -49,7 +47,6 @@ class StandardizingTransform:
 
     @classmethod
     def from_moments(cls, mean, cov) -> "StandardizingTransform":
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .standardize import StandardizingTransform
-from .utils import as_batch, row_sums
+from .utils import as_batch, as_floats, row_sums
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -60,16 +60,10 @@ class Gaussian:
     _precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        cov = np.atleast_2d(np.array(self.cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
+        mean = as_floats(self.mean, "mean", 1)
+        cov = as_floats(self.cov, "cov", 2)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be finite")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covariance must be finite")
         # cholesky reads only the lower triangle, so it would silently
         # replace an asymmetric matrix with its symmetric lower part.
         if np.any(np.abs(cov - cov.T) > 1e-12 * np.max(np.abs(cov))):
@@ -104,10 +98,9 @@ class GaussianMixture:
     """
 
     def __init__(self, weights, means, covs):
-        weights = np.array(weights, dtype=float)
-        # A NaN weight fails `>= 0`, and an infinite one fails the sum.
+        weights = as_floats(weights, "weights", 1)
         if not np.all(weights >= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be finite, nonnegative and sum to one")
+            raise ValueError("weights must be nonnegative and sum to one")
         self.weights = weights
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
@@ -152,8 +145,9 @@ class Funnel:
     dim: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError("sigma2 must be positive and finite")
+        object.__setattr__(self, "sigma2", float(as_floats(self.sigma2, "sigma2", 0)))
+        if self.sigma2 <= 0:
+            raise ValueError("sigma2 must be positive")
 
     def log_density(self, z):
         z = as_batch(z, 2)
@@ -185,13 +179,10 @@ class SinhArcsinh:
     """Sinh-arcsinh normal: a Gaussian warped per dimension by skew s and tail weight tau."""
 
     def __init__(self, s, tau, cov):
-        self.s = np.atleast_1d(np.array(s, dtype=float))
-        self.tau = np.atleast_1d(np.array(tau, dtype=float))
-        if not np.all(np.isfinite(self.s)):
-            raise ValueError("s must be finite")
-        # A NaN tau fails `> 0`.
-        if not np.all((self.tau > 0) & (self.tau < np.inf)):
-            raise ValueError("tau must be strictly positive and finite")
+        self.s = as_floats(s, "s", 1)
+        self.tau = as_floats(tau, "tau", 1)
+        if not np.all(self.tau > 0):
+            raise ValueError("tau must be strictly positive")
         self.base = Gaussian(np.zeros(self.s.size), cov)
         if self.s.shape != self.tau.shape or self.s.size != self.base.dim:
             raise ValueError("s, tau, and cov dimensions must agree")

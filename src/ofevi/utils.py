@@ -3,7 +3,9 @@
 Every evaluator in ofevi takes a batch of points, shape (n, D), and returns
 arrays, shape (n,) or (n, D); a single point z is the batch z[None].  Every
 count, in a config, on the command line or in a sampling call, goes through
-one integer rule, `as_integer`.  The CLI's JSON output and the records
+one integer rule, `as_integer`; every parameter array, one float rule,
+`as_floats`, which reads numbers only; every list, `as_list`, which reads
+no string or JSON object as one.  The CLI's JSON output and the records
 file go through `to_json`, which writes a non-finite float as null, so
 strict JSON parsers read them.  `row_sums` sums each row of an (n, w)
 array column by column, with the bits of `np.sum(x, axis=1)`: over a short
@@ -57,6 +59,30 @@ def as_integer(value, name: str, least: int) -> int:
     if whole < least:
         raise ConfigError(f"{name} must be at least {least}")
     return whole
+
+
+def as_floats(value, name: str, ndim: int, error=ValueError) -> np.ndarray:
+    """value as a new float array of `ndim` dimensions, padded in front as np.atleast_1d/2d pad.
+
+    Only numbers are read: a string, a boolean, an object, more than `ndim`
+    dimensions or a NaN or infinite entry raises `error`, naming the field.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.ndim > ndim:
+        raise error(f"{name} must be {('a number', 'a vector of numbers', 'a matrix of numbers')[ndim]}")
+    if not np.all(np.isfinite(array)):
+        raise error(f"{name} must be finite")
+    return np.array(array, dtype=float, ndmin=ndim)
+
+
+def as_list(value, name: str) -> tuple:
+    """value as a tuple; anything but a list or a tuple, a string or a JSON object too, is a ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, not {type(value).__name__} {value!r}")
+    return tuple(value)
 
 
 def to_json(payload) -> str:

@@ -244,7 +244,65 @@ def test_a_density_file_with_string_orders_exits_one(tmp_path, capsys, command):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(GOOD_DENSITY, orders="22")))
     code, _, stderr = run_cli(capsys, command[0], "--density", str(path), *command[1:])
-    assert code == 1 and "orders must be a sequence of integers, not the string '22'" in stderr
+    assert code == 1 and "orders must be a list, not str '22'" in stderr
+
+
+ONE_D_DENSITY = OfeDensity(ProductBasis([BasisFamily(HERMITE)], (2,)), np.array([0.6, 0.8])).to_dict()
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({}, None),
+        # Each of these loaded: an object read as its keys, a string read as a number.
+        ({"orders": {"2": 0}}, "orders"),
+        ({"families": {HERMITE: 0}}, "families"),
+        ({"coeffs": ["1", "0"]}, "coeffs"),
+        ({"transform": {"mean": "12", "chol": [[1.0]]}}, "mean"),
+        ({"transform": {"mean": [12.0], "chol": [["1"]]}}, "chol"),
+    ],
+    ids=["numbers", "object-orders", "object-families", "string-coeffs", "string-transform-mean",
+         "string-transform-chol"],
+)
+def test_a_density_file_is_read_as_lists_of_numbers_only(tmp_path, capsys, fields, field):
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(dict(ONE_D_DENSITY, **fields)))
+    code, _, stderr = run_cli(capsys, "moments", "--density", str(path))
+    if field is None:
+        assert code == 0
+    else:
+        assert code == 1 and "cannot load density" in stderr and f"{field} must be" in stderr
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # Read as their keys, these were the cell K=3 B=40, fitted with exit 0.
+        {"orders": [{"3": 0}], "samples": {"40": 1}},
+        {"orders": [[3]], "samples": {"40": 1}},
+        # Every cell was fitted, then the reference draw died with exit 2.
+        {"target": "mixture", "target_params": {"weights": [[0.5, 0.5]], "means": [[0.0], [1.0]],
+                                                "covs": [[[1.0]], [[1.0]]]}},
+        {"target": "funnel", "orders": [[3, 3]], "target_params": {"sigma2": True}},
+        {"target": "gaussian", "target_params": {"mean": "3", "cov": [[1.0]]}},
+    ],
+    ids=["object-orders", "object-samples", "matrix-weights", "boolean-sigma2", "string-mean"],
+)
+def test_a_sweep_config_of_the_wrong_kinds_exits_one_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                    fields):
+    from ofevi import proposals
+
+    def no_draws(self, rng, n):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(proposals.UniformBox, "sample", no_draws)
+    config = dict({"target": "bimodal1d", "orders": [[3]], "seed": 0,
+                   "out_prefix": str(tmp_path / "out")}, **fields)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 1 and "config error" in stderr
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_a_density_file_with_the_old_max_orders_key_samples_the_same_bytes(tmp_path, capsys):

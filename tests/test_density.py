@@ -943,7 +943,7 @@ def test_a_density_file_refuses_string_orders():
     # Read one character at a time, "34" would be a 3x4 basis of these coefficients.
     payload = hermite_density_2d(np.ones((3, 4))).to_dict()
     assert payload["orders"] == [3, 4]
-    with pytest.raises(ValueError, match="not the string '34'"):
+    with pytest.raises(ValueError, match="orders must be a list, not str '34'"):
         OfeDensity.from_dict(dict(payload, orders="34"))
 
 

@@ -312,6 +312,13 @@ def test_config_hash_ignores_output_prefix_only():
         dict(target="mixture2d", orders=((2, 8), (2, 8)), seed=0),
         dict(target="bimodal1d", orders=((3,),), seed=0, samples=(None, 30)),
         dict(target="bimodal1d", orders=((3,),), seed=0, target_params=[1]),
+        # JSON objects, which read as their keys were the cell (3,) and B = 40.
+        dict(target="bimodal1d", orders=({"3": 0},), seed=0),
+        dict(target="bimodal1d", orders={"3": 0}, seed=0),
+        dict(target="bimodal1d", orders=((3,),), seed=0, samples={"40": 1}),
+        # The config hash writes target_params as JSON, which has no arrays.
+        dict(target="gaussian", orders=((3,),), seed=0,
+             target_params={"mean": np.zeros(1), "cov": np.eye(1)}),
         # A Gaussian proposal draws outside every support but Hermite's.
         dict(target="bimodal1d", orders=((3,),), seed=0, family="laguerre", proposal="gaussian"),
         dict(target="bimodal1d", orders=((3,),), seed=0, proposal_scale=True),

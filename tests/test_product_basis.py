@@ -36,8 +36,11 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         ProductBasis([], ())
     # Read one character at a time, "34" would be the orders (3, 4).
-    with pytest.raises(ValueError, match="not the string '34'"):
+    with pytest.raises(ValueError, match="orders must be a list, not str '34'"):
         ProductBasis([BasisFamily(HERMITE)] * 2, "34")
+    # Read as its keys, the object would be the orders (3, 4) too.
+    with pytest.raises(ValueError, match="orders must be a list, not dict"):
+        ProductBasis([BasisFamily(HERMITE)] * 2, {"3": 0, "4": 1})
 
 
 def test_uniform_constructor():

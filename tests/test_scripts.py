@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs to completion on a small input.
 
-The benchmark-pair script is fed canned result lines and runs no benchmark.
+The benchmark-pair and digest-pair scripts are fed canned output and run
+neither a benchmark nor a digest.
 """
 
 import argparse
@@ -172,3 +173,62 @@ def test_bench_pairs_refuses_a_pair_with_a_bad_run(code, stdout, reason):
                                            log=logged.append)
     assert refused == 1 and len(pairs) == 2
     assert f"refused pair 2 (seed 2): the change run {reason}" in logged
+
+
+def digest_listing(**digests):
+    return "".join(f"{name} {sha}\n" for name, sha in digests.items())
+
+
+def test_digest_pairs_runs_the_parent_unset_and_the_change_at_every_setting():
+    digest_pairs = load_script("digest_pairs")
+    calls = []
+
+    def canned(checkout, seed, setting):
+        calls.append((checkout.name, seed, setting))
+        return 0, digest_listing(a_csv="1" * 64, b_json="2" * 64)
+
+    logged = []
+    assert digest_pairs.compare(Path("parent"), Path("change"), [1, 2], run=canned, log=logged.append)
+    settings = ["1", "4", "unset", "unset, one CPU"]
+    assert calls == [(name, seed, setting) for seed in (1, 2)
+                     for name, setting in [("parent", "unset")] + [("change", s) for s in settings]]
+    assert logged[0] == "seed 1, OPENBLAS_NUM_THREADS=1: all 2 names equal"
+    assert logged[3] == "seed 1, unset, one CPU: all 2 names equal"
+
+
+def test_digest_pairs_names_each_moved_output_per_setting():
+    digest_pairs = load_script("digest_pairs")
+    parent = digest_listing(a_csv="1" * 64, b_json="2" * 64, c_draws="3" * 64)
+
+    def canned(checkout, seed, setting):
+        if checkout.name == "parent":
+            return 0, parent
+        if setting == "4":
+            return 0, digest_listing(a_csv="1" * 64, b_json="f" * 64, d_new="4" * 64)
+        if setting == "unset, one CPU":
+            return 1, ""
+        return 0, parent if setting == "1" else ""
+
+    logged = []
+    assert not digest_pairs.compare(Path("parent"), Path("change"), [7], run=canned, log=logged.append)
+    assert logged == [
+        "seed 7, OPENBLAS_NUM_THREADS=1: all 3 names equal",
+        "seed 7, OPENBLAS_NUM_THREADS=4: moved b_json, c_draws, d_new",
+        "seed 7, unset: the change run printed no listing",
+        "seed 7, unset, one CPU: the change run exited with code 1",
+    ]
+
+
+def test_digest_pairs_exits_one_when_a_name_moved(tmp_path, monkeypatch):
+    digest_pairs = load_script("digest_pairs")
+    for checkout in ("parent", "change"):
+        (tmp_path / checkout / "scripts").mkdir(parents=True)
+        (tmp_path / checkout / "scripts" / "output_digest.py").write_text("")
+
+    def canned(checkout, seed, setting):
+        return 0, digest_listing(a_csv=("1" if checkout.name == "parent" else "2") * 64)
+
+    monkeypatch.setattr(digest_pairs, "run_digest", canned)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seed", "1"]
+    assert digest_pairs.main(argv) == 1
+    assert digest_pairs.main([str(tmp_path / "parent"), str(tmp_path / "missing")]) == 2
